@@ -1,15 +1,15 @@
 """Campaign scaling: root-sharded grids and sub-root-sharded proofs.
 
 The paper's evaluation is a grid of independent verification tasks; the
-campaign scheduler (``repro.campaign``) shards each cell across its
-secret-pair roots -- and, below the root, across the first cycle's
+campaign scheduler (``repro.campaign``) shards each cell into batches
+of its secret-pair roots -- and, below the root, across the first cycle's
 nondeterministic choices -- and fans everything over worker processes.
 Four wall-clock records accumulate in ``BENCH_campaign.json`` at the
 repository root:
 
 - ``table2-grid``: the full model-checked Table-2 grid (shadow +
-  baseline schemes, five designs), serial vs 4 workers at root
-  granularity, and
+  baseline schemes, five designs), serial vs 4 workers at root-batch
+  granularity (one shard per unit), and
 - ``fig2-rob-subroot``: the dominant Fig. 2 ROB sweep cell -- a workload
   one root's subtree dominates, which root sharding cannot split --
   serial vs 4 workers with sub-root sharding forced on, and
@@ -26,7 +26,9 @@ repository root:
 
 Asserted always: outcomes -- verdict, search statistics and
 counterexamples -- are identical between the serial path and the
-sharded campaign (the determinism contract).  Asserted only on
+sharded campaign (the determinism contract); on the Table-2 grid also
+the shard count and that the shards explored exactly the merged states
+(no discarded work).  Asserted only on
 multi-core runners: the parallel run completes in measurably less
 wall-clock than the serial one (on a single-CPU container the process
 pool can only add overhead, which the JSON records honestly).
@@ -40,8 +42,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from conftest import update_bench_record
+from repro import obs
 from repro.bench import fig2, table2
 from repro.bench.runner import run_units
+from repro.campaign import scheduler
 from repro.campaign.scheduler import verify_sharded
 from repro.core.secrets import with_mirrored_roots
 from repro.core.verifier import verify
@@ -58,11 +62,13 @@ def test_campaign_scaling_table2_grid(scale):
     serial = run_units(units, n_workers=1, experiment=table2.EXPERIMENT)
     serial_s = time.monotonic() - started
 
-    started = time.monotonic()
-    parallel = run_units(
-        units, n_workers=N_WORKERS, experiment=table2.EXPERIMENT
-    )
-    parallel_s = time.monotonic() - started
+    with obs.tracing() as recorder:
+        started = time.monotonic()
+        parallel = run_units(
+            units, n_workers=N_WORKERS, experiment=table2.EXPERIMENT
+        )
+        parallel_s = time.monotonic() - started
+    telemetry = scheduler.LAST_TELEMETRY
 
     cells = {}
     for unit in units:
@@ -72,6 +78,18 @@ def test_campaign_scaling_table2_grid(scale):
         assert par.counterexample == ser.counterexample, unit.key
         cells["/".join(unit.key)] = ser.kind
 
+    # Host-independent scaling facts: every unit ships as one root batch
+    # (10 units fill 2x capacity), and no shard's work is discarded --
+    # the states the shards explored are exactly the merged states.
+    assert telemetry.shards == len(units)
+    explored = sum(
+        dict(event.attrs).get("states", 0)
+        for event in recorder.events
+        if event.name == "shard.done"
+    )
+    merged = sum(outcome.stats.states for outcome in parallel.values())
+    assert explored == merged
+
     record = {
         "experiment": "table2-grid",
         "scale": scale.name,
@@ -79,7 +97,7 @@ def test_campaign_scaling_table2_grid(scale):
         "n_workers": N_WORKERS,
         "oversubscribed": N_WORKERS > (os.cpu_count() or 1),
         "n_units": len(units),
-        "n_shards": sum(len(u.task.build_roots()) for u in units),
+        "n_shards": telemetry.shards,
         "serial_s": round(serial_s, 3),
         "parallel_s": round(parallel_s, 3),
         "speedup": round(serial_s / parallel_s, 3),

@@ -2,9 +2,9 @@
 
 The campaign scheduler (:mod:`repro.campaign.scheduler`) plans work as
 :class:`WorkItem` values -- one picklable, self-contained shard each: a
-single-root :class:`repro.core.verifier.VerificationTask`, optionally
-narrowed to one seeded frontier slice.  *Where* those items execute is
-the backend's business:
+:class:`repro.core.verifier.VerificationTask` over a contiguous batch of
+a unit's roots, or a single-root task narrowed to one seeded frontier
+slice.  *Where* those items execute is the backend's business:
 
 - :class:`repro.campaign.backends.serial.SerialBackend` runs them inline
   (the deterministic reference),
@@ -184,8 +184,9 @@ class WorkItem:
     Three item kinds share the schedulable-unit contract (a pure
     function of the pickled fields, so merges are backend-independent):
 
-    - ``task`` with ``entries is None``: a whole-root shard (verify the
-      single-root ``task`` outright);
+    - ``task`` with ``entries is None``: a root-batch shard (verify
+      ``task`` outright; its roots are a contiguous batch of the unit's,
+      so the outcome equals the serial merge of those roots);
     - ``task`` with ``entries``: a seeded sub-root *batch* -- a
       contiguous slice of one root's first-cycle frontier, searched in
       one :meth:`repro.mc.explorer.Explorer.run_seeded` call.  Because

@@ -5,8 +5,14 @@ The paper's evaluation (Tables 2/3, Fig. 2, the BOOM hunt) is a grid of
 quantifier roots are independent again: a root's DFS subtree never shares
 states with another root's (visited-set keys embed the root index), so
 
-- one :class:`repro.core.verifier.VerificationTask` shards into one
-  subtask per root, and
+- one :class:`repro.core.verifier.VerificationTask` shards into
+  contiguous *root batches* ``roots[a:b]``, each searched by one
+  :class:`repro.mc.explorer.Explorer` -- which keeps the transition memo
+  across the batch's roots and stops at the first attack exactly like
+  the serial engine, so no shard explores a root the serial scan would
+  skip inside its batch.  Each unit gets ``min(roots, ceil(2 x capacity
+  / units))`` batches, so the campaign still has ~2x capacity shards
+  (the Table-2 grid runs as one shard per unit), and
 - a whole campaign -- one bench table -- fans all shards of all units
   across an execution backend.
 
@@ -84,16 +90,20 @@ unit's cross-process filter with subtrees nobody merged.
 next, and within a root the DFS is fully deterministic.  The merge
 therefore replays that order: scan per-root outcomes from the last root
 to the first, summing search stats, and adopt the first non-proof as the
-unit verdict.  Sub-root shards merge the same way one level down --
-children in reversed yield order, the expansion prelude (root state +
-every first-cycle transition) added on top -- before entering the root
-scan; stolen slices nest the same composition once more.  Under budgets
-generous enough that no shard times out, the merged outcome -- verdict,
-counterexample *and* state/transition counts -- is bit-identical to the
-monolithic serial search, for every backend, worker count and shard
-granularity.  (When a budget *does* trip, verdicts may legitimately
-differ across capacities: each shard gets the task's full ``timeout_s``,
-so parallelism completes searches the serial engine would time out on.)
+unit verdict.  A root batch's outcome *is* that scan over its own
+roots (its ``Explorer`` pops them in the same LIFO order and stops at
+the same attack), so the unit merge scans batch outcomes exactly as it
+would scan their roots'.  Sub-root shards merge the same way one level
+down -- children in reversed yield order, the expansion prelude (root
+state + every first-cycle transition) added on top -- before entering
+the root scan; stolen slices nest the same composition once more.
+Under budgets generous enough that no shard times out, the merged
+outcome -- verdict, counterexample *and* state/transition counts -- is
+bit-identical to the monolithic serial search, for every backend, worker
+count and shard granularity.  (When a budget *does* trip, verdicts may
+legitimately differ across capacities: each shard gets the task's full
+``timeout_s``, so parallelism completes searches the serial engine would
+time out on.)
 ``n_workers=1`` with no explicit backend does not shard at all: it runs
 the historical serial path unchanged, which is the reproducibility
 baseline the merged results are tested against.
@@ -158,7 +168,7 @@ from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.log import CampaignLog
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.instruction import Opcode
-from repro.mc.explorer import Explorer, Root, RootExpansion
+from repro.mc.explorer import Explorer, RootExpansion
 from repro.mc.result import PROVED, Outcome, SearchStats
 from repro.mc.shared_filter import suggest_capacity
 
@@ -209,7 +219,7 @@ class CampaignTelemetry:
     steals: int = 0
     steal_settled: int = 0
     steal_won: int = 0
-    #: Work items actually submitted to the backend (whole roots, seeded
+    #: Work items actually submitted to the backend (root batches, seeded
     #: batches and steal racers) -- the dispatch-overhead denominator
     #: batching exists to shrink.
     shards: int = 0
@@ -307,6 +317,8 @@ def _plan_batches(weights: Sequence[int], n_batches: int) -> list[tuple[int, int
     one entry per remaining batch.
     """
     count = len(weights)
+    if not count:
+        return []
     n_batches = max(1, min(n_batches, count))
     batches: list[tuple[int, int]] = []
     start = 0
@@ -449,17 +461,17 @@ class _StealGroup:
 
 
 class _RootSlot:
-    """Shard book-keeping for one root of a unit.
+    """Shard book-keeping for a contiguous batch ``roots[a:b]`` of a unit.
 
-    A slot is either a *whole-root* shard (one ticket, the historical
-    granularity) or a *split* root (an in-process first-cycle expansion
-    plus one seeded ticket per surviving child, some of which may be
-    re-split again by the work-stealing rebalance).
+    A slot is either a *whole* shard (one ticket verifying the batch's
+    roots in one ``Explorer``) or a *split* root (a single-root batch
+    whose first cycle is expanded in-process, plus one seeded ticket per
+    batch of surviving children, some of which may be re-split again by
+    the work-stealing rebalance).
     """
 
-    def __init__(self, root: Root, subtask: VerificationTask):
-        self.root = root
-        self.subtask = subtask  # single-root, deadline-stamped
+    def __init__(self, subtask: VerificationTask):
+        self.subtask = subtask  # the batch's roots, deadline-stamped
         self.expansion: RootExpansion | None = None
         #: Contiguous ``[start, end)`` slices of ``expansion.entries``,
         #: one per dispatched batch; ``sub_outcomes`` / ``sub_tickets``
@@ -477,7 +489,7 @@ class _RootSlot:
 
         Roots the expansion already settles (a first-cycle attack, an
         expired budget, or an empty frontier -- a proof) finalize
-        in-process.  A one-child frontier stays a whole-root shard:
+        in-process.  A one-child frontier stays a whole shard:
         splitting it buys nothing and a lone child may share the root's
         environment (see ``RootExpansion.splittable``).
         """
@@ -648,7 +660,7 @@ def run_campaign(
     unit's roots into per-first-choice subtrees when the unit has fewer
     roots than the backend has capacity (single-root workloads root
     sharding cannot touch), ``"always"`` forces the split (the CI
-    determinism smoke), ``"never"`` keeps the root granularity.
+    determinism smoke), ``"never"`` keeps root-batch granularity.
     ``rebalance`` enables work-stealing of dominant sub-root slices into
     depth-2 shards when capacity idles (bit-identical either way).
     ``budget_s`` is a shared wall-clock budget; units it cuts off report
@@ -825,29 +837,38 @@ def _run_sharded(
     states: list[_UnitState] = []
     split: list[bool] = []
     models: list[tuple[int, int]] = []  # per-unit (width, depth) cost model
+    n_roots: list[int] = []
+    # Root batching: enough contiguous batches per unit that the campaign
+    # has >= ~2x capacity shards, never more than one per root.
+    batches_per_unit = math.ceil(2 * capacity / max(1, len(units)))
     for index, unit in enumerate(units):
         models.append(_cost_model(unit.task))
         roots = unit.task.build_roots()
+        n_roots.append(len(roots))
+        splits = subroot == "always" or (
+            subroot == "auto" and len(roots) < capacity
+        )
+        # Sub-root units keep one slot per root.
+        spans = _plan_batches(
+            [1] * len(roots), len(roots) if splits else batches_per_unit
+        )
         slots = [
             _RootSlot(
-                root, _stamp_deadline(replace(unit.task, roots=[root]), deadline)
+                _stamp_deadline(replace(unit.task, roots=roots[a:b]), deadline)
             )
-            for root in roots
+            for a, b in spans
         ]
         state = _UnitState(index, unit, slots)
         state.spec_fp = spec_fingerprint(split_spec(unit.task)[0])
         states.append(state)
-        split.append(
-            subroot == "always"
-            or (subroot == "auto" and len(roots) < capacity)
-        )
+        split.append(splits)
     if backend is None:
         # Implicit process pool: splitting exists to raise the shard
-        # count above the root count, so only clamp the pool to the root
+        # count above the slot count, so only clamp the pool to the slot
         # count when nothing will split.
-        total_root_shards = sum(len(s.slots) for s in states)
+        total_slots = sum(len(s.slots) for s in states)
         if not any(split):
-            capacity = max(1, min(capacity, total_root_shards))
+            capacity = max(1, min(capacity, total_slots))
         backend = ProcessPoolBackend(capacity)
         owned = True
     backend.set_deadline(deadline)
@@ -872,7 +893,7 @@ def _run_sharded(
         len(state.slots) for state in states if split[state.index]
     )
     min_batches = max(1, math.ceil(2 * capacity / max(1, n_split_roots)))
-    #: ticket -> (unit state, root position, batch position, steal index)
+    #: ticket -> (unit state, slot position, batch position, steal index)
     owner: dict[int, tuple[_UnitState, int, int | None, int | None]] = {}
     submitted: dict[int, float] = {}  # ticket -> submit instant
     predictions: dict[int, int] = {}  # ticket -> raw predicted states
@@ -920,7 +941,7 @@ def _run_sharded(
         state: _UnitState,
         slot: _RootSlot,
         item: WorkItem,
-        root_pos: int,
+        slot_pos: int,
         sub_pos: int | None,
         steal_idx: int | None = None,
         predicted: int = 0,
@@ -935,7 +956,7 @@ def _run_sharded(
             unit="/".join(state.unit.key),
             predicted=predicted,
         )
-        owner[ticket] = (state, root_pos, sub_pos, steal_idx)
+        owner[ticket] = (state, slot_pos, sub_pos, steal_idx)
         submitted[ticket] = clock.monotonic()
         if predicted:
             predictions[ticket] = predicted
@@ -957,7 +978,7 @@ def _run_sharded(
         plan_order = sorted(
             states,
             key=lambda s: _predicted_states(
-                s.unit.task, len(s.slots), models[s.index]
+                s.unit.task, n_roots[s.index], models[s.index]
             ),
             reverse=True,
         )
@@ -972,17 +993,17 @@ def _run_sharded(
             if state.unit.task.shared_visited:
                 state.vfilter = backend.make_filter(
                     _filter_capacity(
-                        state.unit, len(state.slots), models[state.index]
+                        state.unit, n_roots[state.index], models[state.index]
                     )
                 )
             # Plan and submit in *serial* order (last slot first, the
             # LIFO exploration order): a serially-early root the planner
             # settles in-process with a non-proof kills its siblings
             # before any of their planning or submission work is paid.
-            for root_pos in reversed(range(len(state.slots))):
+            for slot_pos in reversed(range(len(state.slots))):
                 if try_finalize(state):
                     break  # serially-earlier slots decided the unit
-                slot = state.slots[root_pos]
+                slot = state.slots[slot_pos]
                 if split[state.index] and slot.plan_subroot():
                     continue  # settled in-process by the expansion
                 if slot.expansion is None:
@@ -995,10 +1016,12 @@ def _run_sharded(
                             state.filter_name,
                             spec_fp=state.spec_fp,
                         ),
-                        root_pos,
+                        slot_pos,
                         None,
                         predicted=_predicted_states(
-                            slot.subtask, 1, models[state.index]
+                            slot.subtask,
+                            len(slot.subtask.roots),
+                            models[state.index],
                         ),
                     )
                 else:
@@ -1036,7 +1059,7 @@ def _run_sharded(
                                 state.filter_name,
                                 spec_fp=state.spec_fp,
                             ),
-                            root_pos,
+                            slot_pos,
                             sub_pos,
                             predicted=sum(weights[start:end]),
                         )
@@ -1095,10 +1118,10 @@ def _run_sharded(
                     )
             if info is None:
                 continue  # cancelled or superseded: a stale result
-            state, root_pos, sub_pos, steal_idx = info
+            state, slot_pos, sub_pos, steal_idx = info
             if state.final is not None:
                 continue
-            slot = state.slots[root_pos]
+            slot = state.slots[slot_pos]
             if isinstance(outcome, ShardFailure):
                 if _handle_shard_failure(
                     state, slot, sub_pos, steal_idx, outcome, cancel_ticket
@@ -1257,12 +1280,12 @@ def _maybe_steal(
     # result is bit-identical either way).
     candidate = None
     best = None
-    for ticket, (state, root_pos, sub_pos, steal_idx) in owner.items():
+    for ticket, (state, slot_pos, sub_pos, steal_idx) in owner.items():
         if steal_idx is not None or sub_pos is None:
             continue  # only whole, un-stolen seeded batches are targets
         if state.final is not None or state.unit.task.shared_visited:
             continue
-        slot = state.slots[root_pos]
+        slot = state.slots[slot_pos]
         if sub_pos in slot.groups or sub_pos in slot.unstealable:
             continue
         if slot.sub_outcomes[sub_pos] is not None or slot.outcome() is not None:
@@ -1272,11 +1295,11 @@ def _maybe_steal(
         rank = (-predicted, age, ticket)
         if best is None or rank < best:
             best = rank
-            candidate = (ticket, state, root_pos, sub_pos)
+            candidate = (ticket, state, slot_pos, sub_pos)
     if candidate is None:
         return
-    ticket, state, root_pos, sub_pos = candidate
-    slot = state.slots[root_pos]
+    ticket, state, slot_pos, sub_pos = candidate
+    slot = state.slots[slot_pos]
     start, end = slot.batches[sub_pos]
     entries = slot.expansion.entries[start:end]
     task = slot.subtask
@@ -1296,7 +1319,7 @@ def _maybe_steal(
                 submit(
                     state, slot,
                     WorkItem(task, (child,), None, spec_fp=state.spec_fp),
-                    root_pos, sub_pos, steal_idx,
+                    slot_pos, sub_pos, steal_idx,
                     predicted=_predicted_subtree(width, child),
                 )
             )
@@ -1330,7 +1353,7 @@ def _maybe_steal(
                 submit(
                     state, slot,
                     WorkItem(task, (child,), None, spec_fp=state.spec_fp),
-                    root_pos, sub_pos, steal_idx,
+                    slot_pos, sub_pos, steal_idx,
                     predicted=_predicted_subtree(width, child),
                 )
             )

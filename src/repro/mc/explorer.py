@@ -424,10 +424,12 @@ class Explorer:
     def visited_footprint(self) -> tuple[int, int]:
         """(key count, approx deep bytes) of the last run's visited state.
 
-        Counts the visited keys *and* the intern table backing them, so
-        the number is comparable to the legacy engine's deep-tuple
-        visited set (``repro.mc.legacy``).  Shared substructure counts
-        once -- which is exactly the saving hash-consing buys.
+        The search frees each root's visited keys once it moves on to
+        the next root (outside ``shared_visited`` mode), so the keys
+        counted are the last-explored root's partition.  The bytes add
+        the intern tables backing them, which are shared across roots
+        and kept whole; shared substructure counts once -- which is
+        exactly the saving hash-consing buys.
         """
         if self._vector is not None:
             return self._vector.footprint()
@@ -552,6 +554,15 @@ class Explorer:
                 vfilter.add(node[0])
                 continue
             root_index, env, snap, kref, sid, depth = node
+            if root_index != active_root:
+                if active_root is not None and not shared:
+                    # The LIFO stack finished the previous root's subtree
+                    # before popping any node of this one, and keys embed
+                    # the root index: none of its keys can hit again.
+                    visited.clear()
+                product.reset(self.roots[root_index].dmem_pair)
+                active_root = root_index
+                current = None
             if shared:
                 key = (canon_ids[root_index], env, sid)
             else:
@@ -586,10 +597,6 @@ class Explorer:
                 # *under* the children so it pops after all of them.
                 stack.append((fingerprint,))
             visited.add(key)
-            if root_index != active_root:
-                product.reset(self.roots[root_index].dmem_pair)
-                active_root = root_index
-                current = None
             states += 1
             if rec is not None and not states % _WAVE_STRIDE:
                 now = clock.monotonic()
@@ -681,7 +688,6 @@ class Explorer:
 
         budget = _Budget(self.limits)
         vec = self._vector
-        visited = vec.visited
         expansion_key = vec.expansion_key
         expand_memo = vec._expand_memo
         memo_get = expand_memo.get
@@ -689,7 +695,7 @@ class Explorer:
         push_wave = vec.push_wave
         choices = self._choices
         roots = self.roots
-        visited_add = visited.add
+        visited_add = vec.visited.add
         env_ids = vec._env_ids
         env_setdefault = env_ids.setdefault
         stack_append = stack.append
@@ -703,16 +709,21 @@ class Explorer:
         # Data memories are not part of the interned machine words (they
         # are constant along a root's subtree), so crossing into another
         # root's subtree re-resets the product and rebinds the engine's
-        # per-memory memo tables.
+        # per-memory memo tables.  The LIFO stack finishes a root before
+        # popping any node of the root below it, so the crossing also
+        # frees the finished root's visited rows and node expansions.
         active_root: int | None = None
         while stack:
             row, fp, env, depth, state = stack.pop()
-            if not visited_add(row, fp):
-                continue
             root_index = row[0]
             if root_index != active_root:
+                if active_root is not None:
+                    vec.release_root()
+                    visited_add = vec.visited.add
                 vec.select_root(roots[root_index])
                 active_root = root_index
+            if not visited_add(row, fp):
+                continue
             states += 1
             if rec is not None and not states % _WAVE_STRIDE:
                 now = clock.monotonic()

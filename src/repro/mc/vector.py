@@ -566,6 +566,19 @@ class VectorEngine:
         pair_ids = self._pair_ids
         self._pair_id = pair_ids.setdefault(root.dmem_pair, len(pair_ids))
 
+    def release_root(self) -> None:
+        """Free the search state of a root the DFS has finished.
+
+        Visited rows embed the root index and expansion keys the
+        data-memory pair id, so once the search has moved to another
+        root neither can hit again.  The machine and cycle memos, the
+        request memo and the intern tables are root-independent and
+        stay for the next root.
+        """
+        self.arena = FrontierArena()
+        self.visited = VectorVisited(width=5, arena=self.arena)
+        self._expand_memo.clear()
+
     def capture(self) -> tuple[int, int, int]:
         """Intern the product's live state as a (sid0, sid1, shadow_id).
 

@@ -3,7 +3,10 @@
 The batching contract: a seeded shard carrying a *contiguous* slice of a
 root's first-cycle frontier replays exactly the serial merge of its
 singleton shards, so batch boundaries (which calibration moves freely)
-can never perturb results.  The spec contract: shipping a unit's spec by
+can never perturb results.  The same holds one level up: a whole shard
+carrying a contiguous batch of a unit's roots is searched by one
+``Explorer`` in serial LIFO order, so its outcome is the serial merge of
+those roots.  The spec contract: shipping a unit's spec by
 content fingerprint instead of re-pickling it per shard changes what
 crosses the pool boundary, not what runs -- outcomes stay bit-identical
 and a cold process degrades to one extra round trip (``SpecMiss``).
@@ -14,9 +17,13 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from repro.bench import table2
+from repro.bench.configs import QUICK
 from repro.campaign import scheduler
+from repro.campaign.__main__ import mini_units
 from repro.campaign.backends import (
     ProcessPoolBackend,
+    SerialBackend,
     SpecMiss,
     WorkItem,
     execute_envelope,
@@ -28,10 +35,13 @@ from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.backends.wire import pack_task, unpack_task
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
+    CampaignUnit,
     _Calibration,
+    _cost_model,
     _merge_serial,
     _plan_batches,
     _StealGroup,
+    run_campaign,
     verify_sharded,
 )
 from repro.core.contracts import sandboxing
@@ -89,6 +99,7 @@ def test_plan_batches_covers_weights_contiguously():
             assert start == prev_end  # contiguous, in order
             assert end > start  # never an empty batch
         assert len(batches) == min(n, len(weights))
+    assert _plan_batches([], 3) == []  # zero-root units plan no slots
 
 
 def test_plan_batches_balances_by_weight_not_count():
@@ -181,6 +192,120 @@ def test_campaign_bit_identical_across_forced_grains(monkeypatch):
         f"{coarse_shards} vs {fine_shards} shards"
     )
     assert scheduler.LAST_TELEMETRY.grain_states == planned_grain
+
+
+# ----------------------------------------------------------------------
+# Root batches: the plan rule and bit-identity
+# ----------------------------------------------------------------------
+class _RecordingBackend(SerialBackend):
+    """Inline backend posing as ``width`` slots, recording every item."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+        self.items: list[WorkItem] = []
+
+    def capacity(self) -> int:
+        return self.width
+
+    def submit_unit(self, item):
+        self.items.append(item)
+        return super().submit_unit(item)
+
+
+def test_root_batch_plan_one_shard_per_unit_when_units_fill_capacity():
+    units = [CampaignUnit("t", (str(i),), _task(2)) for i in range(10)]
+    backend = _RecordingBackend(2)
+    results = run_campaign(units, backend=backend)
+    assert len(backend.items) == 10
+    n_roots = len(_task(2).build_roots())
+    assert [len(item.task.roots) for item in backend.items] == [n_roots] * 10
+    assert all(item.entries is None for item in backend.items)
+    assert results[0].telemetry.shards == 10
+
+
+def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches():
+    task = _task(2)
+    roots = task.build_roots()
+    assert len(roots) == 6
+    backend = _RecordingBackend(2)
+    run_campaign([CampaignUnit("t", ("a",), task)], backend=backend)
+    # Submitted serial-first (last batch first); in list order the four
+    # batches tile the roots contiguously: 2/2/1/1.
+    batches = [list(item.task.roots) for item in reversed(backend.items)]
+    assert [len(batch) for batch in batches] == [2, 2, 1, 1]
+    assert [root for batch in batches for root in batch] == roots
+
+
+def test_subroot_always_keeps_single_root_slots():
+    backend = _RecordingBackend(2)
+    run_campaign(
+        [CampaignUnit("t", ("a",), _task(2))], backend=backend,
+        subroot="always",
+    )
+    assert backend.items
+    assert all(len(item.task.roots) == 1 for item in backend.items)
+    assert all(item.entries is not None for item in backend.items)
+
+
+class _RecordingCalibration(_Calibration):
+    __slots__ = ("predicted",)
+
+    def __init__(self):
+        super().__init__()
+        self.predicted: list[int] = []
+
+    def observe(self, predicted, states, elapsed):
+        self.predicted.append(predicted)
+        super().observe(predicted, states, elapsed)
+
+
+def test_root_batch_prediction_scales_with_its_roots(monkeypatch):
+    """Calibration sees each batch predicted as roots x width ^ depth,
+    so measured states per batch do not skew the correction."""
+    calibration = _RecordingCalibration()
+    monkeypatch.setattr(scheduler, "_CALIBRATION", calibration)
+    task = _task(2)
+    run_campaign(
+        [CampaignUnit("t", ("a",), task)], backend=_RecordingBackend(2)
+    )
+    width, depth = _cost_model(task)
+    assert sorted(calibration.predicted) == sorted(
+        n * width**depth for n in (2, 2, 1, 1)
+    )
+
+
+def _table2_pair() -> list[CampaignUnit]:
+    """A Table-2 proof cell (object engine) and attack cell, 6 roots each."""
+    wanted = {("shadow", "Sodor"), ("baseline", "SimpleOoO")}
+    return [unit for unit in table2.units(QUICK) if unit.key in wanted]
+
+
+def test_root_batches_match_verify_on_every_backend_and_capacity():
+    """Serial backend (one 6-root batch per unit), 2 workers (3+3) and 4
+    workers (2/2/1/1): attack and proof units all merge to ``verify``."""
+    for units in (mini_units(), _table2_pair()):
+        assert len(units) == 2
+        kinds = set()
+        references = []
+        for unit in units:
+            assert len(unit.task.build_roots()) >= 6
+            references.append(verify(unit.task))
+            kinds.add(references[-1].kind)
+        assert kinds == {"attack", "proved"}
+        for label, kwargs in (
+            ("serial", {"backend": "serial"}),
+            ("pool-2", {"n_workers": 2}),
+            ("pool-4", {"n_workers": 4}),
+        ):
+            results = run_campaign(units, **kwargs)
+            for result, reference in zip(results, references):
+                where = f"{label}:{'/'.join(result.key)}"
+                assert result.outcome.kind == reference.kind, where
+                assert result.outcome.stats == reference.stats, where
+                assert (
+                    result.outcome.counterexample == reference.counterexample
+                ), where
 
 
 # ----------------------------------------------------------------------
