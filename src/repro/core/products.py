@@ -94,12 +94,16 @@ def _check_assumptions(
 class ShadowProduct:
     """Two OoO copies + Contract Shadow Logic (the paper's scheme)."""
 
-    #: The memoizing vector engine (``repro.mc.vector``) understands
-    #: this product's two-copy + shadow structure; it additionally
-    #: requires ``packed_capable`` (machine states intern as packed
-    #: words) and numpy -- :func:`repro.mc.packed.resolve_engine` checks
-    #: all three.
+    #: The memoizing vector engine (``repro.mc.vector``) drives this
+    #: product through its machines and checker protocol
+    #: (``dmem_sides``, ``clock_control``, ``fold_cycle``,
+    #: ``checker_snapshot``/``checker_restore``, ``settled``); it also
+    #: requires ``packed_capable`` and numpy --
+    #: :func:`repro.mc.packed.resolve_engine` checks all three.
     vector_capable = True
+
+    #: Which data memory of a root's pair each machine slot runs on.
+    dmem_sides = (0, 1)
 
     def __init__(
         self, core_factory, contract: Contract, assumptions=(), gate_fetch=True
@@ -110,7 +114,7 @@ class ShadowProduct:
         self.gate_fetch = gate_fetch
         self.shadow = ContractShadowLogic(contract, gate_fetch=gate_fetch)
         self.params = self.machines[0].params
-        self._predictors = [m.config.predictor for m in self.machines]
+        self.predictors = [m.config.predictor for m in self.machines]
         #: Cycle outputs of the most recent ``step_cycle`` (replay/debug).
         self.last_outputs: tuple[CycleOutput, ...] = ()
 
@@ -119,6 +123,10 @@ class ShadowProduct:
         self.machines[0].reset(dmem_pair[0])
         self.machines[1].reset(dmem_pair[1])
         self.shadow = ContractShadowLogic(self.contract, gate_fetch=self.gate_fetch)
+
+    def clock_control(self) -> tuple[bool, tuple[bool, bool]]:
+        """(fetch gated, per-machine pauses) for the coming cycle."""
+        return self.shadow.clock_control()
 
     def fetch_requests(self) -> list[FetchRequest]:
         """Fetch demands of the unpaused machines (gated in phase 2)."""
@@ -137,7 +145,7 @@ class ShadowProduct:
                     slot=index,
                     pc=pc,
                     occurrence=machine.fetch_occurrence(pc),
-                    predictor=self._predictors[index],
+                    predictor=self.predictors[index],
                 )
             )
         return requests
@@ -162,24 +170,35 @@ class ShadowProduct:
             outputs = (machine0.step(bundles[0]), machine1.step(bundles[1]))
             stepped = (True, True)
         self.last_outputs = outputs
-        if self.assumptions:
-            reason = _check_assumptions(self.assumptions, outputs)
-            if reason is not None:
-                return StepResult(pruned=True, failed=False, reason=reason)
-        verdict = self.shadow.on_cycle(
+        return self.fold_cycle(
             outputs,
             (machine0.max_inflight_seq(), machine1.max_inflight_seq()),
             (machine0.min_inflight_seq(), machine1.min_inflight_seq()),
             stepped,
         )
+
+    def fold_cycle(self, outputs, tails, heads, stepped) -> StepResult:
+        """Evaluate assume/assert on one cycle's machine outputs.
+
+        The checker half of :meth:`step_cycle`, on the live shadow
+        logic: ``tails``/``heads`` are each copy's in-flight sequence
+        bounds after the cycle, ``stepped`` which copies were clocked.
+        The vector engine replays it on canonical-frame outputs.
+        """
+        if self.assumptions:
+            reason = _check_assumptions(self.assumptions, outputs)
+            if reason is not None:
+                return StepResult(pruned=True, failed=False, reason=reason)
+        shadow = self.shadow
+        verdict = shadow.on_cycle(outputs, tails, heads, stepped)
         if verdict.assume_violated:
             return StepResult(pruned=True, failed=False, reason="contract")
         if verdict.assertion_failed:
             return StepResult(pruned=False, failed=True, reason="leakage")
         if (
-            self.shadow.phase == ContractShadowLogic.PHASE_DRAIN
-            and self.machines[0].halted
-            and self.machines[1].halted
+            shadow.phase == ContractShadowLogic.PHASE_DRAIN
+            and outputs[0].halted
+            and outputs[1].halted
         ):
             # Both copies halted mid-drain with observations still pending:
             # unreachable for well-formed contracts (a control-flow
@@ -188,13 +207,23 @@ class ShadowProduct:
             return StepResult(pruned=True, failed=False, reason="stuck-drain")
         return StepResult(pruned=False, failed=False, reason=None)
 
+    def settled(self) -> bool:
+        """Whether the checker records no deviation (phase 1)."""
+        return self.shadow.phase == ContractShadowLogic.PHASE_LOCKSTEP
+
     def quiescent(self) -> bool:
         """Terminal OK state: both copies halted, no deviation recorded."""
-        return (
-            self.machines[0].halted
-            and self.machines[1].halted
-            and self.shadow.phase == ContractShadowLogic.PHASE_LOCKSTEP
-        )
+        return self.machines[0].halted and self.machines[1].halted and self.settled()
+
+    def checker_snapshot(self, bases: tuple[int, int]) -> tuple:
+        """Canonical shadow-logic state, rebased per copy."""
+        return self.shadow.snapshot(bases)
+
+    def checker_restore(self, state: tuple) -> None:
+        """Restore :meth:`checker_snapshot` next to canonical-frame copies."""
+        # Restored machines are already rebased (head seq 0), so the
+        # shadow state restores against zero bases.
+        self.shadow.restore(state, (0, 0))
 
     def snapshot(self) -> tuple:
         """Canonical product state (machine snapshots rebase internally)."""
@@ -202,24 +231,21 @@ class ShadowProduct:
         return (
             machine0.snapshot(),
             machine1.snapshot(),
-            self.shadow.snapshot((machine0.seq_base(), machine1.seq_base())),
+            self.checker_snapshot((machine0.seq_base(), machine1.seq_base())),
         )
 
     def restore(self, snap: tuple) -> None:
         """Restore a state produced by :meth:`snapshot`."""
         self.machines[0].restore(snap[0])
         self.machines[1].restore(snap[1])
-        # After machine restore all sequence numbers are already relative,
-        # so the shadow state restores against zero bases.
-        self.shadow.restore(snap[2], (0, 0))
+        self.checker_restore(snap[2])
 
     @property
     def packed_capable(self) -> bool:
         """Whether both copies can flatten state (``repro.mc.packed``).
 
         Per-core capability flag: cores advertising ``packed_state``
-        implement ``snapshot_words``/``restore_words``.  In-order cores
-        (Sodor) and the baseline scheme fall back to the object engine.
+        implement ``snapshot_words``/``restore_words``.
         """
         return all(getattr(m, "packed_state", False) for m in self.machines)
 
@@ -244,13 +270,13 @@ class ShadowProduct:
 class BaselineProduct:
     """Two ISA machines + two OoO copies (the Fig. 1a baseline scheme)."""
 
-    #: Honest capability declaration (audited by repro.analysis): the
-    #: ISA reference machines have no snapshot_words implementation, so
-    #: the baseline scheme always runs on the object engine.  The vector
-    #: engine's two-copy + shadow structural assumptions do not hold
-    #: here either (four machines, product-level pending queues).
-    packed_capable = False
-    vector_capable = False
+    #: The vector engine drives the four machines through the same
+    #: protocol as :class:`ShadowProduct`; the checker state is the
+    #: pending-observation pair.
+    vector_capable = True
+
+    #: ISA pair and OoO pair each run one machine per data memory.
+    dmem_sides = (0, 1, 0, 1)
 
     def __init__(self, core_factory, contract: Contract, assumptions=()):
         cpu0, cpu1 = core_factory(), core_factory()
@@ -263,7 +289,7 @@ class BaselineProduct:
         ]
         self.contract = contract
         self.assumptions = tuple(assumptions)
-        self._predictors = ["none", "none", cpu0.config.predictor, cpu1.config.predictor]
+        self.predictors = ["none", "none", cpu0.config.predictor, cpu1.config.predictor]
         self._pending: tuple[list, list] = ([], [])
         #: Cycle outputs of the most recent ``step_cycle`` (replay/debug).
         self.last_outputs: tuple[CycleOutput, ...] = ()
@@ -275,6 +301,10 @@ class BaselineProduct:
         self.machines[2].reset(dmem_pair[0])
         self.machines[3].reset(dmem_pair[1])
         self._pending = ([], [])
+
+    def clock_control(self) -> tuple[bool, tuple[bool, ...]]:
+        """(fetch gated, per-machine pauses): the baseline never gates."""
+        return (False, (False, False, False, False))
 
     def fetch_requests(self) -> list[FetchRequest]:
         """All four machines fetch; the ISA pair fetches eagerly."""
@@ -288,15 +318,24 @@ class BaselineProduct:
                     slot=index,
                     pc=pc,
                     occurrence=machine.fetch_occurrence(pc),
-                    predictor=self._predictors[index],
+                    predictor=self.predictors[index],
                 )
             )
         return requests
 
     def step_cycle(self, bundles: Sequence[FetchBundle | None]) -> StepResult:
         """Clock all four machines; assume on ISA traces, assert on μarch."""
-        outputs = [m.step(bundles[i]) for i, m in enumerate(self.machines)]
-        self.last_outputs = tuple(outputs)
+        outputs = tuple([m.step(bundles[i]) for i, m in enumerate(self.machines)])
+        self.last_outputs = outputs
+        return self.fold_cycle(outputs)
+
+    def fold_cycle(self, outputs, tails=(), heads=(), stepped=()) -> StepResult:
+        """Evaluate assume/assert on one cycle's machine outputs.
+
+        The checker half of :meth:`step_cycle`, on the live pending
+        queues; every machine steps every cycle, so the in-flight bounds
+        and stepped flags of :meth:`ShadowProduct.fold_cycle` go unused.
+        """
         reason = _check_assumptions(self.assumptions, outputs)
         if reason is not None:
             return StepResult(pruned=True, failed=False, reason=reason)
@@ -317,9 +356,21 @@ class BaselineProduct:
             return StepResult(pruned=False, failed=True, reason="leakage")
         return StepResult(pruned=False, failed=False, reason=None)
 
+    def settled(self) -> bool:
+        """The pending queues never block termination."""
+        return True
+
     def quiescent(self) -> bool:
         """Terminal OK state: every machine halted."""
         return all(m.halted for m in self.machines)
+
+    def checker_snapshot(self, bases=()) -> tuple:
+        """The pending-observation pair (no sequence numbers to rebase)."""
+        return (tuple(self._pending[0]), tuple(self._pending[1]))
+
+    def checker_restore(self, state: tuple) -> None:
+        """Restore a state produced by :meth:`checker_snapshot`."""
+        self._pending = (list(state[0]), list(state[1]))
 
     def snapshot(self) -> tuple:
         """Canonical product state."""
@@ -328,12 +379,31 @@ class BaselineProduct:
             self.machines[1].snapshot(),
             self.machines[2].snapshot(),
             self.machines[3].snapshot(),
-            tuple(self._pending[0]),
-            tuple(self._pending[1]),
+            *self.checker_snapshot(),
         )
 
     def restore(self, snap: tuple) -> None:
         """Restore a state produced by :meth:`snapshot`."""
         for index in range(4):
             self.machines[index].restore(snap[index])
-        self._pending = (list(snap[4]), list(snap[5]))
+        self.checker_restore(snap[4:])
+
+    @property
+    def packed_capable(self) -> bool:
+        """Whether all four machines can flatten state (``repro.mc.packed``)."""
+        return all(getattr(m, "packed_state", False) for m in self.machines)
+
+    def snapshot_words(self, out: list, atoms) -> None:
+        """Flatten the state to tagged words: machines, then pending atoms."""
+        for machine in self.machines:
+            machine.snapshot_words(out, atoms)
+        out.append((atoms.id_of(tuple(self._pending[0])) << 2) | 2)
+        out.append((atoms.id_of(tuple(self._pending[1])) << 2) | 2)
+
+    def restore_words(self, words, pos: int, atoms) -> int:
+        """Restore a state produced by :meth:`snapshot_words`."""
+        for machine in self.machines:
+            pos = machine.restore_words(words, pos, atoms)
+        values = atoms.values
+        self.checker_restore((values[words[pos] >> 2], values[words[pos + 1] >> 2]))
+        return pos + 2

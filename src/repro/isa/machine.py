@@ -22,10 +22,10 @@ class IsaMachine:
     products can drive either kind uniformly.
     """
 
-    #: Honest capability declaration (audited by repro.analysis): the
-    #: reference machine appears only in baseline products, which run on
-    #: the object engine; it has no snapshot_words implementation.
-    packed_state = False
+    #: Capability flag (audited by repro.analysis): the machine flattens
+    #: its state to tagged words, so baseline products run on the packed
+    #: and vector engines.
+    packed_state = True
 
     def __init__(self, params: MachineParams):
         self.params = params
@@ -102,6 +102,37 @@ class IsaMachine:
     def restore(self, snap: tuple) -> None:
         """Restore a state produced by :meth:`snapshot`."""
         self._pc, self._regs, self._halted, self._seq = snap
+
+    def seq_base(self) -> int:
+        """Rebase origin for sequence numbers: none, ``_seq`` stays absolute.
+
+        The absolute count is part of the snapshot, so states that differ
+        only in it stay apart, exactly as in the object snapshot.
+        """
+        return 0
+
+    def snapshot_words(self, out: list, atoms) -> None:
+        """Append the state as tagged words (``repro.mc.packed``).
+
+        Same content as :meth:`snapshot`: pc, halted flag and sequence
+        count inline, the register file as an interned atom.
+        """
+        out.extend(
+            (
+                self._pc << 2,
+                (atoms.id_of(self._regs) << 2) | 2,
+                4 if self._halted else 0,
+                self._seq << 2,
+            )
+        )
+
+    def restore_words(self, words, pos: int, atoms) -> int:
+        """Restore from :meth:`snapshot_words` output; returns next pos."""
+        self._pc = words[pos] >> 2
+        self._regs = atoms.values[words[pos + 1] >> 2]
+        self._halted = bool(words[pos + 2] >> 2)
+        self._seq = words[pos + 3] >> 2
+        return pos + 4
 
     # The drain-tracking queries exist so products can drive ISA machines
     # and out-of-order cores through one protocol; an ISA machine never has

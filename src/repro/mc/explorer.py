@@ -209,10 +209,11 @@ class Explorer:
         ``"object"`` (nested-tuple snapshots), ``"packed"`` (flat
         tagged-word ``bytes``; see :mod:`repro.mc.packed`), ``"vector"``
         (memoized stepping over numpy structure-of-arrays; see
-        :mod:`repro.mc.vector`), or ``"auto"`` -- vector when numpy and
-        the product's capability flags allow it, degrading to packed and
-        then object otherwise, overridable via ``REPRO_MC_ENGINE``.  All
-        engines explore bit-identically
+        :mod:`repro.mc.vector`), or ``"auto"`` -- vector whenever numpy
+        is importable (both products, over every core, declare the
+        capability flags), packed without numpy, and object only for a
+        product that cannot flatten its state; ``REPRO_MC_ENGINE``
+        overrides the choice.  All engines explore bit-identically
         (pinned by ``tests/mc/test_engine_equivalence.py``); the choice
         only moves the per-state cost.
         """
@@ -556,15 +557,15 @@ class Explorer:
         nodes are ``(key row, fingerprint, env, depth, state)``, product
         cycles replay through the engine's memo tables instead of
         restore + ``step_cycle``, and a node's surviving children push
-        through the vectorized wave filter (which is itself pinned to
-        the serial push order; see the engine docstring).  A node's
+        as one wave in the serial push order (see the engine
+        docstring).  A node's
         expansion memoizes as a *summary*: the counter deltas fold once
         at record time (a replay bumps ``transitions``/``pruned`` in one
         add instead of re-walking pruned and quiescent records), and
         only the surviving children and a possible terminal attack keep
         their environment deltas.
         """
-        from repro.mc.vector import _MASK64, WIDE_WAVE
+        from repro.mc.vector import _MASK64
 
         budget = _Budget(self.limits)
         vec = self._vector
@@ -713,34 +714,22 @@ class Explorer:
                     stats=stats,
                     counterexample=cex,
                 )
-            if len(pushes) < WIDE_WAVE:
-                # Narrow wave, inlined (the dominant shape): the same
-                # push :meth:`repro.mc.vector.VectorEngine.push_wave`
-                # performs, without the call and re-binding overhead.
-                depth1 = depth + 1
-                for slots, preds, child in pushes:
-                    child_env = env
-                    if slots is not None:
-                        child_env = child_env.with_slots(slots)
-                    if preds is not None:
-                        child_env = child_env.with_predictions(preds)
-                    env_id = env_setdefault(child_env, len(env_ids))
-                    crow = (
-                        root_index, env_id, child[0], child[1], child[2],
-                    )
-                    # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
-                    cfp = hash(crow) & _MASK64 or 1
-                    stack_append((crow, cfp, child_env, depth1, child))
-                continue
-            children = []
+            # Push the children inline: the same push
+            # :meth:`repro.mc.vector.VectorEngine.push_wave` performs,
+            # without the call and re-binding overhead.
+            depth1 = depth + 1
             for slots, preds, child in pushes:
                 child_env = env
                 if slots is not None:
                     child_env = child_env.with_slots(slots)
                 if preds is not None:
                     child_env = child_env.with_predictions(preds)
-                children.append((child_env, child))
-            push_wave(root_index, depth + 1, children, stack)
+                crow = (
+                    root_index, env_setdefault(child_env, len(env_ids))
+                ) + child
+                # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
+                cfp = hash(crow) & _MASK64 or 1
+                stack_append((crow, cfp, child_env, depth1, child))
         stats = SearchStats(
             states, transitions, pruned, max_depth, prune_reasons
         )

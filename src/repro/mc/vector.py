@@ -10,61 +10,58 @@ packed representation:
   function of ``(canonical machine words, fetch bundle, data memory)``
   -- the canonical rebasing makes every search-visible quantity of a
   step frame-invariant, which is the same argument that lets the serial
-  engine mix restored (rebased) and live (DFS-descent) stepping.  The
-  two-copy cross product makes the *same* machine transition recur
-  across many product states (measured: 92.6% of the 1.18M machine
-  steps of the Fig. 2 ROB-8 cell are repeats of 87k distinct
-  transitions), so the vector engine keys transitions on the interned
-  machine state and replays memoized outcomes instead of stepping.
-  Memo tables key on the data-memory *value*, so the two orientations
-  of a mirrored secret pair -- root ``(A, B)`` side 0 and root
-  ``(B, A)`` side 1 -- share one table.
+  engine mix restored (rebased) and live (DFS-descent) stepping.  A
+  product's cross product of machines makes the *same* machine
+  transition recur across many product states (measured: 92.6% of the
+  1.18M machine steps of the Fig. 2 ROB-8 cell are repeats of 87k
+  distinct transitions), so the vector engine keys transitions on the
+  interned machine state and replays memoized outcomes instead of
+  stepping.  Memo tables key on the data-memory *value*, so the two
+  orientations of a mirrored secret pair -- root ``(A, B)`` side 0 and
+  root ``(B, A)`` side 1 -- share one table.  Machines of different
+  classes (ISA machine, in-order core, OoO core) intern apart, so equal
+  word rows of two classes never share a state id or a transition.
 - **Cycle-level composition.**  On top of the per-machine memo, one
-  product cycle is keyed by ``(shadow state id, transition id pair)``:
-  assumption checks, shadow-logic verdicts and the child product state
-  are computed once per distinct combination on a scratch
-  :class:`repro.core.shadow.ContractShadowLogic` and replayed as a
-  single dict probe afterwards.  A product state is then just a triple
-  of small integers ``(sid0, sid1, shadow_id)``.
+  product cycle is keyed by ``(transition ids, checker state id)``: the
+  product's own ``fold_cycle`` (assumption checks, contract and leakage
+  verdicts) and the child product state are computed once per distinct
+  combination on the product's live checker and replayed as a single
+  dict probe afterwards.  The checker is whatever product-level state
+  sits beside the machines: the Contract Shadow Logic of
+  :class:`repro.core.products.ShadowProduct`, the pending-observation
+  pair of the four-machine
+  :class:`repro.core.products.BaselineProduct`.  A product state is then
+  a tuple of small integers ``(sid_0, ..., sid_n-1, checker_id)``.
 - **Structure-of-arrays storage.**  :class:`FrontierArena` stores word
-  rows (expansion waves, visited keys) as 2-D ``int64`` numpy arrays
+  rows (the visited keys) as 2-D ``int64`` numpy arrays
   bucketed by row width -- mirroring ``PackedCodec._packers``, which
   caches one ``Struct`` per word count for the same ragged-width
   reason.  :class:`VectorVisited` is the visited set: an open-addressed
   ``uint64`` fingerprint table (zero-sentinel linear probing) over
   *exact* key rows kept in an arena bucket -- a fingerprint hit is
   confirmed against the stored row, so the search keeps its
-  exact-visited-set guarantee.  Probes vectorize in batches
-  when an expansion wave is wide.
+  exact-visited-set guarantee.
 
-Wave batching and the LIFO contract
------------------------------------
+Waves and the LIFO contract
+---------------------------
 The explorer's vector path expands a node by collecting *all* surviving
-children of the popped LIFO node first (a "wave"), then deduplicating,
-visited-prefiltering and fingerprinting the wave in one vectorized pass
-before pushing survivors in choice order.  This replays the serial
-merge exactly:
+children of the popped LIFO node first (a "wave"), then pushes them in
+choice order with their key rows and fingerprints.  This replays the
+serial merge exactly:
 
 - pushing in choice order preserves the serial pop order;
-- a child already in the visited set at push time would be popped later
-  and skipped silently (the serial engine checks visited *before*
-  counting a state or charging the budget), so dropping it at push time
-  changes no statistic;
-- duplicate rows within one wave keep the *last* occurrence -- the LIFO
-  stack pops it first, and the earlier duplicate would then be a silent
-  visited skip.  (For per-node waves this is provably vacuous: each
-  child of one node extends the environment with a *different*
-  assignment, so wave keys are pairwise distinct.  The pass guards the
-  general contract -- multi-node tranches, seeded frontiers -- at
-  negligible wide-wave cost.)
+- a child already in the visited set at push time is popped later and
+  skipped silently, exactly as the serial engine checks visited
+  *before* counting a state or charging the budget;
 - the attack short-circuit is untouched: transitions are evaluated in
   choice order and the first failure returns before any push.
 
 Selection rides :func:`repro.mc.packed.resolve_engine`: ``auto``
 prefers ``vector`` when numpy is importable and the product advertises
-``vector_capable`` (two-copy shadow products with packed-capable
-cores), degrading to ``packed`` -- and through packed's own rules to
-``object`` -- otherwise.  ``REPRO_MC_ENGINE`` forces any of the three.
+``vector_capable`` and ``packed_capable`` (every product and machine in
+the package does), degrading to ``packed`` -- and through packed's own
+rules to ``object`` -- otherwise.  ``REPRO_MC_ENGINE`` forces any of
+the three.
 Equivalence is pinned bit-for-bit (verdicts, ``SearchStats``,
 counterexamples) against both frozen engines by
 ``tests/mc/test_engine_equivalence.py``.
@@ -74,18 +71,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.products import FetchRequest, _check_assumptions
-from repro.core.shadow import ContractShadowLogic
+from repro.core.products import FetchRequest
 from repro.events import CycleOutput
 from repro.isa.instruction import HALT, Opcode
 from repro.mc.intern import deep_sizeof
 
 _MASK64 = (1 << 64) - 1
-
-#: Wave width at or above which the push path switches from scalar
-#: probes to the vectorized dedup/prefilter pass (numpy call overhead
-#: loses on the narrow waves that dominate mid-search DFS).
-WIDE_WAVE = 8
 
 #: Linear-probe bound for a saturated (max_capacity-pinned) table.
 #: Only reachable
@@ -99,21 +90,8 @@ _MAX_PROBES = 32
 _FLUSH_ROWS = 1024
 
 
-# CPython's tuple-hash constants (Modules/pyhash: the xxHash-based
-# scheme used since 3.8 on 64-bit builds).  Tuple and int hashing are
-# deterministic -- PYTHONHASHSEED only randomizes str/bytes -- so the
-# interpreter's own C-speed ``hash()`` doubles as the scalar
-# fingerprint, and the batch path replays the identical algorithm in
-# numpy ``uint64`` arithmetic.
-_XXPRIME_1 = np.uint64(11400714785074694791)
-_XXPRIME_2 = np.uint64(14029467366897019727)
-_XXPRIME_5 = np.uint64(2870177450012600261)
-#: ``PyHASH_MODULUS``: the Mersenne prime 2^61 - 1 reducing int hashes.
-_HASH_MODULUS = np.uint64((1 << 61) - 1)
-
-
 def fingerprint_row(row) -> int:
-    """Scalar fingerprint of one key row: the row's tuple hash, masked.
+    """Fingerprint of one key row: the row's tuple hash, masked.
 
     One interpreter-level ``hash()`` call -- the hot path of every
     visited probe -- instead of a per-lane Python mixing loop.  The
@@ -124,42 +102,13 @@ def fingerprint_row(row) -> int:
     return hash(row if type(row) is tuple else tuple(row)) & _MASK64
 
 
-def fingerprint_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`fingerprint_row` over a 2-D ``int64`` array.
-
-    Replays CPython's hashing pipeline lane for lane: the per-int hash
-    (magnitude folded modulo the Mersenne prime 2^61 - 1, sign
-    reapplied, ``-1`` mapped to ``-2``) feeds the xxHash-style tuple
-    combine (multiply, rotate-left 31, multiply), finished with the
-    length term and the ``-1 -> 1546275796`` substitution.  Negating in
-    ``int64`` then viewing ``uint64`` yields the exact magnitude even
-    for ``INT64_MIN``, so both paths agree bit-for-bit on any row.
-    """
-    neg = rows < 0
-    magnitude = np.where(neg, -rows, rows).view(np.uint64)
-    lane = (magnitude >> np.uint64(61)) + (magnitude & _HASH_MODULUS)
-    lane = np.where(lane >= _HASH_MODULUS, lane - _HASH_MODULUS, lane)
-    lane = np.where(neg, np.uint64(0) - lane, lane)
-    lane = np.where(
-        lane == np.uint64(_MASK64), np.uint64(_MASK64 - 1), lane
-    )
-    acc = np.full(len(rows), _XXPRIME_5)
-    for column in range(rows.shape[1]):
-        acc = acc + lane[:, column] * _XXPRIME_2
-        acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
-        acc = acc * _XXPRIME_1
-    acc = acc + (np.uint64(rows.shape[1]) ^ (_XXPRIME_5 ^ np.uint64(3527539)))
-    return np.where(acc == np.uint64(_MASK64), np.uint64(1546275796), acc)
-
-
 class FrontierArena:
     """Append-only structure-of-arrays store of integer word rows.
 
     Rows of equal width share one growing 2-D ``int64`` array (ragged
     word counts bucket by length, mirroring ``PackedCodec._packers``);
     an appended row is addressed by ``(width, index)``.  The arena backs
-    the visited set's exact key rows and stages expansion waves for the
-    vectorized dedup/prefilter pass.
+    the visited set's exact key rows.
     """
 
     __slots__ = ("_buckets", "_counts")
@@ -221,30 +170,6 @@ class FrontierArena:
         """Allocated backing bytes across all buckets."""
         return sum(bucket.nbytes for bucket in self._buckets.values())
 
-    @staticmethod
-    def dedup_last(rows: np.ndarray) -> np.ndarray:
-        """Keep-mask dropping duplicate rows, keeping each *last* copy.
-
-        The LIFO wave-dedup rule: of equal rows the latest-pushed pops
-        first, and the earlier ones would be silent visited skips.
-        Implemented as one lexsort over the row columns with the
-        original position as final tie-break, so each equal-row group is
-        contiguous and its last element is the highest original index.
-        """
-        total = len(rows)
-        if total <= 1:
-            return np.ones(total, bool)
-        position = np.arange(total)
-        keys = (position,) + tuple(rows[:, c] for c in range(rows.shape[1]))
-        order = np.lexsort(keys)
-        sorted_rows = rows[order]
-        last_of_group = np.ones(total, bool)
-        last_of_group[:-1] = np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1)
-        keep = np.zeros(total, bool)
-        keep[order[last_of_group]] = True
-        return keep
-
-
 class VectorVisited:
     """Exact visited set over fixed-width key rows, numpy-backed.
 
@@ -275,10 +200,9 @@ class VectorVisited:
         self.width = width
         self._table = np.zeros(capacity, np.uint64)
         self._payload = np.zeros(capacity, np.int64)
-        # Scalar probes go through zero-copy memoryviews of the same
+        # Probes go through zero-copy memoryviews of the same
         # buffers: element access returns plain Python ints without the
-        # ndarray scalar-boxing overhead, while batch probes keep using
-        # the ndarrays themselves.
+        # ndarray scalar-boxing overhead.
         self._table_mv = memoryview(self._table)
         self._payload_mv = memoryview(self._payload)
         self._mask = capacity - 1
@@ -310,19 +234,14 @@ class VectorVisited:
         return self._mask + 1
 
     # ------------------------------------------------------------------
-    # Fingerprints (shared scalar/vector scheme)
+    # Fingerprints
     # ------------------------------------------------------------------
     def fingerprint(self, row) -> int:
         """64-bit fingerprint of a row, zero-sentinel-adjusted."""
         return fingerprint_row(row) or 1
 
-    def fingerprint_batch(self, rows: np.ndarray) -> np.ndarray:
-        fps = fingerprint_rows(rows)
-        fps[fps == 0] = 1  # zero is the empty-slot sentinel
-        return fps
-
     # ------------------------------------------------------------------
-    # Scalar probes (the per-pop hot path)
+    # Probes (the per-pop hot path)
     # ------------------------------------------------------------------
     def _row_equal(self, key_index: int, row) -> bool:
         width = self.width
@@ -396,43 +315,6 @@ class VectorVisited:
                 return False
 
     # ------------------------------------------------------------------
-    # Batch probes (the wave prefilter)
-    # ------------------------------------------------------------------
-    def contains_batch(self, rows: np.ndarray, fps: np.ndarray) -> np.ndarray:
-        """Vectorized membership over a wave of rows.
-
-        Probes all rows in lockstep rounds: each round gathers one slot
-        per still-unresolved row; empty slots resolve to absent,
-        fingerprint matches are confirmed exactly (rare -- only true
-        revisits or 64-bit collisions reach the row compare), occupied
-        foreign slots advance to the next probe.  Exactness matches the
-        scalar path.
-        """
-        self._flush()  # payload indices must all resolve in the arena
-        total = len(rows)
-        result = np.zeros(total, bool)
-        unresolved = np.arange(total)
-        index = fps & np.uint64(self._mask)
-        one = np.uint64(1)
-        mask = np.uint64(self._mask)
-        table = self._table
-        while len(unresolved):
-            slots = table[index[unresolved]]
-            resolved = slots == 0  # empty slot: definitely absent
-            for relative in np.nonzero(slots == fps[unresolved])[0]:
-                wave_index = unresolved[relative]
-                if self._row_equal(
-                    int(self._payload[int(index[wave_index])]),
-                    rows[wave_index],
-                ):
-                    result[wave_index] = True
-                    resolved[relative] = True
-                # else: foreign row sharing the fingerprint -- keep probing
-            unresolved = unresolved[~resolved]
-            index[unresolved] = (index[unresolved] + one) & mask
-        return result
-
-    # ------------------------------------------------------------------
     # Growth / accounting
     # ------------------------------------------------------------------
     def _grow(self) -> None:
@@ -470,50 +352,57 @@ class VectorVisited:
 
 
 class VectorEngine:
-    """Memoizing product engine over interned machine/shadow states.
+    """Memoizing product engine over interned machine/checker states.
 
     One engine serves one :class:`repro.mc.explorer.Explorer`.  Product
-    states are ``(sid0, sid1, shadow_id)`` triples of dense ids; the
-    real product materializes only on memo misses (one machine restore
-    + step per *distinct* transition, one scratch shadow replay per
-    distinct cycle combination).  See the module docstring for the
-    frame-invariance argument that makes canonical-frame memoization
-    bit-identical to the serial engine.
+    states are tuples of dense ids, one sid per machine slot plus the
+    checker id: ``(sid_0, ..., sid_n-1, checker_id)``.  The real
+    product materializes only on memo misses (one machine restore +
+    step per *distinct* transition, one checker fold per distinct cycle
+    combination).  See the module docstring for the frame-invariance
+    argument that makes canonical-frame memoization bit-identical to the
+    serial engine.
     """
 
     def __init__(self, product):
         if not getattr(product, "vector_capable", False) or not product.packed_capable:
             raise ValueError(f"product {product!r} cannot run the vector engine")
         self.product = product
-        machines = product.machines
-        self._machine0, self._machine1 = machines
-        self._predictors = [m.config.predictor for m in machines]
-        self._assumptions = product.assumptions
-        self._gate_fetch = product.gate_fetch
+        self._machines = machines = list(product.machines)
+        self._predictors = product.predictors
+        self._sides = product.dmem_sides
         from repro.mc.packed import AtomTable
 
         self.atoms = AtomTable()
         self.arena = FrontierArena()
-        #: Visited rows: (root_index, env_id, sid0, sid1, shadow_id).
-        self.visited = VectorVisited(width=5, arena=self.arena)
+        #: Visited row width: (root_index, env_id, *sids, checker_id).
+        self.width = len(machines) + 3
+        self.visited = VectorVisited(width=self.width, arena=self.arena)
         # Machine-state interning: canonical packed words -> dense sid.
-        self._sid_ids: dict[tuple, int] = {}
+        # Slots of one machine class share a dict and other classes get
+        # their own, so an ISA row and a core row with equal words never
+        # share a sid (nor, through it, a transition).
+        by_class: dict[type, dict] = {}
+        self._sid_ids = [by_class.setdefault(type(m), {}) for m in machines]
         self._sid_words: list[tuple] = []
-        # Per-sid frame-invariant facts: (halted, poll pc, occurrence,
-        # canonical tail, canonical head, cached pause CycleOutput).
+        # Per-sid frame-invariant facts: (poll pc, fetch occurrence,
+        # paused leg payload).
         self._sid_info: list[tuple] = []
-        # Shadow-state interning (canonical shadow snapshot tuples).
-        self._shadow_ids: dict[tuple, int] = {}
-        self._shadow_states: list[tuple] = []
+        # Checker-state interning (canonical checker snapshots) and each
+        # state's (fetch gated, per-slot pauses, any slot paused).
+        self._checker_ids: dict[tuple, int] = {}
+        self._checker_states: list[tuple] = []
+        self._gates: list[tuple] = []
         # Transition memo: one dict per data-memory value (sid, bundle)
-        # -> dense transition id; payloads live in ``_trans``.
+        # -> dense transition id; payloads live in ``_trans``.  Each slot
+        # binds the table of the memory its ``dmem_sides`` entry names.
         self._mach_tables: dict[tuple, dict] = {}
-        self._table0: dict | None = None
-        self._table1: dict | None = None
-        #: tid -> (CycleOutput, new_sid, tail, head, new seq base).
+        self._tables: list[dict] = []
+        #: tid -> (CycleOutput, new_sid, tail, head, new seq base, True).
         self._trans: list[tuple] = []
-        # Cycle memo: (shadow_id, leg0, leg1) -> folded StepResult where
-        # a leg is a transition id (stepped) or -1 - sid (paused).
+        # Cycle memo: (leg_0, ..., leg_n-1, checker_id) -> folded
+        # StepResult where a leg is a transition id (stepped) or
+        # -1 - sid (paused).
         self._cycle_memo: dict = {}
         # Node-expansion memo: fetch requests per product state, and the
         # choice expansion folded to a summary per (state, env
@@ -530,9 +419,6 @@ class VectorEngine:
         # expansions (their sides step under swapped memories).
         self._pair_ids: dict[tuple, int] = {}
         self._pair_id: int | None = None
-        self._scratch_shadow = ContractShadowLogic(
-            product.contract, gate_fetch=product.gate_fetch
-        )
         # Environment interning for visited rows (value-keyed; keeps
         # each distinct environment alive once, like the object
         # engine's visited keys do).
@@ -546,20 +432,14 @@ class VectorEngine:
 
         Tables key on the data-memory *value*: the copies of one root
         see different memories, and the mirror root's opposite side
-        shares the table (same core config, same memory -- the same
-        pure transition function).
+        shares the table (same machine, same memory -- the same pure
+        transition function).
         """
         self.product.reset(root.dmem_pair)
         tables = self._mach_tables
-        first, second = root.dmem_pair
-        table = tables.get(first)
-        if table is None:
-            table = tables[first] = {}
-        self._table0 = table
-        table = tables.get(second)
-        if table is None:
-            table = tables[second] = {}
-        self._table1 = table
+        self._tables = [
+            tables.setdefault(root.dmem_pair[side], {}) for side in self._sides
+        ]
         pair_ids = self._pair_ids
         self._pair_id = pair_ids.setdefault(root.dmem_pair, len(pair_ids))
 
@@ -573,94 +453,91 @@ class VectorEngine:
         stay for the next root.
         """
         self.arena = FrontierArena()
-        self.visited = VectorVisited(width=5, arena=self.arena)
+        self.visited = VectorVisited(width=self.width, arena=self.arena)
         self._expand_memo.clear()
 
-    def capture(self) -> tuple[int, int, int]:
-        """Intern the product's live state as a (sid0, sid1, shadow_id).
+    def capture(self) -> tuple[int, ...]:
+        """Intern the product's live state as ``(*sids, checker_id)``.
 
         The live state must be canonical-frame (freshly reset or
         restored from a canonical snapshot), which is every caller: root
         seeding and seeded-frontier re-encoding.
         """
-        machine0, machine1 = self.product.machines
-        sid0 = self._intern_machine(machine0)
-        sid1 = self._intern_machine(machine1)
-        shadow = self.product.shadow.snapshot(
-            (machine0.seq_base(), machine1.seq_base())
-        )
-        return (sid0, sid1, self._shadow_id(shadow))
+        state = [self._intern_machine(slot) for slot in range(len(self._machines))]
+        bases = tuple([machine.seq_base() for machine in self._machines])
+        state.append(self._checker_id(self.product.checker_snapshot(bases)))
+        return tuple(state)
 
     def seed_node(self, root_index: int, env, state, depth: int) -> tuple:
         """Build one stack node (row, fingerprint, env, depth, state)."""
         env_ids = self._env_ids
-        env_id = env_ids.setdefault(env, len(env_ids))
-        row = (root_index, env_id, state[0], state[1], state[2])
+        row = (root_index, env_ids.setdefault(env, len(env_ids))) + state
         return (row, self.visited.fingerprint(row), env, depth, state)
 
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
-    def _intern_machine(self, machine) -> int:
+    def _intern_machine(self, slot: int) -> int:
+        machine = self._machines[slot]
         words: list[int] = []
         machine.snapshot_words(words, self.atoms)
         key = tuple(words)
-        sid = self._sid_ids.get(key)
+        ids = self._sid_ids[slot]
+        sid = ids.get(key)
         if sid is None:
             sid = len(self._sid_words)
-            self._sid_ids[key] = sid
+            ids[key] = sid
             self._sid_words.append(key)
             base = machine.seq_base()
             tail = machine.max_inflight_seq()
             head = machine.min_inflight_seq()
             pc = machine.poll_fetch()
-            halted = machine.halted
+            # A paused slot's leg, laid out like a ``_trans`` payload: an
+            # empty output, the same sid, canonical tail/head, base 0,
+            # not stepped.
+            pause = (
+                CycleOutput(commits=(), membus=(), halted=machine.halted),
+                sid,
+                None if tail is None else tail - base,
+                None if head is None else head - base,
+                0,
+                False,
+            )
             self._sid_info.append(
-                (
-                    halted,
-                    pc,
-                    0 if pc is None else machine.fetch_occurrence(pc),
-                    None if tail is None else tail - base,
-                    None if head is None else head - base,
-                    CycleOutput(commits=(), membus=(), halted=halted),
-                )
+                (pc, 0 if pc is None else machine.fetch_occurrence(pc), pause)
             )
         return sid
 
-    def _shadow_id(self, shadow: tuple) -> int:
-        ids = self._shadow_ids
-        shadow_id = ids.get(shadow)
-        if shadow_id is None:
-            shadow_id = len(self._shadow_states)
-            ids[shadow] = shadow_id
-            self._shadow_states.append(shadow)
-        return shadow_id
+    def _checker_id(self, state: tuple) -> int:
+        """Intern a checker state the live product checker embodies."""
+        ids = self._checker_ids
+        checker_id = ids.get(state)
+        if checker_id is None:
+            checker_id = len(self._checker_states)
+            ids[state] = checker_id
+            self._checker_states.append(state)
+            gated, pauses = self.product.clock_control()
+            self._gates.append((gated, pauses, True in pauses))
+        return checker_id
 
     # ------------------------------------------------------------------
     # The product protocol, memoized
     # ------------------------------------------------------------------
     def fetch_requests(self, state: tuple) -> list[FetchRequest]:
-        """Fetch demands at a state (cf. ``ShadowProduct.fetch_requests``)."""
-        sid0, sid1, shadow_id = state
-        shadow = self._shadow_states[shadow_id]
-        if shadow[0] == ContractShadowLogic.PHASE_LOCKSTEP:
-            paused0 = paused1 = False
-        else:
-            if self._gate_fetch:
-                return []
-            paused0 = len(shadow[2]) > 0
-            paused1 = len(shadow[3]) > 0
+        """Fetch demands at a state (cf. the product's ``fetch_requests``)."""
+        gated, pauses, _ = self._gates[state[-1]]
+        if gated:
+            return []
         info = self._sid_info
         predictors = self._predictors
         requests: list[FetchRequest] = []
-        for slot, sid, paused in ((0, sid0, paused0), (1, sid1, paused1)):
+        for slot, paused in enumerate(pauses):
             if paused:
                 continue
-            facts = info[sid]
-            pc = facts[1]
+            pc, occurrence, _ = info[state[slot]]
             if pc is None:
                 continue
-            requests.append(FetchRequest(slot, pc, facts[2], predictors[slot]))
+            requests.append(FetchRequest(slot, pc, occurrence, predictors[slot]))
         return requests
 
     def expansion_key(self, state: tuple, env) -> tuple:
@@ -697,7 +574,7 @@ class VectorEngine:
         imem = env.imem
         imem_len = len(imem)
         if not probes:
-            # Nothing to project (gated drain / both sides paused): the
+            # Nothing to project (gated drain / every slot paused): the
             # expansion cannot observe the environment at all.
             return (self._pair_id, state, imem_len, ()), requests
         imem_size = self._imem_size if self._imem_size < imem_len else imem_len
@@ -719,117 +596,74 @@ class VectorEngine:
         the folded ``StepResult`` plus the canonical child and the
         quiescence flag the search loop needs.
         """
-        sid0, sid1, shadow_id = state
-        shadow = self._shadow_states[shadow_id]
-        if shadow[0] == ContractShadowLogic.PHASE_LOCKSTEP:
-            paused0 = paused1 = False
-        else:
-            paused0 = len(shadow[2]) > 0
-            paused1 = len(shadow[3]) > 0
-        if paused0:
-            leg0 = -1 - sid0
-        else:
-            table = self._table0
-            key = (sid0, bundles[0])
-            leg0 = table.get(key)
-            if leg0 is None:
-                leg0 = self._step_miss(table, key, self._machine0)
-        if paused1:
-            leg1 = -1 - sid1
-        else:
-            table = self._table1
-            key = (sid1, bundles[1])
-            leg1 = table.get(key)
-            if leg1 is None:
-                leg1 = self._step_miss(table, key, self._machine1)
-        cycle_key = (shadow_id, leg0, leg1)
+        checker_id = state[-1]
+        tables = self._tables
+        legs = tuple(map(dict.get, tables, zip(state, bundles)))
+        gates = self._gates[checker_id]
+        if gates[2] or None in legs:
+            # A paused slot, or a transition not stepped yet: fill the
+            # legs slot by slot.
+            legs = list(legs)
+            for slot, paused in enumerate(gates[1]):
+                if paused:
+                    legs[slot] = -1 - state[slot]
+                elif legs[slot] is None:
+                    key = (state[slot], bundles[slot])
+                    legs[slot] = self._step_miss(tables[slot], key, slot)
+            legs = tuple(legs)
+        cycle_key = legs + (checker_id,)
         cached = self._cycle_memo.get(cycle_key)
         if cached is None:
             cached = self._cycle_miss(cycle_key)
         return cached
 
-    def _step_miss(self, table: dict, key: tuple, machine) -> int:
+    def _step_miss(self, table: dict, key: tuple, slot: int) -> int:
         """Materialize and step one distinct machine transition."""
         sid, bundle = key
+        machine = self._machines[slot]
         machine.restore_words(self._sid_words[sid], 0, self.atoms)
         out = machine.step(bundle)
         tid = len(self._trans)
         self._trans.append(
             (
                 out,
-                self._intern_machine(machine),
+                self._intern_machine(slot),
                 machine.max_inflight_seq(),
                 machine.min_inflight_seq(),
                 machine.seq_base(),
+                True,
             )
         )
         table[key] = tid
         return tid
 
     def _cycle_miss(self, cycle_key: tuple) -> tuple:
-        """Fold one distinct (shadow, transition pair) product cycle.
+        """Fold one distinct (transition legs, checker) product cycle.
 
-        Mirrors ``ShadowProduct.step_cycle`` stage for stage on a
-        scratch shadow: assumption check, shadow verdicts, the
-        stuck-drain prune, then the canonical child state (shadow
-        snapshot against the post-step sequence bases; a paused side's
-        canonical state has base 0 by construction).
+        Replays the product's own ``fold_cycle`` -- the assume/assert
+        ladder ``step_cycle`` ends with -- on the live product checker
+        restored to the cycle's checker state, then interns the
+        canonical child: the checker snapshot against the post-step
+        sequence bases (a paused slot's canonical state has base 0 by
+        construction).
         """
-        shadow_id, leg0, leg1 = cycle_key
         trans = self._trans
         info = self._sid_info
-        if leg0 < 0:
-            facts = info[-1 - leg0]
-            out0, new_sid0, tail0, head0, base0 = (
-                facts[5], -1 - leg0, facts[3], facts[4], 0,
-            )
-            stepped0 = False
+        outputs, child, tails, heads, bases, stepped = zip(
+            *[
+                trans[leg] if leg >= 0 else info[-1 - leg][2]
+                for leg in cycle_key[:-1]
+            ]
+        )
+        product = self.product
+        product.checker_restore(self._checker_states[cycle_key[-1]])
+        pruned, failed, reason = product.fold_cycle(outputs, tails, heads, stepped)
+        if pruned or failed:
+            result = (pruned, failed, reason, None, False)
         else:
-            out0, new_sid0, tail0, head0, base0 = trans[leg0]
-            stepped0 = True
-        if leg1 < 0:
-            facts = info[-1 - leg1]
-            out1, new_sid1, tail1, head1, base1 = (
-                facts[5], -1 - leg1, facts[3], facts[4], 0,
-            )
-            stepped1 = False
-        else:
-            out1, new_sid1, tail1, head1, base1 = trans[leg1]
-            stepped1 = True
-        outputs = (out0, out1)
-        result = None
-        if self._assumptions:
-            reason = _check_assumptions(self._assumptions, outputs)
-            if reason is not None:
-                result = (True, False, reason, None, False)
-        if result is None:
-            shadow = self._scratch_shadow
-            shadow.restore(self._shadow_states[shadow_id], (0, 0))
-            verdict = shadow.on_cycle(
-                outputs, (tail0, tail1), (head0, head1), (stepped0, stepped1)
-            )
-            if verdict.assume_violated:
-                result = (True, False, "contract", None, False)
-            elif verdict.assertion_failed:
-                result = (False, True, "leakage", None, False)
-            elif (
-                shadow.phase == ContractShadowLogic.PHASE_DRAIN
-                and out0.halted
-                and out1.halted
-            ):
-                result = (True, False, "stuck-drain", None, False)
-            else:
-                child = (
-                    new_sid0,
-                    new_sid1,
-                    self._shadow_id(shadow.snapshot((base0, base1))),
-                )
-                quiescent = (
-                    out0.halted
-                    and out1.halted
-                    and shadow.phase == ContractShadowLogic.PHASE_LOCKSTEP
-                )
-                result = (False, False, None, child, quiescent)
+            child += (self._checker_id(product.checker_snapshot(bases)),)
+            quiescent = all([out.halted for out in outputs]) and product.settled()
+            result = (False, False, None, child, quiescent)
         self._cycle_memo[cycle_key] = result
         return result
 
@@ -837,45 +671,24 @@ class VectorEngine:
     # The wave push
     # ------------------------------------------------------------------
     def push_wave(self, root_index: int, depth: int, children, stack) -> None:
-        """Push a node's surviving children, vectorized when wide.
+        """Push a node's surviving children in choice order.
 
-        ``children`` is ``[(env, child_state), ...]`` in choice order;
-        survivors are appended to ``stack`` in that order, replaying the
-        serial LIFO merge exactly (see the module docstring).
+        ``children`` is ``[(env, child_state), ...]``; each is appended
+        to ``stack`` with its key row and fingerprint, replaying the
+        serial LIFO merge exactly (see the module docstring).  There is
+        no visited prefilter: an already-visited child is a silent skip
+        at pop time either way, and a probe per child costs more than
+        the dead push it saves.  The fingerprint is inlined
+        (= ``visited.fingerprint``).
         """
         env_ids = self._env_ids
-        visited = self.visited
-        if len(children) < WIDE_WAVE:
-            # Narrow wave: no prefilter -- an already-visited child is a
-            # silent skip at pop time either way (bit-identical), and on
-            # the narrow waves that dominate mid-search DFS a scalar
-            # probe per child costs more than the dead push it saves.
-            # The fingerprint is inlined (= ``visited.fingerprint``).
-            append = stack.append
-            setdefault = env_ids.setdefault
-            mask = _MASK64
-            for env, state in children:
-                env_id = setdefault(env, len(env_ids))
-                row = (root_index, env_id, state[0], state[1], state[2])
-                # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
-                append((row, hash(row) & mask or 1, env, depth, state))
-            return
-        rows = np.empty((len(children), 5), np.int64)
-        for index, (env, state) in enumerate(children):
-            rows[index] = (
-                root_index,
-                env_ids.setdefault(env, len(env_ids)),
-                state[0],
-                state[1],
-                state[2],
-            )
-        fps = visited.fingerprint_batch(rows)
-        keep = FrontierArena.dedup_last(rows)
-        keep &= ~visited.contains_batch(rows, fps)
-        for index in np.nonzero(keep)[0]:
-            row = tuple(int(word) for word in rows[index])
-            env, state = children[index]
-            stack.append((row, int(fps[index]), env, depth, state))
+        append = stack.append
+        setdefault = env_ids.setdefault
+        mask = _MASK64
+        for env, state in children:
+            row = (root_index, setdefault(env, len(env_ids))) + state
+            # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
+            append((row, hash(row) & mask or 1, env, depth, state))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -884,7 +697,7 @@ class VectorEngine:
         """(visited key count, approx deep bytes of the search state).
 
         Counts the visited table and exact key rows plus everything
-        backing them -- interned machine words, shadow states, atom
+        backing them -- interned machine words, checker states, atom
         values and the environment intern dict -- so the number is
         comparable to the object/packed engines' visited + intern
         accounting.
@@ -892,7 +705,7 @@ class VectorEngine:
         seen: set[int] = set()
         total = self.visited.nbytes
         total += deep_sizeof(self._sid_words, seen)
-        total += deep_sizeof(self._shadow_states, seen)
+        total += deep_sizeof(self._checker_states, seen)
         total += deep_sizeof(self.atoms.values, seen)
         total += deep_sizeof(self._env_ids, seen)
         total += deep_sizeof(self._req_memo, seen)

@@ -22,10 +22,9 @@ class InOrderCore:
 
     name = "Sodor-like"
 
-    #: Honest capability declaration (audited by repro.analysis): the
-    #: in-order core still snapshots as nested tuples only; porting its
-    #: latch state to the snapshot_words protocol is future work.
-    packed_state = False
+    #: Capability flag (audited by repro.analysis): the core flattens its
+    #: state to tagged words (``snapshot_words``/``restore_words``).
+    packed_state = True
 
     def __init__(self, params: MachineParams):
         self.params = params
@@ -150,3 +149,35 @@ class InOrderCore:
             self._halted,
             self._next_seq,
         ) = snap
+
+    def snapshot_words(self, out: list, atoms) -> None:
+        """Append the state as tagged words (``repro.mc.packed``).
+
+        Same canonical content as :meth:`snapshot` (same rebasing): the
+        register file and the rebased latch intern as atoms, the rest
+        packs inline.  Fixed width: five words.
+        """
+        latch = self._latch
+        base = latch[2] if latch is not None else self._next_seq
+        out.extend(
+            (
+                (atoms.id_of(self._regs) << 2) | 2,
+                self._fetch_pc << 2,
+                1
+                if latch is None
+                else (atoms.id_of((latch[0], latch[1], latch[2] - base)) << 2) | 2,
+                4 if self._halted else 0,
+                (self._next_seq - base) << 2,
+            )
+        )
+
+    def restore_words(self, words, pos: int, atoms) -> int:
+        """Restore from :meth:`snapshot_words` output; returns next pos."""
+        values = atoms.values
+        self._regs = values[words[pos] >> 2]
+        self._fetch_pc = words[pos + 1] >> 2
+        word = words[pos + 2]
+        self._latch = None if word == 1 else values[word >> 2]
+        self._halted = bool(words[pos + 3] >> 2)
+        self._next_seq = words[pos + 4] >> 2
+        return pos + 5

@@ -276,7 +276,7 @@ def test_root_batch_prediction_scales_with_its_roots(monkeypatch):
 
 
 def _table2_pair() -> list[CampaignUnit]:
-    """A Table-2 proof cell (object engine) and attack cell, 6 roots each."""
+    """A Table-2 proof cell (shadow/Sodor) and attack cell, 6 roots each."""
     wanted = {("shadow", "Sodor"), ("baseline", "SimpleOoO")}
     return [unit for unit in table2.units(QUICK) if unit.key in wanted]
 

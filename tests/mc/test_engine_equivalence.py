@@ -61,52 +61,42 @@ def test_new_engine_matches_legacy_bit_for_bit(slice_name, monkeypatch):
 
 
 def test_engine_selection_follows_capability(monkeypatch):
-    """Auto-selection engages each engine exactly where the capability
-    flags say: shadow products of OoO cores take the vector engine (when
-    numpy is importable; the packed engine otherwise), the four-machine
-    baseline falls back to the object engine."""
+    """Auto-selection runs every Table-2 cell -- shadow products and the
+    four-machine baseline, over every core -- on the vector engine when
+    numpy is importable, and on the packed engine otherwise.  The object
+    loop stays reachable through ``REPRO_MC_ENGINE=object``, which the
+    legacy bit-identity test above exercises on every slice."""
     from repro.mc import packed
     from repro.mc.explorer import Explorer
     from repro.mc.packed import numpy_available
 
     monkeypatch.delenv("REPRO_MC_ENGINE", raising=False)
-    engines = set()
-    for unit in table2.units(QUICK):
+    expected = "vector" if numpy_available() else "packed"
+    units = table2.units(QUICK)
+    assert len(units) == 10
+    for unit in units:
         task = unit.task
         product = task.build_product()
-        explorer = Explorer(
-            product, task.space, task.build_roots(), task.limits
-        )
-        if not getattr(product, "packed_capable", False):
-            expected = "object"
-        elif numpy_available() and getattr(product, "vector_capable", False):
-            expected = "vector"
-        else:
-            expected = "packed"
+        assert product.packed_capable and product.vector_capable, unit.key
+        explorer = Explorer(product, task.space, task.build_roots(), task.limits)
         assert explorer.engine == expected, unit.key
-        engines.add(explorer.engine)
-    # The grid exercises both sides of the capability split.
-    expected_engines = {"object", "vector" if numpy_available() else "packed"}
-    assert engines == expected_engines
 
     # Without numpy the vector request degrades to the packed engine --
     # simulated by blanking the cached availability probe, so this holds
     # on numpy-equipped CI hosts too.
     monkeypatch.setattr(packed, "_numpy_present", False)
-    unit = next(
-        u for u in table2.units(QUICK)
-        if getattr(u.task.build_product(), "packed_capable", False)
-    )
-    task = unit.task
-    degraded = Explorer(
-        task.build_product(), task.space, task.build_roots(), task.limits
-    )
-    assert degraded.engine == "packed"
-    monkeypatch.setenv("REPRO_MC_ENGINE", "vector")
-    degraded = Explorer(
-        task.build_product(), task.space, task.build_roots(), task.limits
-    )
-    assert degraded.engine == "packed"
+    for scheme in ("shadow", "baseline"):
+        task = next(u for u in units if u.key[0] == scheme).task
+        degraded = Explorer(
+            task.build_product(), task.space, task.build_roots(), task.limits
+        )
+        assert degraded.engine == "packed", scheme
+        monkeypatch.setenv("REPRO_MC_ENGINE", "vector")
+        degraded = Explorer(
+            task.build_product(), task.space, task.build_roots(), task.limits
+        )
+        assert degraded.engine == "packed", scheme
+        monkeypatch.delenv("REPRO_MC_ENGINE")
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,14 +1,11 @@
 """Unit coverage for the vector engine's numpy substrate.
 
-Three layers, matching :mod:`repro.mc.vector`'s structure:
+Two layers, matching :mod:`repro.mc.vector`'s structure:
 
 - the packed blob really is numpy-consumable: ``np.frombuffer(blob,
   dtype='<i8')`` recovers the exact word array for every
   ``packed_capable`` core configuration (the :mod:`repro.mc.packed`
   docstring's promise, exercised here rather than trusted);
-- the fingerprint scheme: the vectorized batch fingerprint replicates
-  CPython's tuple hash lane-for-lane, including the sign/overflow edge
-  cases the replication folds by hand;
 - :class:`repro.mc.vector.VectorVisited` / ``FrontierArena``: randomized
   insert/probe cross-checked against a Python ``set``, forced fingerprint
   collisions, growth across several doublings, and the lossy-drop
@@ -32,12 +29,7 @@ from repro.events import FetchBundle
 from repro.isa.instruction import HALT, Opcode
 from repro.isa.params import MachineParams
 from repro.mc.packed import PackedCodec, decode_word, encode_word
-from repro.mc.vector import (
-    FrontierArena,
-    VectorVisited,
-    fingerprint_row,
-    fingerprint_rows,
-)
+from repro.mc.vector import FrontierArena, VectorVisited
 from repro.uarch.config import CacheConfig, Defense
 from repro.uarch.simple_ooo import simple_ooo
 
@@ -93,45 +85,6 @@ def test_packed_blob_is_numpy_consumable(config):
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints: the vectorized tuple-hash replication
-# ---------------------------------------------------------------------------
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
-_EDGES = (
-    0, 1, -1, 2, -2,
-    (1 << 61) - 2, (1 << 61) - 1, 1 << 61, (1 << 61) + 1,
-    -((1 << 61) - 1), -(1 << 61),
-    INT64_MAX, INT64_MIN, INT64_MIN + 1,
-)
-
-
-def test_batch_fingerprint_matches_scalar_on_edge_values():
-    rows = [
-        (edge, 0, -edge if edge != INT64_MIN else edge, 7, edge)
-        for edge in _EDGES
-    ]
-    batch = fingerprint_rows(np.array(rows, dtype=np.int64))
-    for row, fp in zip(rows, batch):
-        assert int(fp) == fingerprint_row(row), row
-
-
-def test_batch_fingerprint_matches_scalar_randomized():
-    rng = random.Random(0xC0FFEE)
-    rows = [
-        tuple(
-            rng.choice(
-                (rng.randrange(-8, 8), rng.randrange(INT64_MIN, INT64_MAX))
-            )
-            for _ in range(5)
-        )
-        for _ in range(2000)
-    ]
-    batch = fingerprint_rows(np.array(rows, dtype=np.int64))
-    for row, fp in zip(rows, batch):
-        assert int(fp) == fingerprint_row(row), row
-
-
-# ---------------------------------------------------------------------------
 # VectorVisited
 # ---------------------------------------------------------------------------
 def _visited(width=5, capacity=16, max_capacity=None):
@@ -143,36 +96,26 @@ def _visited(width=5, capacity=16, max_capacity=None):
 
 def test_visited_randomized_against_python_set():
     """Insert/probe agreement with a plain set across several growth
-    doublings, interleaving scalar adds with batch probes."""
+    doublings."""
     visited = _visited()
     model: set[tuple] = set()
     rng = random.Random(42)
     universe = [
         tuple(rng.randrange(-64, 64) for _ in range(5)) for _ in range(4000)
     ]
-    for step in range(12000):
+    for _ in range(12000):
         row = universe[rng.randrange(len(universe))]
         fp = visited.fingerprint(row)
         assert visited.contains(row, fp) == (row in model)
         assert visited.add(row, fp) == (row not in model)
         model.add(row)
-        if step % 1024 == 0:
-            batch = [
-                universe[rng.randrange(len(universe))] for _ in range(64)
-            ]
-            rows = np.array(batch, dtype=np.int64)
-            hits = visited.contains_batch(
-                rows, visited.fingerprint_batch(rows)
-            )
-            for row, hit in zip(batch, hits):
-                assert bool(hit) == (row in model), row
     assert visited.count == len(model)
     assert visited.dropped == 0
 
 
 def test_visited_forced_fingerprint_collision():
     """Distinct rows sharing a fingerprint still resolve exactly (the
-    stored-row confirm), scalar and batch alike."""
+    stored-row confirm)."""
     visited = _visited(width=2)
     a, b, c = (1, 2), (3, 4), (5, 6)
     fp = visited.fingerprint(a)
@@ -182,9 +125,6 @@ def test_visited_forced_fingerprint_collision():
     assert visited.add(b, fp)
     assert visited.contains(a, fp) and visited.contains(b, fp)
     assert not visited.contains(c, fp)
-    rows = np.array([a, b, c], dtype=np.int64)
-    hits = visited.contains_batch(rows, np.full(3, fp, dtype=np.uint64))
-    assert hits.tolist() == [True, True, False]
 
 
 def test_visited_growth_preserves_membership():
@@ -196,8 +136,6 @@ def test_visited_growth_preserves_membership():
     # Table grew well past the seed capacity; everything still probes.
     for row in rows:
         assert visited.contains(row, visited.fingerprint(row))
-    arr = np.array(rows, dtype=np.int64)
-    assert visited.contains_batch(arr, visited.fingerprint_batch(arr)).all()
 
 
 def test_visited_pinned_capacity_counts_drops():
@@ -233,10 +171,3 @@ def test_arena_append_extend_and_rows():
     assert arena.count(4) == 1 and arena.count(3) == 5
     assert arena.nbytes > 0
 
-
-def test_arena_dedup_last_keeps_final_occurrence():
-    rows = np.array(
-        [(1, 2), (3, 4), (1, 2), (5, 6), (3, 4)], dtype=np.int64
-    )
-    keep = FrontierArena.dedup_last(rows)
-    assert keep.tolist() == [False, False, True, True, True]
