@@ -6,8 +6,8 @@ state engine against the frozen pre-overhaul engine
 single dominant subtree made the hot path worth overhauling.  Both
 engines run the *same* task in the same process; verdicts and
 ``SearchStats`` are asserted bit-identical, so the ratio isolates pure
-state-handling cost (interning, restore discipline, choice enumeration),
-not search-order luck.
+state-handling cost (memoized transitions, the visited table, choice
+enumeration), not search-order luck.
 
 Results accumulate as named records in ``BENCH_explorer.json`` at the
 repository root (regeneration recipe in EXPERIMENTS.md;
@@ -214,80 +214,3 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
             f"ROB-{rob_size} cell"
         )
 
-
-@pytest.mark.parametrize("rob_size", ROB_SIZES)
-def test_engine_matrix_fig2_rob_cell(scale, rob_size, monkeypatch):
-    """Vector-vs-packed-vs-object on one cell, same process, same task.
-
-    Each engine is forced via ``REPRO_MC_ENGINE`` and re-verified
-    bit-identical before its throughput is recorded -- so the committed
-    ratios compare engines doing provably the same search.  The
-    ``vector_vs_object`` ratio is the headline number the vectorization
-    work is gated on (the ROADMAP's serial states/s goal).
-    """
-    pytest.importorskip("numpy")
-    task = fig2.point_task(fig2.PANELS[0], "rob", rob_size, scale)
-
-    legs = {}
-    outcomes = {}
-    for engine in ("object", "packed", "vector"):
-        monkeypatch.setenv("REPRO_MC_ENGINE", engine)
-        outcome, elapsed, keys, visited_bytes, mode = _measure(Explorer, task)
-        assert mode == engine, f"{engine} did not resolve (got {mode})"
-        outcomes[engine] = outcome
-        legs[engine] = {
-            "elapsed_s": round(elapsed, 3),
-            "states_per_s": round(outcome.stats.states / elapsed, 1),
-            "visited_keys": keys,
-            "visited_bytes": visited_bytes,
-        }
-    # The equivalence contract, re-asserted where the ratios are measured.
-    for engine in ("packed", "vector"):
-        assert outcomes[engine].kind == outcomes["object"].kind
-        assert outcomes[engine].stats == outcomes["object"].stats
-        assert outcomes[engine].counterexample == outcomes["object"].counterexample
-
-    monkeypatch.delenv("REPRO_MC_ENGINE")
-    auto_mode = Explorer(
-        task.build_product(), task.space, task.build_roots(), task.limits
-    ).engine
-
-    vec, obj, packed = (
-        legs["vector"]["states_per_s"],
-        legs["object"]["states_per_s"],
-        legs["packed"]["states_per_s"],
-    )
-    record = {
-        "experiment": "engine-matrix",
-        "scale": scale.name,
-        "cpu_count": os.cpu_count(),
-        "cell": {"panel": fig2.PANELS[0].key, "structure": "rob", "size": rob_size},
-        "kind": outcomes["vector"].kind,
-        "states": outcomes["vector"].stats.states,
-        "engine_mode": auto_mode,
-        "engines": legs,
-        "vector_vs_object": round(vec / obj, 3),
-        "vector_vs_packed": round(vec / packed, 3),
-    }
-    update_bench_record(BENCH_RECORD, f"fig2-rob{rob_size}-engines{_SUFFIX}", record)
-    print()
-    print(
-        f"engine matrix (ROB-{rob_size}): object {obj:.0f} / packed "
-        f"{packed:.0f} / vector {vec:.0f} st/s -> vector "
-        f"{vec / obj:.2f}x object, {vec / packed:.2f}x packed "
-        f"-> {BENCH_RECORD.name}"
-    )
-
-    # The smoke cell is noise; the real cells guard the vectorization
-    # floor.  ROB-4 legs finish in ~2 s each, so frequency scaling can
-    # halve a single leg's ratio -- it gets a sanity floor only; the
-    # dominant ROB-8 cell (504k states, ~30 s of measurement) carries
-    # the committed 3x evidence and the hard guard.
-    if rob_size >= 8:
-        assert vec / obj > 2.0, (
-            f"vector engine fell to {vec / obj:.2f}x object on ROB-{rob_size}"
-        )
-    elif rob_size >= 4:
-        assert vec / obj > 1.2, (
-            f"vector engine fell to {vec / obj:.2f}x object on ROB-{rob_size}"
-        )

@@ -2,8 +2,8 @@
 
 The test matrix enforces the repository's core invariants *dynamically*
 -- bit-identical serial-order merges across backends, hash-consed
-snapshot immutability, pickle-safe wire payloads, honest
-``packed_capable`` declarations -- which means a violation only surfaces
+snapshot immutability, pickle-safe wire payloads, machines that speak
+the ``snapshot_words`` protocol -- which means a violation only surfaces
 when a test happens to hit it, often probabilistically (a salted
 ``hash()`` misbehaves only under an unlucky ``PYTHONHASHSEED``).  This
 package is the same move the paper makes with shadow logic, applied at

@@ -1,50 +1,34 @@
-"""The ``packed-caps`` checker: honest packed-engine capability flags.
+"""The ``packed-caps`` checker: every machine speaks the words protocol.
 
-The packed snapshot engine (:mod:`repro.mc.packed`) is selected by
-capability: a core advertises ``packed_state = True`` when it implements
-the ``snapshot_words``/``restore_words`` protocol, and products
-advertise ``packed_capable`` when every machine does.  The
-legacy-equivalence suite pins the *behavior* of whichever engine runs,
-but nothing audits the declarations themselves: a core claiming
-``packed_state`` without the words protocol crashes mid-campaign, a core
-silently *not* claiming it pays the object engine forever, and a
-subclass that overrides ``snapshot`` while inheriting ``snapshot_words``
-lets the two state layouts drift apart -- the exact corruption the
-equivalence suite can only catch for cores it happens to instantiate.
+The memoized transition kernel (:mod:`repro.mc.vector`) is the search's
+only state engine, and it steps machines through their
+``snapshot_words``/``restore_words`` pair (the tagged-word format of
+:mod:`repro.mc.packed`).  The legacy-equivalence suite pins the
+*behavior* of the machines it instantiates, but nothing audits the
+protocol itself: a machine without the words methods crashes the first
+search over it, and a subclass that overrides ``snapshot`` while
+inheriting ``snapshot_words`` lets the two state layouts drift apart --
+the exact corruption the equivalence suite can only catch for cores it
+happens to instantiate.
 
 Rules, applied to every machine-like class (one defining ``snapshot``,
-``restore`` and a step method -- ``step`` for cores, ``step_cycle`` for
-products; ``Protocol`` definitions are exempt):
-
-``undeclared-capability``
-    No ``packed_state`` / ``packed_capable`` declaration anywhere in the
-    class's (statically resolvable) bases.  Declare it explicitly --
-    ``packed_state = False`` is an honest answer; silence is not.
+``restore`` and ``step``; ``Protocol`` definitions are exempt):
 
 ``missing-words``
-    ``packed_state = True`` is declared but ``snapshot_words`` or
-    ``restore_words`` is missing from the class and its bases.
+    ``snapshot_words`` or ``restore_words`` is missing from the class
+    and its bases.
 
 ``snapshot-drift``
-    The class has (or inherits) ``packed_state = True`` and overrides
-    ``snapshot``/``restore`` without overriding the corresponding words
-    method (or vice versa): the packed and object layouts no longer come
-    from the same definition site and can diverge.
+    The class overrides ``snapshot``/``restore`` without overriding the
+    corresponding words method (or vice versa): the word and object
+    layouts no longer come from the same definition site and can
+    diverge.
 
 ``words-attr-drift``
     Within one class, ``snapshot`` and ``snapshot_words`` read different
     sets of ``self.*`` state fields -- the packability inference: the
-    packed encoding must cover exactly the state the object snapshot
+    word encoding must cover exactly the state the object snapshot
     covers.
-
-``vector-without-packed``
-    ``vector_capable = True`` is declared but neither a
-    ``packed_capable`` declaration nor ``packed_state = True`` is
-    statically resolvable.  The vector engine
-    (:mod:`repro.mc.vector`) memoizes over the packed word layout --
-    ``resolve_engine`` demands both flags -- so a lone
-    ``vector_capable`` over-promises: the class would silently degrade
-    to the packed/object chain at best, or mis-select at worst.
 """
 
 from __future__ import annotations
@@ -60,8 +44,7 @@ from repro.analysis.framework import (
     register,
 )
 
-_MACHINE_METHODS = frozenset({"snapshot", "restore"})
-_STEP_METHODS = frozenset({"step", "step_cycle"})
+_MACHINE_METHODS = frozenset({"snapshot", "restore", "step"})
 _WORD_PAIR = (("snapshot", "snapshot_words"), ("restore", "restore_words"))
 
 
@@ -80,32 +63,6 @@ def _resolved_bases(info: ClassInfo, project: Project) -> list[ClassInfo]:
         out.append(base)
         queue.extend(base.bases)
     return out
-
-
-def _inherited(info: ClassInfo, project: Project, attr: str) -> bool:
-    for cls in [info, *_resolved_bases(info, project)]:
-        if attr in cls.methods or attr in cls.class_attrs:
-            return True
-    return False
-
-
-def _declares_capability(info: ClassInfo, project: Project) -> bool:
-    for flag in ("packed_state", "packed_capable"):
-        if _inherited(info, project, flag):
-            return True
-    return False
-
-
-def _attr_true(info: ClassInfo, project: Project, attr: str) -> bool:
-    for cls in [info, *_resolved_bases(info, project)]:
-        value = cls.class_attrs.get(attr)
-        if value is not None:
-            return isinstance(value, ast.Constant) and value.value is True
-    return False
-
-
-def _packed_state_true(info: ClassInfo, project: Project) -> bool:
-    return _attr_true(info, project, "packed_state")
 
 
 def _state_attr_reads(fn: ast.AST) -> frozenset[str]:
@@ -136,8 +93,8 @@ def _state_attr_reads(fn: ast.AST) -> frozenset[str]:
 class PackedCapsChecker(Checker):
     id = "packed-caps"
     description = (
-        "packed_state/packed_capable declarations must match the "
-        "snapshot_words protocol each class actually implements"
+        "every machine implements the snapshot_words/restore_words "
+        "protocol in step with snapshot/restore"
     )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
@@ -156,61 +113,32 @@ class PackedCapsChecker(Checker):
             all_methods = set(own)
             for base in _resolved_bases(info, project):
                 all_methods.update(base.methods)
-            if not _MACHINE_METHODS <= all_methods or not (
-                _STEP_METHODS & all_methods
-            ):
+            if not _MACHINE_METHODS <= all_methods:
                 continue
             name = info.name
-
-            if not _declares_capability(info, project):
-                findings.append(
-                    file.finding(
-                        info.node, self.id, "undeclared-capability",
-                        f"{name} defines snapshot/restore/step but never "
-                        "declares packed_state or packed_capable; declare "
-                        "the capability explicitly (False is an honest "
-                        "answer)",
-                    )
-                )
-                continue
-
-            packed = _packed_state_true(info, project)
-            if _attr_true(info, project, "vector_capable") and not (
-                packed or _inherited(info, project, "packed_capable")
-            ):
-                findings.append(
-                    file.finding(
-                        info.node, self.id, "vector-without-packed",
-                        f"{name} claims vector_capable = True without a "
-                        "resolvable packed_capable (or packed_state = "
-                        "True); the vector engine memoizes over the "
-                        "packed word layout, so the flag over-promises",
-                    )
-                )
-            if packed:
-                for words in ("snapshot_words", "restore_words"):
-                    if not _inherited(info, project, words):
-                        findings.append(
-                            file.finding(
-                                info.node, self.id, "missing-words",
-                                f"{name} claims packed_state = True but "
-                                f"{words} is not implemented; the packed "
-                                "engine would crash mid-campaign",
-                            )
+            for words in ("snapshot_words", "restore_words"):
+                if words not in all_methods:
+                    findings.append(
+                        file.finding(
+                            info.node, self.id, "missing-words",
+                            f"{name} defines snapshot/restore/step but "
+                            f"not {words}; the transition kernel would "
+                            "crash on the first search over it",
                         )
-                for obj_method, words_method in _WORD_PAIR:
-                    if (obj_method in own) != (words_method in own):
-                        findings.append(
-                            file.finding(
-                                info.node, self.id, "snapshot-drift",
-                                f"{name} overrides "
-                                f"{obj_method if obj_method in own else words_method}"
-                                " without overriding its counterpart "
-                                f"({words_method if obj_method in own else obj_method});"
-                                " packed and object state layouts can drift",
-                            )
+                    )
+            for obj_method, words_method in _WORD_PAIR:
+                if (obj_method in own) != (words_method in own):
+                    findings.append(
+                        file.finding(
+                            info.node, self.id, "snapshot-drift",
+                            f"{name} overrides "
+                            f"{obj_method if obj_method in own else words_method}"
+                            " without overriding its counterpart "
+                            f"({words_method if obj_method in own else obj_method});"
+                            " word and object state layouts can drift",
                         )
-                findings.extend(self._attr_drift(file, info))
+                    )
+            findings.extend(self._attr_drift(file, info))
         return findings
 
     def _attr_drift(self, file: SourceFile, info: ClassInfo) -> list[Finding]:
@@ -229,7 +157,7 @@ class PackedCapsChecker(Checker):
                     words, self.id, "words-attr-drift",
                     f"{info.name}.snapshot_words never reads state "
                     f"field(s) {', '.join(missing)} that snapshot "
-                    "serializes; the packed encoding drops state",
+                    "serializes; the word encoding drops state",
                 )
             )
         if extra:

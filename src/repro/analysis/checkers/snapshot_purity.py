@@ -1,10 +1,10 @@
 """The ``snapshot-purity`` checker: hash-consed values must stay frozen.
 
-The state engines key their visited sets on canonical objects: the
-:class:`repro.mc.intern.InternTable` maps equal snapshots onto one
-shared object, and the packed engine's
-:class:`repro.mc.packed.AtomTable` does the same for snapshot
-substructures.  Both tables alias their inputs -- interning does not
+The state engine keys its visited set on canonical objects: the
+transition kernel's :class:`repro.mc.packed.AtomTable` maps equal
+snapshot substructures onto one shared object, and its machine-state
+and checker-state tables do the same for whole word rows and checker
+snapshots.  These tables alias their inputs -- interning does not
 copy -- so mutating a value after (or before re-)interning silently
 corrupts every state that shares it: the table's key no longer matches
 its stored hash, lookups miss, and the search either re-explores or,
@@ -130,8 +130,8 @@ def _base_name(node: ast.expr) -> str | None:
 class SnapshotPurityChecker(Checker):
     id = "snapshot-purity"
     description = (
-        "no in-place mutation of values flowing through InternTable/"
-        "AtomTable hash-consing"
+        "no in-place mutation of values flowing through AtomTable "
+        "hash-consing"
     )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:

@@ -2,7 +2,7 @@
 
 One :class:`SourceFile` per analyzed module (text + AST + parsed
 waivers), one :class:`Project` per run (the cross-file class index the
-wire-safety and packed-capability checkers traverse), and a registry of
+wire-safety and words-protocol checkers traverse), and a registry of
 :class:`Checker` plugins.  :func:`analyze` ties them together and
 applies the two suppression layers -- inline waivers and the committed
 baseline -- returning a :class:`Report` whose ``findings`` are exactly

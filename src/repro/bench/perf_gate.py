@@ -106,11 +106,6 @@ GATES: dict[str, list[Metric]] = {
             direction="lower",
         ),
     ],
-    "engine-matrix": [
-        # All three engines run serially in one process: throughput.
-        Metric("vector states/s", _path("engines", "vector", "states_per_s")),
-        Metric("vector vs object", _path("vector_vs_object")),
-    ],
     "tracing-overhead": [
         Metric("untraced states/s", _path("off", "states_per_s")),
         # Overhead multipliers: lower is better, ~1.0 is the promise.

@@ -32,9 +32,8 @@ from typing import Any, Callable
 #: Verdict kinds a campaign cell may record.
 KINDS = ("proved", "attack", "timeout")
 
-#: State engines an ``engine_mode`` stamp may name (the three
-#: :func:`repro.mc.packed.resolve_engine` outcomes).
-ENGINE_MODES = ("object", "packed", "vector")
+#: State engines an ``engine_mode`` stamp may name: the search has one.
+ENGINE_MODES = ("vector",)
 
 #: Relative slack allowed between a recorded ratio (``speedup``,
 #: ``visited_bytes_ratio``) and its recomputation from the recorded
@@ -98,23 +97,6 @@ def _timing(value):
     return None
 
 
-def _engine_timings(value):
-    """Per-engine timing legs keyed by engine mode; ``vector`` required
-    (the ratio fields divide by it)."""
-    if not isinstance(value, dict) or not value:
-        return "expected a non-empty engine->timing object"
-    for engine, leg in value.items():
-        if engine not in ENGINE_MODES:
-            return f"unknown engine {engine!r} (known: {ENGINE_MODES})"
-        problem = _timing(leg)
-        if problem:
-            return f"engine {engine!r}: {problem}"
-    for engine in ("object", "vector"):
-        if engine not in value:
-            return f"missing the {engine!r} leg"
-    return None
-
-
 #: Required fields per experiment.  ``experiment`` and ``cpu_count`` are
 #: checked for every record; ``scale`` for every model-checking record.
 SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
@@ -167,16 +149,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
         "engine": _timing,
         "speedup": _field(_NUM, positive=True),
         "visited_bytes_ratio": _field(_NUM, positive=True),
-    },
-    "engine-matrix": {
-        "scale": _field(str),
-        "cell": _field(dict),
-        "kind": _kind,
-        "states": _field(int, positive=True),
-        "engine_mode": _engine_mode,
-        "engines": _engine_timings,
-        "vector_vs_object": _field(_NUM, positive=True),
-        "vector_vs_packed": _field(_NUM, positive=True),
     },
     "tracing-overhead": {
         "scale": _field(str),
@@ -278,23 +250,6 @@ def validate_record(name: str, record: Any) -> list[str]:
         ):
             expected = (
                 record["off"]["states_per_s"] / record[leg]["states_per_s"]
-            )
-            if abs(record[field] - expected) > RATIO_SLACK * expected:
-                errors.append(
-                    f"{name}: {field} {record[field]} inconsistent with "
-                    f"recorded states/s ({expected:.3f})"
-                )
-    if experiment == "engine-matrix":
-        engines = record["engines"]
-        for field, denominator in (
-            ("vector_vs_object", "object"),
-            ("vector_vs_packed", "packed"),
-        ):
-            if denominator not in engines:
-                continue
-            expected = (
-                engines["vector"]["states_per_s"]
-                / engines[denominator]["states_per_s"]
             )
             if abs(record[field] - expected) > RATIO_SLACK * expected:
                 errors.append(

@@ -78,19 +78,6 @@ def format_explorer_bench(path: str | Path) -> str | None:
                 )
                 continue
             cell = record["cell"]
-            if record.get("experiment") == "engine-matrix":
-                engines = record["engines"]
-                per_engine = " / ".join(
-                    f"{mode} {engines[mode]['states_per_s']:.0f}"
-                    for mode in ("object", "packed", "vector")
-                    if mode in engines
-                )
-                lines.append(
-                    f"  {name:18s} ROB-{cell['size']}: {per_engine} states/s "
-                    f"-> vector {record['vector_vs_object']:.2f}x object "
-                    f"({record['states']} states, {record['kind']})"
-                )
-                continue
             legacy = record["legacy"]
             engine = record["engine"]
             lines.append(

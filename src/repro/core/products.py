@@ -92,15 +92,13 @@ def _check_assumptions(
 
 
 class ShadowProduct:
-    """Two OoO copies + Contract Shadow Logic (the paper's scheme)."""
+    """Two OoO copies + Contract Shadow Logic (the paper's scheme).
 
-    #: The memoizing vector engine (``repro.mc.vector``) drives this
-    #: product through its machines and checker protocol
-    #: (``dmem_sides``, ``clock_control``, ``fold_cycle``,
-    #: ``checker_snapshot``/``checker_restore``, ``settled``); it also
-    #: requires ``packed_capable`` and numpy --
-    #: :func:`repro.mc.packed.resolve_engine` checks all three.
-    vector_capable = True
+    The memoizing vector engine (``repro.mc.vector``) drives this
+    product through its machines and checker protocol (``dmem_sides``,
+    ``clock_control``, ``fold_cycle``,
+    ``checker_snapshot``/``checker_restore``, ``settled``).
+    """
 
     #: Which data memory of a root's pair each machine slot runs on.
     dmem_sides = (0, 1)
@@ -240,40 +238,15 @@ class ShadowProduct:
         self.machines[1].restore(snap[1])
         self.checker_restore(snap[2])
 
-    @property
-    def packed_capable(self) -> bool:
-        """Whether both copies can flatten state (``repro.mc.packed``).
-
-        Per-core capability flag: cores advertising ``packed_state``
-        implement ``snapshot_words``/``restore_words``.
-        """
-        return all(getattr(m, "packed_state", False) for m in self.machines)
-
-    def snapshot_words(self, out: list, atoms) -> None:
-        """Flatten the product state to tagged words, copies then shadow."""
-        machine0, machine1 = self.machines
-        machine0.snapshot_words(out, atoms)
-        machine1.snapshot_words(out, atoms)
-        self.shadow.snapshot_words(
-            out, atoms, (machine0.seq_base(), machine1.seq_base())
-        )
-
-    def restore_words(self, words, pos: int, atoms) -> int:
-        """Restore a state produced by :meth:`snapshot_words`."""
-        pos = self.machines[0].restore_words(words, pos, atoms)
-        pos = self.machines[1].restore_words(words, pos, atoms)
-        # Machine restore leaves sequence numbers rebased (head seq 0),
-        # so the shadow restores against zero bases, as in ``restore``.
-        return self.shadow.restore_words(words, pos, atoms, (0, 0))
 
 
 class BaselineProduct:
-    """Two ISA machines + two OoO copies (the Fig. 1a baseline scheme)."""
+    """Two ISA machines + two OoO copies (the Fig. 1a baseline scheme).
 
-    #: The vector engine drives the four machines through the same
-    #: protocol as :class:`ShadowProduct`; the checker state is the
-    #: pending-observation pair.
-    vector_capable = True
+    The vector engine drives the four machines through the same protocol
+    as :class:`ShadowProduct`; the checker state is the
+    pending-observation pair.
+    """
 
     #: ISA pair and OoO pair each run one machine per data memory.
     dmem_sides = (0, 1, 0, 1)
@@ -388,22 +361,3 @@ class BaselineProduct:
             self.machines[index].restore(snap[index])
         self.checker_restore(snap[4:])
 
-    @property
-    def packed_capable(self) -> bool:
-        """Whether all four machines can flatten state (``repro.mc.packed``)."""
-        return all(getattr(m, "packed_state", False) for m in self.machines)
-
-    def snapshot_words(self, out: list, atoms) -> None:
-        """Flatten the state to tagged words: machines, then pending atoms."""
-        for machine in self.machines:
-            machine.snapshot_words(out, atoms)
-        out.append((atoms.id_of(tuple(self._pending[0])) << 2) | 2)
-        out.append((atoms.id_of(tuple(self._pending[1])) << 2) | 2)
-
-    def restore_words(self, words, pos: int, atoms) -> int:
-        """Restore a state produced by :meth:`snapshot_words`."""
-        for machine in self.machines:
-            pos = machine.restore_words(words, pos, atoms)
-        values = atoms.values
-        self.checker_restore((values[words[pos] >> 2], values[words[pos + 1] >> 2]))
-        return pos + 2

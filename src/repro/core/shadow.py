@@ -206,34 +206,3 @@ class ContractShadowLogic:
             for side in (0, 1)
         ]
         self._pending = [deque(pend0), deque(pend1)]
-
-    def snapshot_words(self, out: list, atoms, bases: tuple[int, int]) -> None:
-        """Append the shadow state as tagged words (``repro.mc.packed``).
-
-        Same canonical content as :meth:`snapshot`: phase and rebased
-        drain targets inline, pending-observation queues as interned
-        atoms (observations are contract-produced tuples).  Fixed width:
-        five words.
-        """
-        target0, target1 = self._drain_targets
-        out.append(self._phase << 2)
-        out.append(1 if target0 is None else (target0 - bases[0]) << 2)
-        out.append(1 if target1 is None else (target1 - bases[1]) << 2)
-        out.append((atoms.id_of(tuple(self._pending[0])) << 2) | 2)
-        out.append((atoms.id_of(tuple(self._pending[1])) << 2) | 2)
-
-    def restore_words(self, words, pos: int, atoms, bases: tuple[int, int]) -> int:
-        """Restore from :meth:`snapshot_words` output; returns next pos."""
-        values = atoms.values
-        self._phase = words[pos] >> 2
-        word0 = words[pos + 1]
-        word1 = words[pos + 2]
-        self._drain_targets = [
-            None if word0 == 1 else (word0 >> 2) + bases[0],
-            None if word1 == 1 else (word1 >> 2) + bases[1],
-        ]
-        self._pending = [
-            deque(values[words[pos + 3] >> 2]),
-            deque(values[words[pos + 4] >> 2]),
-        ]
-        return pos + 5

@@ -18,14 +18,10 @@ class IsaMachine:
     """Sequential reference machine over :func:`repro.isa.semantics.execute`.
 
     The machine interface (``poll_fetch`` / ``step`` / ``snapshot`` /
-    ``restore``) matches the out-of-order cores so that verification
-    products can drive either kind uniformly.
+    ``restore``, and the ``snapshot_words`` / ``restore_words`` pair the
+    transition kernel steps through) matches the out-of-order cores so
+    that verification products can drive either kind uniformly.
     """
-
-    #: Capability flag (audited by repro.analysis): the machine flattens
-    #: its state to tagged words, so baseline products run on the packed
-    #: and vector engines.
-    packed_state = True
 
     def __init__(self, params: MachineParams):
         self.params = params

@@ -25,7 +25,7 @@ from repro.mc.explorer import (
     RootExpansion,
     SearchLimits,
 )
-from repro.mc.intern import InternTable, deep_sizeof
+from repro.mc.intern import deep_sizeof
 from repro.mc.result import Counterexample, Outcome
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Environment",
     "Explorer",
     "FrontierEntry",
-    "InternTable",
     "Outcome",
     "RootExpansion",
     "SearchLimits",

@@ -23,26 +23,18 @@ a depth-first traversal of the product transition system with:
 
 Hot-path engineering (the state engine)
 ---------------------------------------
-The DFS expands hundreds of thousands of states per proof, so the state
-handling is deliberately tuned; the frozen pre-overhaul engine lives in
-:mod:`repro.mc.legacy` and the equivalence suite pins the two bit-equal:
+The DFS expands hundreds of thousands of states per proof, so it never
+steps the product directly: every product state is a tuple of dense ids
+interned by the memoized transition kernel
+(:class:`repro.mc.vector.VectorEngine`), visited keys are fixed-width
+integer rows in a numpy fingerprint table, and a node's whole choice
+expansion memoizes as one summary that later visits replay.  The live
+product only runs on memo misses.  numpy is imported when the first
+:class:`Explorer` is built, not with this module.
 
-- **Interned, fingerprinted snapshots**: every product snapshot is
-  hash-consed through an :class:`repro.mc.intern.InternTable`.  Visited
-  keys carry the table's small integer id instead of the deep nested
-  tuple (hashed once at interning time, never re-walked), duplicate
-  snapshots collapse onto one canonical object, and identity against
-  that canonical object tells the engine when the product *already*
-  embodies a popped state.
-- **Restore discipline**: each expanded child costs exactly one
-  ``restore`` + ``step_cycle``.  The historical engine restored once at
-  choice-enumeration start and again per child; now fetch requests are
-  read once per node, the first child steps straight off the node's
-  restored state, and a node popped right after its own snapshot was
-  taken (the common DFS descent) skips the node restore entirely.
-
-Every engine stays bit-identical to the historical engine: verdicts,
-counterexamples and ``SearchStats`` alike.
+The frozen pre-overhaul object engine lives in :mod:`repro.mc.legacy`;
+the equivalence suite pins the two bit-equal: verdicts, counterexamples
+and ``SearchStats`` alike.
 """
 
 from __future__ import annotations
@@ -57,8 +49,6 @@ from repro.events import FetchBundle
 from repro.isa.encoding import EncodingSpace
 from repro.isa.instruction import HALT, Opcode
 from repro.mc.env import Environment
-from repro.mc.intern import InternTable, deep_sizeof
-from repro.mc.packed import PackedCodec, resolve_engine
 from repro.mc.result import (
     ATTACK,
     PROVED,
@@ -194,46 +184,32 @@ class _Budget:
 class Explorer:
     """Depth-first explicit-state search over one product."""
 
+    #: The state engine's name, as trace spans and layer timings report it.
+    engine = "vector"
+
     def __init__(
         self,
         product,
         space: EncodingSpace,
         roots: list[Root],
         limits: SearchLimits = SearchLimits(),
-        *,
-        engine: str = "auto",
     ):
         """Build a search engine over one product.
 
-        ``engine`` selects the state engine the DFS runs on:
-        ``"object"`` (nested-tuple snapshots), ``"packed"`` (flat
-        tagged-word ``bytes``; see :mod:`repro.mc.packed`), ``"vector"``
-        (memoized stepping over numpy structure-of-arrays; see
-        :mod:`repro.mc.vector`), or ``"auto"`` -- vector whenever numpy
-        is importable (both products, over every core, declare the
-        capability flags), packed without numpy, and object only for a
-        product that cannot flatten its state; ``REPRO_MC_ENGINE``
-        overrides the choice.  All engines explore bit-identically
-        (pinned by ``tests/mc/test_engine_equivalence.py``); the choice
-        only moves the per-state cost.
+        The product steps through the memoized transition kernel
+        (:mod:`repro.mc.vector`), so every machine must speak the
+        ``snapshot_words``/``restore_words`` protocol.
         """
         self.product = product
         self.space = space
         self.roots = roots
         self.limits = limits
         self.universe = space.instructions()
-        self.engine = resolve_engine(engine, product)
-        self._codec = PackedCodec(product) if self.engine == "packed" else None
-        if self.engine == "vector":
-            # Lazy import: the module pulls in numpy, which resolve_engine
-            # guarantees is present exactly when this branch is taken.
-            from repro.mc.vector import VectorEngine
+        # Lazy import: the kernel pulls in numpy, which code importing
+        # this module without searching (the fuzzer) must not pay for.
+        from repro.mc.vector import VectorEngine
 
-            self._vector = VectorEngine(product)
-        else:
-            self._vector = None
-        self._intern = InternTable()
-        self._last_visited: set | None = None
+        self._vector = VectorEngine(product)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -243,21 +219,11 @@ class Explorer:
         stack: list[tuple] = []
         imem_size = self.product.params.imem_size
         vec = self._vector
-        if vec is not None:
-            for root_index, root in enumerate(self.roots):
-                vec.select_root(root)
-                env = Environment.empty(imem_size)
-                stack.append(vec.seed_node(root_index, env, vec.capture(), 0))
-            return self._searched(stack, vector=True)
-        codec = self._codec
-        snapshot = codec.snapshot if codec is not None else self.product.snapshot
-        intern = self._intern.intern
         for root_index, root in enumerate(self.roots):
-            self.product.reset(root.dmem_pair)
+            vec.select_root(root)
             env = Environment.empty(imem_size)
-            snap, sid = intern(snapshot())
-            stack.append((root_index, env, snap, sid, 0))
-        return self._searched(stack, vector=False)
+            stack.append(vec.seed_node(root_index, env, vec.capture(), 0))
+        return self._searched(stack)
 
     def run_seeded(self, entries: Sequence[FrontierEntry]) -> Outcome:
         """Search a slice of the (single) root's first-cycle frontier.
@@ -273,26 +239,14 @@ class Explorer:
             raise ValueError("seeded search requires exactly one root")
         stack = []
         vec = self._vector
-        if vec is not None:
-            # Entries carry object-engine snapshots; replay each into the
-            # live product (canonical frame by construction) and intern
-            # the resulting state as dense ids.
-            vec.select_root(self.roots[0])
-            for entry in entries:
-                self.product.restore(entry.snap)
-                stack.append(vec.seed_node(0, entry.env, vec.capture(), entry.depth))
-            return self._searched(stack, vector=True)
-        codec = self._codec
-        if codec is not None:
-            # Frontier entries carry object-engine snapshots (the shard
-            # plan crosses process boundaries in that form); re-encode
-            # them through the live product before seeding.
-            self.product.reset(self.roots[0].dmem_pair)
+        # Entries carry object snapshots; replay each into the live
+        # product (canonical frame by construction) and intern the
+        # resulting state as dense ids.
+        vec.select_root(self.roots[0])
         for entry in entries:
-            raw = entry.snap if codec is None else codec.encode(entry.snap)
-            snap, sid = self._intern.intern(raw)
-            stack.append((0, entry.env, snap, sid, entry.depth))
-        return self._searched(stack, vector=False)
+            self.product.restore(entry.snap)
+            stack.append(vec.seed_node(0, entry.env, vec.capture(), entry.depth))
+        return self._searched(stack)
 
     def expand_root(self) -> RootExpansion:
         """Expand the (single) root's first cycle; the sub-root planner.
@@ -380,181 +334,61 @@ class Explorer:
     # Introspection
     # ------------------------------------------------------------------
     def visited_footprint(self) -> tuple[int, int]:
-        """(key count, approx deep bytes) of the last run's visited state.
+        """(key count, approx bytes) of the last run's visited state.
 
         The search frees each root's visited keys once it moves on to
         the next root, so the keys counted are the last-explored root's
-        partition.  The bytes add
-        the intern tables backing them, which are shared across roots
-        and kept whole; shared substructure counts once -- which is
-        exactly the saving hash-consing buys.
+        partition; see :meth:`repro.mc.vector.VectorEngine.footprint`.
         """
-        if self._vector is not None:
-            return self._vector.footprint()
-        visited = self._last_visited if self._last_visited is not None else set()
-        seen: set[int] = set()
-        total = deep_sizeof(visited, seen)
-        total += self._intern.approx_bytes(seen)
-        return len(visited), total
+        return self._vector.footprint()
 
     # ------------------------------------------------------------------
     # The DFS core
     # ------------------------------------------------------------------
-    def _searched(self, stack: list[tuple], *, vector: bool) -> Outcome:
+    def _searched(self, stack: list[tuple]) -> Outcome:
         """Run the DFS, wrapped in an ``engine.search`` trace span.
 
         With no recorder installed this is one ``None`` check on top of
-        the search itself.  When tracing, the span carries the resolved
-        engine, the verdict kind and the state count, and the recorder's
+        the search itself.  When tracing, the span carries the engine
+        name, the verdict kind and the state count, and the recorder's
         counters absorb the engine's memo/visited sizes -- the numbers
-        :meth:`visited_footprint` would deep-walk for, at ``len`` cost.
-        The vector engine's visited-table load factor additionally lands
+        :meth:`visited_footprint` would walk for, at ``len`` cost.
+        The visited-table load factor additionally lands
         in the live metrics registry (in-process searches only; remote
         shards carry it home in their span batch counters instead).
         """
-        search = self._search_vector if vector else self._search
         rec = obs.recorder()
         if rec is None:
-            return search(stack)
+            return self._search(stack)
         with rec.span("engine.search", engine=self.engine) as sp:
-            outcome = search(stack)
+            outcome = self._search(stack)
             # A real (stacked) span, not a pre-timed one, so the wave
             # spans recorded inside the search nest under it.
             sp.set(kind=outcome.kind, states=outcome.stats.states)
         rec.count("engine.states", outcome.stats.states)
         rec.count("engine.transitions", outcome.stats.transitions)
         vec = self._vector
-        if vec is not None:
-            visited = vec.visited
-            rec.count("engine.visited", len(visited))
-            rec.count("engine.memo_entries", len(vec._expand_memo))
-            load = len(visited) / visited.capacity
-            rec.count("engine.visited_load_millis", int(load * 1000))
-            from repro.obs.metrics import LAST_REGISTRY
+        visited = vec.visited
+        rec.count("engine.visited", len(visited))
+        rec.count("engine.memo_entries", len(vec._expand_memo))
+        load = len(visited) / visited.capacity
+        rec.count("engine.visited_load_millis", int(load * 1000))
+        from repro.obs.metrics import LAST_REGISTRY
 
-            if LAST_REGISTRY is not None:
-                LAST_REGISTRY.gauge("engine.visited_load").set(load)
-                LAST_REGISTRY.time_series("engine.visited_load").add(
-                    clock.monotonic(), load
-                )
-        elif self._last_visited is not None:
-            rec.count("engine.visited", len(self._last_visited))
+        if LAST_REGISTRY is not None:
+            LAST_REGISTRY.gauge("engine.visited_load").set(load)
+            LAST_REGISTRY.time_series("engine.visited_load").add(
+                clock.monotonic(), load
+            )
         return outcome
 
     def _search(self, stack: list[tuple]) -> Outcome:
-        """The DFS loop over an already-seeded stack."""
-        budget = _Budget(self.limits)
-        product = self.product
-        codec = self._codec
-        restore = codec.restore if codec is not None else product.restore
-        step_cycle = product.step_cycle
-        quiescent = product.quiescent
-        snapshot = codec.snapshot if codec is not None else product.snapshot
-        fetch_requests = product.fetch_requests
-        intern = self._intern.intern
-        choices = self._choices
-        visited: set = set()
-        self._last_visited = visited
-        states = transitions = pruned = max_depth = 0
-        prune_reasons: dict[str, int] = {}
-        # Per-wave trace spans: one pre-timed span per _WAVE_STRIDE
-        # expansions (see _searched); a single branch per pop when off.
-        rec = obs.recorder()
-        engine = self.engine
-        wave_t0 = 0.0 if rec is None else clock.monotonic()
-        # Data memories are *not* part of machine snapshots (they are
-        # constant along a root's subtree), so the product must be re-reset
-        # whenever the search crosses into a different root's subtree.
-        active_root: int | None = None
-        # The snapshot object (canonical, so identity suffices) the
-        # product currently embodies; ``None`` when unknown.  Lets the
-        # engine skip the node restore on the common DFS descent, where
-        # the popped node is exactly the child just stepped into.
-        current = None
-        while stack:
-            root_index, env, snap, sid, depth = stack.pop()
-            if root_index != active_root:
-                if active_root is not None:
-                    # The LIFO stack finished the previous root's subtree
-                    # before popping any node of this one, and keys embed
-                    # the root index: none of its keys can hit again.
-                    visited.clear()
-                product.reset(self.roots[root_index].dmem_pair)
-                active_root = root_index
-                current = None
-            key = (root_index, env, sid)
-            if key in visited:
-                continue
-            visited.add(key)
-            states += 1
-            if rec is not None and not states % _WAVE_STRIDE:
-                now = clock.monotonic()
-                rec.add_span(
-                    "engine.wave", wave_t0, now,
-                    engine=engine, states=_WAVE_STRIDE,
-                )
-                wave_t0 = now
-            if depth > max_depth:
-                max_depth = depth
-            if budget.exhausted(states):
-                stats = SearchStats(
-                    states, transitions, pruned, max_depth, prune_reasons
-                )
-                return Outcome(kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats)
-            if snap is not current:
-                restore(snap)
-            requests = fetch_requests()
-            stepped = False
-            for child_env, bundles in choices(env, requests):
-                if stepped:
-                    restore(snap)
-                stepped = True
-                current = None  # stepping leaves the node state
-                result = step_cycle(bundles)
-                transitions += 1
-                if result.pruned:
-                    pruned += 1
-                    reason = result.reason or "assume"
-                    prune_reasons[reason] = prune_reasons.get(reason, 0) + 1
-                    continue
-                if result.failed:
-                    stats = SearchStats(
-                        states, transitions, pruned, max_depth, prune_reasons
-                    )
-                    cex = Counterexample(
-                        root_label=self.roots[root_index].label,
-                        dmem_pair=self.roots[root_index].dmem_pair,
-                        env=child_env,
-                        depth=depth + 1,
-                        reason=result.reason or "leakage",
-                    )
-                    return Outcome(
-                        kind=ATTACK,
-                        elapsed=budget.elapsed(),
-                        stats=stats,
-                        counterexample=cex,
-                    )
-                if quiescent():
-                    continue  # terminal OK state
-                child_snap, child_id = intern(snapshot())
-                current = child_snap  # the product embodies the child now
-                stack.append(
-                    (root_index, child_env, child_snap, child_id, depth + 1)
-                )
-            if not stepped:
-                current = snap  # no choices fired; still at the node
-        stats = SearchStats(
-            states, transitions, pruned, max_depth, prune_reasons
-        )
-        return Outcome(kind=PROVED, elapsed=budget.elapsed(), stats=stats)
+        """The DFS loop over an already-seeded stack.
 
-    def _search_vector(self, stack: list[tuple]) -> Outcome:
-        """The DFS loop on the vector engine (:mod:`repro.mc.vector`).
-
-        Accounting is line-for-line the serial :meth:`_search` loop --
-        same visited-before-budget order, same prune/attack bookkeeping,
-        same ``SearchStats`` -- with three representation swaps: stack
-        nodes are ``(key row, fingerprint, env, depth, state)``, product
+        Accounting is line-for-line the object loop of
+        :mod:`repro.mc.legacy` -- same visited-before-budget order, same
+        prune/attack bookkeeping, same ``SearchStats`` -- with three
+        representation swaps: stack nodes are ``(key row, fingerprint, env, depth, state)``, product
         cycles replay through the engine's memo tables instead of
         restore + ``step_cycle``, and a node's surviving children push
         as one wave in the serial push order (see the engine
@@ -583,8 +417,8 @@ class Explorer:
         exhausted = _Budget.exhausted
         states = transitions = pruned = max_depth = 0
         prune_reasons: dict[str, int] = {}
-        # Per-wave trace spans, mirroring _search (one branch per pop
-        # when tracing is off).
+        # Per-wave trace spans: one pre-timed span per _WAVE_STRIDE
+        # expansions (one branch per pop when tracing is off).
         rec = obs.recorder()
         wave_t0 = 0.0 if rec is None else clock.monotonic()
         # Data memories are not part of the interned machine words (they
@@ -753,7 +587,7 @@ class Explorer:
         node environment (``None`` where nothing was concretized).  The
         vector engine records these on a node-memo miss so a later hit
         can rebuild every child environment without re-enumerating
-        choices (:meth:`_search_vector`).
+        choices (:meth:`_search`).
         """
         n_slots = len(self.product.machines)
         imem = env.imem

@@ -1,63 +1,13 @@
-"""Hash-consing and footprint measurement for canonical search states.
+"""Footprint measurement for canonical search states.
 
-The explorer's visited set used to key on the full nested
-``(root_index, env, snap)`` tuples, re-walking every register file, ROB
-entry and shadow queue each time a key was hashed or compared.  This
-module supplies the primitive the overhauled state engine keys on
-instead:
-
-- :class:`InternTable`: a hash-consing table.  Interning a snapshot
-  walks it **once** (the dict probe) and returns a *canonical* object
-  plus a small integer id.  Visited-set keys then carry the id -- a
-  machine word -- instead of the deep structure; duplicate snapshots
-  collapse onto one canonical object (revisits along different paths are
-  free to keep on the stack), and identity (``is``) against the
-  canonical object is a sound equality test, which the explorer uses to
-  skip redundant ``restore`` calls.  Interned ids are only meaningful
-  inside one process.
-
-Determinism: intern ids are assigned in first-encounter order, so for a
-deterministic search the id stream -- and everything derived from it --
-is reproducible run to run.
+:func:`deep_sizeof` approximates the deep memory footprint of the
+search's intern tables (the transition kernel's atom values, the frozen
+legacy engine's visited set), counting shared substructure once.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Any, Iterable
-
-
-class InternTable:
-    """Hash-consing table mapping equal values onto one canonical object.
-
-    ``intern(value)`` returns ``(canonical, id)`` where ``canonical`` is
-    the first object interned that compares equal to ``value`` and
-    ``id`` is its dense index (0, 1, 2, ... in first-encounter order).
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: dict[Any, tuple[Any, int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def intern(self, value) -> tuple[Any, int]:
-        """Hash-cons ``value``; one dict probe per call."""
-        entry = self._entries.get(value)
-        if entry is None:
-            entry = (value, len(self._entries))
-            self._entries[value] = entry
-        return entry
-
-    def canonical_values(self) -> Iterable[Any]:
-        """The canonical objects, in id order (dict preserves insertion)."""
-        return self._entries.keys()
-
-    def approx_bytes(self, seen: set[int] | None = None) -> int:
-        """Approximate deep footprint of the table (see :func:`deep_sizeof`)."""
-        return deep_sizeof(self._entries, seen)
 
 
 def deep_sizeof(obj, seen: set[int] | None = None) -> int:

@@ -1,10 +1,9 @@
 """The vector engine: memoized stepping over numpy structure-of-arrays.
 
-The packed engine (:mod:`repro.mc.packed`) made snapshots flat 64-bit
-word buffers, but every transition of the search still re-executes the
-full Python pipeline model and every visited probe still walks Python
-dict machinery.  This module is the layer that actually consumes the
-packed representation:
+The search's only state engine.  Machines flatten their state to
+tagged-word rows (:mod:`repro.mc.packed`); this module interns those
+rows and replays memoized transitions instead of re-executing the
+Python pipeline model on every product cycle:
 
 - **Machine-transition memoization.**  A core's ``step`` is a pure
   function of ``(canonical machine words, fetch bundle, data memory)``
@@ -33,10 +32,8 @@ packed representation:
   :class:`repro.core.products.BaselineProduct`.  A product state is then
   a tuple of small integers ``(sid_0, ..., sid_n-1, checker_id)``.
 - **Structure-of-arrays storage.**  :class:`FrontierArena` stores word
-  rows (the visited keys) as 2-D ``int64`` numpy arrays
-  bucketed by row width -- mirroring ``PackedCodec._packers``, which
-  caches one ``Struct`` per word count for the same ragged-width
-  reason.  :class:`VectorVisited` is the visited set: an open-addressed
+  rows (the visited keys) as 2-D ``int64`` numpy arrays bucketed by row
+  width.  :class:`VectorVisited` is the visited set: an open-addressed
   ``uint64`` fingerprint table (zero-sentinel linear probing) over
   *exact* key rows kept in an arena bucket -- a fingerprint hit is
   confirmed against the stored row, so the search keeps its
@@ -44,7 +41,7 @@ packed representation:
 
 Waves and the LIFO contract
 ---------------------------
-The explorer's vector path expands a node by collecting *all* surviving
+The explorer expands a node by collecting *all* surviving
 children of the popped LIFO node first (a "wave"), then pushes them in
 choice order with their key rows and fingerprints.  This replays the
 serial merge exactly:
@@ -56,15 +53,16 @@ serial merge exactly:
 - the attack short-circuit is untouched: transitions are evaluated in
   choice order and the first failure returns before any push.
 
-Selection rides :func:`repro.mc.packed.resolve_engine`: ``auto``
-prefers ``vector`` when numpy is importable and the product advertises
-``vector_capable`` and ``packed_capable`` (every product and machine in
-the package does), degrading to ``packed`` -- and through packed's own
-rules to ``object`` -- otherwise.  ``REPRO_MC_ENGINE`` forces any of
-the three.
+Selection
+---------
+There is nothing to select: every product in the package (shadow and
+baseline, over every core) runs on this engine, and numpy is a hard
+dependency.  :class:`repro.mc.explorer.Explorer` imports this module
+when it is first constructed, so importing the explorer alone never
+pays the numpy import.
 Equivalence is pinned bit-for-bit (verdicts, ``SearchStats``,
-counterexamples) against both frozen engines by
-``tests/mc/test_engine_equivalence.py``.
+counterexamples) against the frozen object engine
+(:mod:`repro.mc.legacy`) by ``tests/mc/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -75,6 +73,7 @@ from repro.core.products import FetchRequest
 from repro.events import CycleOutput
 from repro.isa.instruction import HALT, Opcode
 from repro.mc.intern import deep_sizeof
+from repro.mc.packed import AtomTable
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,7 +105,7 @@ class FrontierArena:
     """Append-only structure-of-arrays store of integer word rows.
 
     Rows of equal width share one growing 2-D ``int64`` array (ragged
-    word counts bucket by length, mirroring ``PackedCodec._packers``);
+    word counts bucket by length);
     an appended row is addressed by ``(width, index)``.  The arena backs
     the visited set's exact key rows.
     """
@@ -365,14 +364,10 @@ class VectorEngine:
     """
 
     def __init__(self, product):
-        if not getattr(product, "vector_capable", False) or not product.packed_capable:
-            raise ValueError(f"product {product!r} cannot run the vector engine")
         self.product = product
         self._machines = machines = list(product.machines)
         self._predictors = product.predictors
         self._sides = product.dmem_sides
-        from repro.mc.packed import AtomTable
-
         self.atoms = AtomTable()
         self.arena = FrontierArena()
         #: Visited row width: (root_index, env_id, *sids, checker_id).
@@ -408,7 +403,7 @@ class VectorEngine:
         # choice expansion folded to a summary per (state, env
         # projection) -- ``(transitions, pruned, reason counts, pushed
         # children's env deltas, terminal attack or None)``; see
-        # :meth:`expansion_key` and ``Explorer._search_vector``.
+        # :meth:`expansion_key` and ``Explorer._search``.
         self._imem_size = product.params.imem_size
         self._req_memo: dict[tuple, tuple] = {}
         self._expand_memo: dict[tuple, tuple] = {}
@@ -699,8 +694,7 @@ class VectorEngine:
         Counts the visited table and exact key rows plus everything
         backing them -- interned machine words, checker states, atom
         values and the environment intern dict -- so the number is
-        comparable to the object/packed engines' visited + intern
-        accounting.
+        comparable to the legacy engine's deep-walked visited set.
         """
         seen: set[int] = set()
         total = self.visited.nbytes

@@ -22,10 +22,6 @@ class InOrderCore:
 
     name = "Sodor-like"
 
-    #: Capability flag (audited by repro.analysis): the core flattens its
-    #: state to tagged words (``snapshot_words``/``restore_words``).
-    packed_state = True
-
     def __init__(self, params: MachineParams):
         self.params = params
         # A config object keeps the machine-driving protocol uniform; the

@@ -598,9 +598,6 @@ class OoOCore:
     # ------------------------------------------------------------------
     # Packed snapshots (repro.mc.packed)
     # ------------------------------------------------------------------
-    #: Capability flag: this core can flatten its state to tagged words.
-    packed_state = True
-
     def snapshot_words(self, out: list, atoms) -> None:
         """Append this core's state as tagged words (``repro.mc.packed``).
 

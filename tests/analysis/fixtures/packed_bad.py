@@ -1,23 +1,8 @@
-"""Golden packed-caps violations: dishonest or drifting capability flags."""
-
-
-class Undeclared:
-    """Machine-like but silent about packed capability."""
-
-    def snapshot(self):
-        return ()
-
-    def restore(self, snap):
-        pass
-
-    def step_cycle(self):
-        return None
+"""Golden packed-caps violations: missing or drifting words protocol."""
 
 
 class MissingWords:
-    """Claims the packed protocol without implementing it."""
-
-    packed_state = True
+    """A machine without the words protocol the transition kernel needs."""
 
     def snapshot(self):
         return (self._pc,)
@@ -30,8 +15,6 @@ class MissingWords:
 
 
 class GoodBase:
-    packed_state = True
-
     def snapshot(self):
         return (self._a,)
 
@@ -49,7 +32,7 @@ class GoodBase:
 
 
 class DriftChild(GoodBase):
-    """Overrides the object layout without re-deriving the packed one."""
+    """Overrides the object layout without re-deriving the word one."""
 
     def snapshot(self):
         return (self._a, self._b)
@@ -57,8 +40,6 @@ class DriftChild(GoodBase):
 
 class AttrDrift:
     """snapshot and snapshot_words serialize different state fields."""
-
-    packed_state = True
 
     def snapshot(self):
         return (self._pc, self._regs)
@@ -73,20 +54,4 @@ class AttrDrift:
         self._pc = words[0]
 
     def step(self, fetch):
-        return None
-
-
-class VectorOverpromise:
-    """Claims the vector engine without the packed layout behind it."""
-
-    packed_state = False
-    vector_capable = True
-
-    def snapshot(self):
-        return (self._m,)
-
-    def restore(self, snap):
-        (self._m,) = snap
-
-    def step_cycle(self):
         return None

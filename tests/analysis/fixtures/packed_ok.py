@@ -1,27 +1,10 @@
-"""Near-miss negatives: honest declarations, matched layouts, exemptions."""
+"""Near-miss negatives: matched layouts, products, exemptions."""
 
 from typing import Protocol
 
 
-class HonestObjectCore:
-    """No words protocol -- and says so."""
-
-    packed_state = False
-
-    def snapshot(self):
-        return (self._pc,)
-
-    def restore(self, snap):
-        (self._pc,) = snap
-
-    def step(self, fetch):
-        return None
-
-
-class PackedCore:
+class WordsCore:
     """Full words protocol; both layouts read the same state fields."""
-
-    packed_state = True
 
     def snapshot(self):
         return (self._pc, self._regs)
@@ -41,7 +24,7 @@ class PackedCore:
 
 
 class MachineProtocol(Protocol):
-    """Interface definitions are exempt: nothing to declare."""
+    """Interface definitions are exempt: nothing to implement."""
 
     def snapshot(self): ...
 
@@ -51,20 +34,15 @@ class MachineProtocol(Protocol):
 
 
 class NotAMachine:
-    """Defines snapshot only; not machine-like, no declaration required."""
+    """Defines snapshot only; not machine-like, no words required."""
 
     def snapshot(self):
         return ()
 
 
-class VectorProduct:
-    """vector_capable riding on a resolvable packed_capable."""
-
-    vector_capable = True
-
-    @property
-    def packed_capable(self):
-        return True
+class Product:
+    """A product steps machines (``step_cycle``, not ``step``): the
+    kernel flattens its machines, never the product itself."""
 
     def snapshot(self):
         return (self._m,)

@@ -131,17 +131,15 @@ class TestPackedCaps:
         report = run("packed_bad.py", "packed-caps")
         assert rule_counts(report) == Counter(
             {
-                ("packed-caps", "undeclared-capability"): 1,
                 ("packed-caps", "missing-words"): 2,
                 ("packed-caps", "snapshot-drift"): 3,
                 ("packed-caps", "words-attr-drift"): 1,
-                ("packed-caps", "vector-without-packed"): 1,
             }
         )
 
     def test_near_miss_negative(self):
-        # Honest False, a complete packed core, a Protocol, and a
-        # non-machine all pass.
+        # A complete words core, a Protocol, a non-machine and a
+        # product all pass.
         assert run("packed_ok.py", "packed-caps").findings == []
 
 

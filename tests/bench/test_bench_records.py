@@ -79,58 +79,6 @@ def test_validator_flags_unknown_experiments_and_bad_verdicts():
     )
 
 
-def _engine_matrix_record(
-    vector_states_per_s: float = 60000.0,
-    object_states_per_s: float = 20000.0,
-) -> dict:
-    def leg(states_per_s: float) -> dict:
-        return {
-            "elapsed_s": round(504170 / states_per_s, 3),
-            "states_per_s": states_per_s,
-            "visited_keys": 504170,
-            "visited_bytes": 500,
-        }
-
-    packed_states_per_s = object_states_per_s * 1.9
-    return {
-        "experiment": "engine-matrix",
-        "scale": "quick",
-        "cpu_count": 1,
-        "cell": {"panel": "a", "structure": "rob", "size": 8},
-        "kind": "proved",
-        "states": 504170,
-        "engine_mode": "vector",
-        "engines": {
-            "object": leg(object_states_per_s),
-            "packed": leg(packed_states_per_s),
-            "vector": leg(vector_states_per_s),
-        },
-        "vector_vs_object": round(vector_states_per_s / object_states_per_s, 3),
-        "vector_vs_packed": round(vector_states_per_s / packed_states_per_s, 3),
-    }
-
-
-def test_validator_accepts_an_engine_matrix_record():
-    assert records.validate_record("r", _engine_matrix_record()) == []
-
-
-def test_validator_flags_engine_matrix_problems():
-    record = _engine_matrix_record()
-    record["vector_vs_object"] = 1.0  # recorded legs say 3.0
-    problems = records.validate_record("r", record)
-    assert any("vector_vs_object" in p and "inconsistent" in p for p in problems)
-
-    record = _engine_matrix_record()
-    del record["engines"]["vector"]  # the ratios divide by this leg
-    problems = records.validate_record("r", record)
-    assert any("vector" in p for p in problems)
-
-    record = _engine_matrix_record()
-    record["engines"]["quantum"] = record["engines"]["packed"]
-    problems = records.validate_record("r", record)
-    assert any("quantum" in p for p in problems)
-
-
 def test_records_cli_on_committed_files_and_garbage(tmp_path, capsys):
     paths = [str(REPO_ROOT / name) for name in records.DEFAULT_FILES]
     assert records.main(paths) == 0
@@ -151,7 +99,7 @@ def _explorer_record(states_per_s: float = 20000.0) -> dict:
         "cell": {"panel": "a", "structure": "rob", "size": 4},
         "kind": "proved",
         "states": 74878,
-        "engine_mode": "packed",
+        "engine_mode": "vector",
         "legacy": {
             "elapsed_s": 5.0,
             "states_per_s": 15000.0,
@@ -231,21 +179,6 @@ def test_gate_skips_parallel_metrics_on_oversubscribed_runners():
         {"cell": record}, {"cell": fresh}, tolerance=0.2
     )
     assert any("speedup" in f for f in failures)
-
-
-def test_gate_engine_matrix_vector_metrics():
-    """The engine-matrix gates are same-process throughput metrics, so
-    they gate everywhere -- including single-core runners."""
-    baseline = {"rob8": _engine_matrix_record(60000.0)}
-    failures, _ = perf_gate.gate_records(
-        baseline, copy.deepcopy(baseline), tolerance=0.2
-    )
-    assert failures == []
-
-    fresh = {"rob8": _engine_matrix_record(30000.0)}  # vector lost its edge
-    failures, _ = perf_gate.gate_records(baseline, fresh, tolerance=0.2)
-    assert any("vector states/s" in f for f in failures)
-    assert any("vector vs object" in f for f in failures)
 
 
 def test_gate_multicore_campaign_real_speedup_path():

@@ -7,7 +7,8 @@ import pytest
 import time
 
 from repro.core.contracts import sandboxing
-from repro.core.products import FetchRequest, StepResult
+from repro.core.products import StepResult
+from repro.events import CycleOutput
 from repro.core.secrets import secret_memory_pairs
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.encoding import EncodingSpace
@@ -206,44 +207,93 @@ def test_run_seeded_requires_a_single_root():
         explorer.run_seeded([])
 
 
-class _ScriptedFetchProduct:
-    """Minimal product: one machine fetching a scripted PC per cycle."""
+class _ScriptedFetchMachine:
+    """One machine fetching a scripted PC per cycle, then halting."""
 
-    def __init__(self, pcs: tuple[int, ...], imem_size: int = 3):
-        self.params = MachineParams(imem_size=imem_size)
-        self.machines = [object()]
+    def __init__(self, pcs: tuple[int, ...]):
         self._pcs = pcs
         self._cycle = 0
         self.bundles_seen: list = []
 
-    def reset(self, dmem_pair) -> None:
+    @property
+    def halted(self) -> bool:
+        return self._cycle >= len(self._pcs)
+
+    def reset(self, dmem) -> None:
         self._cycle = 0
 
-    def fetch_requests(self):
-        if self._cycle >= len(self._pcs):
-            return []
-        return [
-            FetchRequest(
-                slot=0,
-                pc=self._pcs[self._cycle],
-                occurrence=0,
-                predictor="nondet",
-            )
-        ]
+    def poll_fetch(self):
+        return None if self.halted else self._pcs[self._cycle]
 
-    def step_cycle(self, bundles):
-        self.bundles_seen.append(bundles[0])
+    def fetch_occurrence(self, pc: int) -> int:
+        return 0
+
+    def step(self, bundle) -> CycleOutput:
+        self.bundles_seen.append(bundle)
         self._cycle += 1
-        return StepResult(pruned=False, failed=False, reason=None)
+        return CycleOutput(commits=(), membus=(), halted=self.halted)
 
-    def quiescent(self) -> bool:
-        return self._cycle >= len(self._pcs)
+    def seq_base(self) -> int:
+        return 0
+
+    def max_inflight_seq(self):
+        return None
+
+    def min_inflight_seq(self):
+        return None
 
     def snapshot(self) -> tuple:
         return (self._cycle,)
 
     def restore(self, snap: tuple) -> None:
         (self._cycle,) = snap
+
+    def snapshot_words(self, out: list, atoms) -> None:
+        out.append(self._cycle << 2)
+
+    def restore_words(self, words, pos: int, atoms) -> int:
+        self._cycle = words[pos] >> 2
+        return pos + 1
+
+
+class _ScriptedFetchProduct:
+    """Minimal product around one :class:`_ScriptedFetchMachine`, with a
+    stateless checker that never prunes or fails."""
+
+    predictors = ["nondet"]
+    dmem_sides = (0,)
+
+    def __init__(self, pcs: tuple[int, ...], imem_size: int = 3):
+        self.params = MachineParams(imem_size=imem_size)
+        self.machines = [_ScriptedFetchMachine(pcs)]
+
+    @property
+    def bundles_seen(self) -> list:
+        return self.machines[0].bundles_seen
+
+    def reset(self, dmem_pair) -> None:
+        self.machines[0].reset(None)
+
+    def clock_control(self):
+        return False, (False,)
+
+    def fold_cycle(self, outputs, tails, heads, stepped) -> StepResult:
+        return StepResult(pruned=False, failed=False, reason=None)
+
+    def settled(self) -> bool:
+        return True
+
+    def checker_snapshot(self, bases) -> tuple:
+        return ()
+
+    def checker_restore(self, state: tuple) -> None:
+        pass
+
+    def snapshot(self) -> tuple:
+        return self.machines[0].snapshot()
+
+    def restore(self, snap: tuple) -> None:
+        self.machines[0].restore(snap)
 
 
 def test_wrapped_fetch_pcs_read_as_halt():

@@ -1,17 +1,14 @@
 """Per-root release of search state in a multi-root ``Explorer``.
 
 The LIFO stack finishes root *i*'s subtree before popping any node of
-root *i - 1*, and visited keys (object engine) and visited rows
-(vector engine) embed the root index, so the search frees a root's
-visited partition -- and, on the vector engine, its node expansions,
-keyed by the root's data-memory pair -- as soon as it moves on.  These
+root *i - 1*, and visited rows embed the root index, so the search
+frees a root's visited partition -- and its node expansions, keyed by
+the root's data-memory pair -- as soon as it moves on.  These
 tests pin what survives a run: exactly the last-explored root's
 partition, with statistics still equal to the frozen legacy engine.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.campaign.registry import core_spec
 from repro.core.contracts import sandboxing
@@ -44,36 +41,26 @@ def _task() -> VerificationTask:
     )
 
 
-def _explorer(task, roots, engine) -> Explorer:
-    explorer = Explorer(
-        task.build_product(), task.space, roots, task.limits, engine=engine
-    )
-    assert explorer.engine == engine
-    return explorer
+def _explorer(task, roots) -> Explorer:
+    return Explorer(task.build_product(), task.space, roots, task.limits)
 
 
-@pytest.mark.parametrize("engine", ["vector", "object"])
-def test_visited_holds_only_the_last_explored_root(engine):
-    if engine == "vector":
-        pytest.importorskip("numpy")
+def test_visited_holds_only_the_last_explored_root():
     task = _task()
     roots = task.build_roots()
     assert len(roots) > 1
-    explorer = _explorer(task, roots, engine)
+    explorer = _explorer(task, roots)
     outcome = explorer.run()
     assert outcome.proved
     legacy = verify_legacy(task)
     assert outcome.stats == legacy.stats
     # Roots pop in reversed list order, so root 0 is explored last.
-    last = _explorer(task, roots[:1], engine).run()
+    last = _explorer(task, roots[:1]).run()
     keys, _ = explorer.visited_footprint()
     assert keys == last.stats.states < outcome.stats.states
-    if engine == "object":
-        assert {key[0] for key in explorer._last_visited} == {0}
-    else:
-        vec = explorer._vector
-        assert len(vec.visited) == last.stats.states
-        assert {key[0] for key in vec._expand_memo} == {
-            vec._pair_ids[roots[0].dmem_pair]
-        }
+    vec = explorer._vector
+    assert len(vec.visited) == last.stats.states
+    assert {key[0] for key in vec._expand_memo} == {
+        vec._pair_ids[roots[0].dmem_pair]
+    }
 

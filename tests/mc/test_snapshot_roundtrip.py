@@ -25,7 +25,7 @@ from repro.events import FetchBundle
 from repro.isa.instruction import HALT, Instruction, Opcode, alu, branch, load, loadimm
 from repro.isa.machine import IsaMachine
 from repro.isa.params import MachineParams
-from repro.mc.packed import AtomTable, PackedCodec
+from repro.mc.packed import AtomTable
 from repro.uarch.config import CacheConfig, Defense
 from repro.uarch.inorder import InOrderCore
 from repro.uarch.simple_ooo import simple_ooo
@@ -106,7 +106,15 @@ def test_baseline_product_roundtrip():
     product = BaselineProduct(
         lambda: simple_ooo(Defense.NONE, params=PARAMS), sandboxing()
     )
-    _drive_product(product)
+    snaps = _drive_product(product)
+    # Lockstep ISA traces keep the pending-observation queues empty on
+    # this program; add a state with a one-sided queue explicitly.
+    product.restore(snaps[-1])
+    product.checker_restore(((("load", 1), ("exc", "illegal")), ()))
+    one_sided = product.snapshot()
+    assert one_sided not in snaps
+    product.reset(DMEM_PAIR)
+    _assert_fixpoint(product.snapshot, product.restore, one_sided, "one-sided")
 
 
 def test_ooo_core_roundtrip():
@@ -142,14 +150,29 @@ def _assert_words_fixpoint(machine, atoms, label):
     assert again == words, label
 
 
-@pytest.mark.parametrize("machine_cls", [InOrderCore, IsaMachine])
-def test_sequential_machines_roundtrip(machine_cls):
-    machine = machine_cls(PARAMS)
+_CACHE = CacheConfig(n_sets=1, block_words=2, hit_latency=1, miss_latency=3)
+
+#: Every machine class the transition kernel steps, with the OoO core in
+#: the configurations whose word layouts differ (cache tags, defense).
+_MACHINES = {
+    "InOrderCore": lambda: InOrderCore(PARAMS),
+    "IsaMachine": lambda: IsaMachine(PARAMS),
+    "ooo-insecure": lambda: simple_ooo(Defense.NONE, params=PARAMS),
+    "ooo-delay-spectre": lambda: simple_ooo(Defense.DELAY_SPECTRE, params=PARAMS),
+    "ooo-dom-cache": lambda: simple_ooo(
+        Defense.DOM_SPECTRE, params=PARAMS, cache=_CACHE
+    ),
+}
+
+
+@pytest.mark.parametrize("machine_name", list(_MACHINES))
+def test_sequential_machines_roundtrip(machine_name):
+    machine = _MACHINES[machine_name]()
     machine.reset(DMEM_PAIR[0])
     atoms = AtomTable()
     snaps = [machine.snapshot()]
     bases = []
-    for _ in range(10):
+    for _ in range(12):
         pc = machine.poll_fetch()
         bundle = None if pc is None else _fetch(PROGRAM, pc)
         machine.step(bundle)
@@ -163,45 +186,18 @@ def test_sequential_machines_roundtrip(machine_cls):
     for snap in snaps:
         _assert_fixpoint(machine.snapshot, machine.restore, snap, "seq replay")
         _assert_words_fixpoint(machine, atoms, "seq words replay")
-    if machine_cls is InOrderCore:
+    if machine_name == "InOrderCore":
         # The latch rebase must actually shift sequence numbers.
         assert any(bases), "no non-zero latch rebase seen"
-    else:
+    elif machine_name == "IsaMachine":
         # The ISA machine keeps its sequence count absolute.
         assert not any(bases)
-
-
-def test_baseline_product_packed_roundtrip():
-    """The four-machine product round-trips through ``PackedCodec``:
-    restoring a blob reproduces the object snapshot, and blob equality
-    coincides with object-snapshot equality."""
-    product = BaselineProduct(
-        lambda: simple_ooo(Defense.NONE, params=PARAMS), sandboxing()
-    )
-    codec = PackedCodec(product)
-    snaps = _drive_product(product)
-    # Lockstep ISA traces keep the pending-observation queues empty on
-    # this program; add a state with a one-sided queue explicitly.
-    product.restore(snaps[-1])
-    product.checker_restore(((("load", 1), ("exc", "illegal")), ()))
-    snaps.append(product.snapshot())
-    blobs = []
-    for index, snap in enumerate(snaps):
-        product.restore(snap)
-        blob = codec.snapshot()
-        product.reset(DMEM_PAIR)
-        codec.restore(blob)
-        assert product.snapshot() == snap, f"snap {index}"
-        assert codec.snapshot() == blob, f"snap {index}"
-        blobs.append(blob)
-    assert len(set(blobs)) == len(set(snaps))
 
 
 def test_equal_words_across_machine_classes_get_distinct_sids():
     """An ISA row and an OoO row with equal words never share a sid, so
     they can never share a memoized transition; equal rows of one class
     do share one."""
-    pytest.importorskip("numpy")
     from repro.mc.vector import VectorEngine
 
     product = BaselineProduct(
@@ -220,15 +216,3 @@ def test_equal_words_across_machine_classes_get_distinct_sids():
     # Both ISA machines sit at their reset state: one class, one sid.
     assert engine._intern_machine(1) == isa_sid
 
-
-def test_equal_snapshots_intern_to_one_object():
-    from repro.mc.intern import InternTable
-
-    core = simple_ooo(Defense.NONE, params=PARAMS)
-    core.reset(DMEM_PAIR[0])
-    table = InternTable()
-    first, first_id = table.intern(core.snapshot())
-    core.restore(first)
-    second, second_id = table.intern(core.snapshot())
-    assert second is first and second_id == first_id
-    assert len(table) == 1

@@ -1,87 +1,22 @@
 """Unit coverage for the vector engine's numpy substrate.
 
-Two layers, matching :mod:`repro.mc.vector`'s structure:
-
-- the packed blob really is numpy-consumable: ``np.frombuffer(blob,
-  dtype='<i8')`` recovers the exact word array for every
-  ``packed_capable`` core configuration (the :mod:`repro.mc.packed`
-  docstring's promise, exercised here rather than trusted);
-- :class:`repro.mc.vector.VectorVisited` / ``FrontierArena``: randomized
-  insert/probe cross-checked against a Python ``set``, forced fingerprint
-  collisions, growth across several doublings, and the lossy-drop
-  counter when the table is capacity-pinned.
+:class:`repro.mc.vector.VectorVisited` / ``FrontierArena``: randomized
+insert/probe cross-checked against a Python ``set``, forced fingerprint
+collisions, growth across several doublings, and the lossy-drop counter
+when the table is capacity-pinned.
 
 The search-level contract (bit-identical verdicts/stats) lives in
-``test_engine_equivalence.py``; this file owns the data structures.
+``test_engine_equivalence.py`` and the word-format round trip in
+``test_snapshot_roundtrip.py``; this file owns the data structures.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
+import numpy as np
 
-np = pytest.importorskip("numpy")
-
-from repro.core.contracts import sandboxing
-from repro.core.products import ShadowProduct
-from repro.events import FetchBundle
-from repro.isa.instruction import HALT, Opcode
-from repro.isa.params import MachineParams
-from repro.mc.packed import PackedCodec, decode_word, encode_word
 from repro.mc.vector import FrontierArena, VectorVisited
-from repro.uarch.config import CacheConfig, Defense
-from repro.uarch.simple_ooo import simple_ooo
-
-from test_snapshot_roundtrip import DMEM_PAIR, PARAMS, PROGRAM, _fetch
-
-
-# ---------------------------------------------------------------------------
-# Packed blobs are numpy-consumable (the docstring claim)
-# ---------------------------------------------------------------------------
-_CACHE = CacheConfig(n_sets=1, block_words=2, hit_latency=1, miss_latency=3)
-
-_CORE_CONFIGS = {
-    "insecure": lambda: simple_ooo(Defense.NONE, params=PARAMS),
-    "delay-spectre": lambda: simple_ooo(Defense.DELAY_SPECTRE, params=PARAMS),
-    "dom-cache": lambda: simple_ooo(
-        Defense.DOM_SPECTRE, params=PARAMS, cache=_CACHE
-    ),
-}
-
-
-@pytest.mark.parametrize("config", sorted(_CORE_CONFIGS))
-def test_packed_blob_is_numpy_consumable(config):
-    """``np.frombuffer(blob, dtype='<i8')`` recovers the exact words the
-    core emitted, on every reachable snapshot of a driven product."""
-    product = ShadowProduct(_CORE_CONFIGS[config], sandboxing())
-    assert product.packed_capable
-    codec = PackedCodec(product)
-    product.reset(DMEM_PAIR)
-    for cycle in range(12):
-        blob = codec.snapshot()
-        words = []
-        product.snapshot_words(words, codec.atoms)
-        arr = np.frombuffer(blob, dtype="<i8")
-        assert arr.tolist() == words, f"{config} cycle {cycle}"
-        # Every word decodes against the codec's atom table and
-        # re-encodes to itself (tag round-trip; bools legitimately
-        # re-encode as their 0/1 scalar).
-        for word in words:
-            value = decode_word(word, codec.atoms.values)
-            assert encode_word(value, codec.atoms) == (
-                (1 if value else 0) << 2 if isinstance(value, bool) else word
-            )
-        # And the blob restores to a snapshot fixpoint.
-        codec.restore(blob)
-        assert codec.snapshot() == blob
-        requests = product.fetch_requests()
-        bundles = [None] * len(product.machines)
-        for req in requests:
-            bundles[req.slot] = _fetch(PROGRAM, req.pc, predicted=True)
-        result = product.step_cycle(bundles)
-        if result.failed or result.pruned or product.quiescent():
-            break
 
 
 # ---------------------------------------------------------------------------
