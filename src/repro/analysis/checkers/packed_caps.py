@@ -1,4 +1,4 @@
-"""The ``packed-caps`` checker: every machine speaks the words protocol.
+"""The ``packed-caps`` checker: every machine speaks the kernel's protocol.
 
 The memoized transition kernel (:mod:`repro.mc.vector`) is the search's
 only state engine, and it steps machines through their
@@ -29,6 +29,13 @@ Rules, applied to every machine-like class (one defining ``snapshot``,
     sets of ``self.*`` state fields -- the packability inference: the
     word encoding must cover exactly the state the object snapshot
     covers.
+
+``unreported-dmem-read``
+    A method other than ``__init__``/``reset`` reads ``self._dmem``
+    without assigning ``self.dmem_read``.  The kernel shares one machine
+    step across every data memory that agrees at the word ``dmem_read``
+    names, so a read the machine does not report makes that sharing
+    unsound.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from repro.analysis.framework import (
 )
 
 _MACHINE_METHODS = frozenset({"snapshot", "restore", "step"})
+#: Methods that (re)load the data memory rather than step over it.
+_DMEM_SETUP = frozenset({"__init__", "reset"})
 _WORD_PAIR = (("snapshot", "snapshot_words"), ("restore", "restore_words"))
 
 
@@ -89,12 +98,25 @@ def _state_attr_reads(fn: ast.AST) -> frozenset[str]:
     return frozenset(reads)
 
 
+def _self_attr(fn: ast.AST, attr: str, ctx: type) -> bool:
+    """Whether ``fn`` loads or stores (``ctx``) the field ``self.attr``."""
+    return any(
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.ctx, ctx)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        for node in ast.walk(fn)
+    )
+
+
 @register
 class PackedCapsChecker(Checker):
     id = "packed-caps"
     description = (
         "every machine implements the snapshot_words/restore_words "
-        "protocol in step with snapshot/restore"
+        "protocol in step with snapshot/restore and reports its "
+        "data-memory reads"
     )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
@@ -139,6 +161,20 @@ class PackedCapsChecker(Checker):
                         )
                     )
             findings.extend(self._attr_drift(file, info))
+            for method, fn in info.methods.items():
+                if (
+                    method not in _DMEM_SETUP
+                    and _self_attr(fn, "_dmem", ast.Load)
+                    and not _self_attr(fn, "dmem_read", ast.Store)
+                ):
+                    findings.append(
+                        file.finding(
+                            fn, self.id, "unreported-dmem-read",
+                            f"{name}.{method} reads self._dmem without "
+                            "assigning self.dmem_read; the kernel would "
+                            "share this step across memories it tells apart",
+                        )
+                    )
         return findings
 
     def _attr_drift(self, file: SourceFile, info: ClassInfo) -> list[Finding]:

@@ -28,6 +28,10 @@ class IsaMachine:
         self._pc = 0
         self._regs = params.reset_regs()
         self._dmem: tuple[int, ...] = (0,) * params.mem_size
+        #: Data-memory word read by the one instruction a ``step``
+        #: executes (``result.mem_word``), or ``None``; the transition
+        #: kernel clears it before a step and keys shared steps on it.
+        self.dmem_read: int | None = None
         self._halted = False
         self._seq = 0
 
@@ -69,6 +73,7 @@ class IsaMachine:
         if self._halted or fetch is None:
             return CycleOutput(commits=(), membus=(), halted=self._halted)
         result = execute(fetch.inst, self._pc, self._regs, self._dmem, self.params)
+        self.dmem_read = result.mem_word
         record = CommitRecord(
             seq=self._seq,
             pc=self._pc,

@@ -371,6 +371,8 @@ class Explorer:
         visited = vec.visited
         rec.count("engine.visited", len(visited))
         rec.count("engine.memo_entries", len(vec._expand_memo))
+        rec.count("engine.machine_steps", len(vec._trans))
+        rec.count("engine.cycle_memo_entries", len(vec._cycle_memo))
         load = len(visited) / visited.capacity
         rec.count("engine.visited_load_millis", int(load * 1000))
         from repro.obs.metrics import LAST_REGISTRY

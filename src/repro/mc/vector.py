@@ -15,11 +15,26 @@ Python pipeline model on every product cycle:
   1.18M machine steps of the Fig. 2 ROB-8 cell are repeats of 87k
   distinct transitions), so the vector engine keys transitions on the
   interned machine state and replays memoized outcomes instead of
-  stepping.  Memo tables key on the data-memory *value*, so the two
-  orientations of a mirrored secret pair -- root ``(A, B)`` side 0 and
-  root ``(B, A)`` side 1 -- share one table.  Machines of different
-  classes (ISA machine, in-order core, OoO core) intern apart, so equal
-  word rows of two classes never share a state id or a transition.
+  stepping.  The hot-path tables key on the data-memory *value*, so the
+  two orientations of a mirrored secret pair -- root ``(A, B)`` side 0
+  and root ``(B, A)`` side 1 -- share one table.  Behind them sits one
+  memory-independent *read index*.  Every machine runs at most one
+  instruction per ``step`` and reads data memory only through that
+  instruction's ``execute``, at a word fixed by ``(machine words,
+  bundle)`` and reported as ``dmem_read``.  A step is therefore a pure
+  function of ``(words, bundle)`` when it reads nothing, and of
+  ``(words, bundle, value at the word)`` when it reads one word.  The
+  index keys transitions exactly so, and a per-memory table miss binds
+  the transition id another memory (another copy, another root) already
+  stepped, instead of stepping again: copies share every step until one
+  loads a word on which their memories differ.  The payload of a
+  transition (output, child sid, canonical tail/head/base) depends on
+  memory only through the value read, so the sharing is exact, and the
+  shared ids make the cycle memo below hit across memories too.
+  ``tests/mc/test_dmem_read.py`` checks the read contract on every
+  machine family.  Machines of different classes (ISA machine, in-order
+  core, OoO core) intern apart, so equal word rows of two classes never
+  share a state id or a transition.
 - **Cycle-level composition.**  On top of the per-machine memo, one
   product cycle is keyed by ``(transition ids, checker state id)``: the
   product's own ``fold_cycle`` (assumption checks, contract and leakage
@@ -390,9 +405,18 @@ class VectorEngine:
         self._gates: list[tuple] = []
         # Transition memo: one dict per data-memory value (sid, bundle)
         # -> dense transition id; payloads live in ``_trans``.  Each slot
-        # binds the table of the memory its ``dmem_sides`` entry names.
+        # binds the table of the memory its ``dmem_sides`` entry names
+        # (``_tables``) and the memory itself (``_mems``).
         self._mach_tables: dict[tuple, dict] = {}
         self._tables: list[dict] = []
+        self._mems: list[tuple] = []
+        # Memory-independent transition index behind the per-memory
+        # tables, flat on purpose (one int per key): (sid, bundle) -> tid
+        # of a step that reads no data memory, or -1 - word for one that
+        # reads ``word``; (sid, bundle, value at word) -> tid.  The
+        # per-memory tables cache its two-lookup answer: an index-only
+        # kernel ran ``table2-grid`` ~14% slower (EXPERIMENTS.md).
+        self._read_index: dict[tuple, int] = {}
         #: tid -> (CycleOutput, new_sid, tail, head, new seq base, True).
         self._trans: list[tuple] = []
         # Cycle memo: (leg_0, ..., leg_n-1, checker_id) -> folded
@@ -423,18 +447,21 @@ class VectorEngine:
     # Root / seeding management
     # ------------------------------------------------------------------
     def select_root(self, root) -> None:
-        """Reset the product to a root and bind its memo tables.
+        """Reset the product to a root and bind its memories and tables.
 
-        Tables key on the data-memory *value*: the copies of one root
-        see different memories, and the mirror root's opposite side
-        shares the table (same machine, same memory -- the same pure
-        transition function).
+        Per-memory tables key on the data-memory *value*: the copies of
+        one root see different memories, and the mirror root's opposite
+        side shares the table (same machine, same memory -- the same
+        pure transition function).  Each slot also binds its memory
+        itself: a table miss looks up the value at the word a step reads
+        to find the transition in the read index, which is exact for
+        every memory holding that value there (see the module
+        docstring).
         """
         self.product.reset(root.dmem_pair)
         tables = self._mach_tables
-        self._tables = [
-            tables.setdefault(root.dmem_pair[side], {}) for side in self._sides
-        ]
+        self._mems = [root.dmem_pair[side] for side in self._sides]
+        self._tables = [tables.setdefault(mem, {}) for mem in self._mems]
         pair_ids = self._pair_ids
         self._pair_id = pair_ids.setdefault(root.dmem_pair, len(pair_ids))
 
@@ -443,9 +470,11 @@ class VectorEngine:
 
         Visited rows embed the root index and expansion keys the
         data-memory pair id, so once the search has moved to another
-        root neither can hit again.  The machine and cycle memos, the
-        request memo and the intern tables are root-independent and
-        stay for the next root.
+        root neither can hit again.  Everything else stays for the next
+        root: the per-memory tables key on memory values, the read index
+        on the value a step reads, and the cycle memo, request memo and
+        intern tables on interned ids, so none of them is tied to a
+        root.
         """
         self.arena = FrontierArena()
         self.visited = VectorVisited(width=self.width, arena=self.arena)
@@ -613,11 +642,27 @@ class VectorEngine:
         return cached
 
     def _step_miss(self, table: dict, key: tuple, slot: int) -> int:
-        """Materialize and step one distinct machine transition."""
+        """Bind or step one machine transition a per-memory table lacks.
+
+        The read index answers when another memory already took the
+        same step and either read no data memory or found the same value
+        at the one word it read; only a miss there restores and steps
+        the machine.
+        """
+        index = self._read_index
+        tid = index.get(key)
+        if tid is not None:
+            if tid < 0:
+                tid = index.get(key + (self._mems[slot][-1 - tid],))
+            if tid is not None:
+                table[key] = tid
+                return tid
         sid, bundle = key
         machine = self._machines[slot]
         machine.restore_words(self._sid_words[sid], 0, self.atoms)
+        machine.dmem_read = None
         out = machine.step(bundle)
+        word = machine.dmem_read
         tid = len(self._trans)
         self._trans.append(
             (
@@ -630,6 +675,11 @@ class VectorEngine:
             )
         )
         table[key] = tid
+        if word is None:
+            index[key] = tid
+        else:
+            index[key] = -1 - word
+            index[key + (self._mems[slot][word],)] = tid
         return tid
 
     def _cycle_miss(self, cycle_key: tuple) -> tuple:
@@ -693,16 +743,17 @@ class VectorEngine:
 
         Counts the visited table and exact key rows plus everything
         backing them -- interned machine words, checker states, atom
-        values and the environment intern dict -- so the number is
+        values and the environment intern dict -- and every memo: the
+        per-memory step tables, the read index, the transition payloads
+        and the request, expansion and cycle memos.  The number is
         comparable to the legacy engine's deep-walked visited set.
         """
         seen: set[int] = set()
         total = self.visited.nbytes
-        total += deep_sizeof(self._sid_words, seen)
-        total += deep_sizeof(self._checker_states, seen)
-        total += deep_sizeof(self.atoms.values, seen)
-        total += deep_sizeof(self._env_ids, seen)
-        total += deep_sizeof(self._req_memo, seen)
-        total += deep_sizeof(self._expand_memo, seen)
-        total += deep_sizeof(self._cycle_memo, seen)
+        for part in (
+            self._sid_words, self._checker_states, self.atoms.values,
+            self._env_ids, self._mach_tables, self._read_index, self._trans,
+            self._req_memo, self._expand_memo, self._cycle_memo,
+        ):
+            total += deep_sizeof(part, seen)
         return self.visited.count, total

@@ -28,6 +28,10 @@ class InOrderCore:
         # in-order core never consults the branch-predictor oracle.
         self.config = CoreConfig(params=params, predictor="not_taken")
         self._dmem: tuple[int, ...] = (0,) * params.mem_size
+        #: Data-memory word read by the one instruction a ``step``
+        #: executes (``result.mem_word``), or ``None``; the transition
+        #: kernel clears it before a step and keys shared steps on it.
+        self.dmem_read: int | None = None
         self._regs = params.reset_regs()
         self._fetch_pc = 0
         self._latch: tuple[int, object, int] | None = None  # (pc, inst, seq)
@@ -81,6 +85,7 @@ class InOrderCore:
         if self._latch is not None:
             pc, inst, seq = self._latch
             result = execute(inst, pc, self._regs, self._dmem, self.params)
+            self.dmem_read = result.mem_word
             commits = (
                 CommitRecord(
                     seq=seq,

@@ -144,6 +144,14 @@ class OoOCore:
         self.params = config.params
         self._cache = DataCache(config.cache) if config.cache else None
         self._dmem: tuple[int, ...] = (0,) * config.params.mem_size
+        #: Data-memory word read by the instruction the last ``step``
+        #: issued (``result.mem_word`` of its one ``execute`` call), or
+        #: ``None``.  Issue width 1 makes this the only word a cycle can
+        #: read, so a step is a pure function of (state, fetch bundle,
+        #: the value at this word).  Only the transition kernel clears it
+        #: (:meth:`repro.mc.vector.VectorEngine._step_miss`); a step that
+        #: executes nothing leaves it untouched.
+        self.dmem_read: int | None = None
         self._regs = list(config.params.reset_regs())
         self._rob: list[list] = []
         self._next_seq = 0
@@ -426,6 +434,7 @@ class OoOCore:
         events: list[str],
     ) -> None:
         result = execute(entry[E_INST], entry[E_PC], view, self._dmem, self.params)
+        self.dmem_read = result.mem_word
         op = entry[E_INST].op
         if op == Opcode.BRANCH:
             # Branch resolution takes ``branch_latency`` cycles -- the

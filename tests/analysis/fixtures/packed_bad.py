@@ -55,3 +55,13 @@ class AttrDrift:
 
     def step(self, fetch):
         return None
+
+
+class SilentLoad(GoodBase):
+    """Steps over data memory without reporting the word it read."""
+
+    def step(self, fetch):
+        return self._dmem[fetch]
+
+    def _load(self, word):
+        return self._dmem[word]

@@ -52,3 +52,26 @@ class Product:
 
     def step_cycle(self):
         return None
+
+
+class ReportingCore(WordsCore):
+    """Every step-time data-memory read assigns ``dmem_read``; the
+    set-up methods load the memory and are exempt."""
+
+    def __init__(self, dmem):
+        self._dmem = tuple(dmem)
+        self.dmem_read = None
+
+    def reset(self, dmem):
+        self._dmem = tuple(dmem or self._dmem)
+
+    def step(self, fetch):
+        self.dmem_read = fetch
+        return self._dmem[fetch]
+
+
+class Cache:
+    """Not machine-like: reading ``_dmem`` here needs no report."""
+
+    def lookup(self, word):
+        return self._dmem[word]

@@ -134,12 +134,14 @@ class TestPackedCaps:
                 ("packed-caps", "missing-words"): 2,
                 ("packed-caps", "snapshot-drift"): 3,
                 ("packed-caps", "words-attr-drift"): 1,
+                ("packed-caps", "unreported-dmem-read"): 2,
             }
         )
 
     def test_near_miss_negative(self):
-        # A complete words core, a Protocol, a non-machine and a
-        # product all pass.
+        # A complete words core, a Protocol, a non-machine, a product,
+        # a core that reports its data-memory reads and a non-machine
+        # reading ``_dmem`` all pass.
         assert run("packed_ok.py", "packed-caps").findings == []
 
 

@@ -214,6 +214,7 @@ class _ScriptedFetchMachine:
         self._pcs = pcs
         self._cycle = 0
         self.bundles_seen: list = []
+        self.dmem_read = None  # never reads data memory
 
     @property
     def halted(self) -> bool:

@@ -1,9 +1,11 @@
-"""Unit coverage for the vector engine's numpy substrate.
+"""Unit coverage for the vector engine's numpy substrate and memos.
 
 :class:`repro.mc.vector.VectorVisited` / ``FrontierArena``: randomized
 insert/probe cross-checked against a Python ``set``, forced fingerprint
 collisions, growth across several doublings, and the lossy-drop counter
-when the table is capacity-pinned.
+when the table is capacity-pinned.  The read index: machine steps are
+shared across secret memories on a multi-root Table-2 cell, and the
+cycle memo then hits.
 
 The search-level contract (bit-identical verdicts/stats) lives in
 ``test_engine_equivalence.py`` and the word-format round trip in
@@ -16,6 +18,9 @@ import random
 
 import numpy as np
 
+from repro.bench import table2
+from repro.bench.configs import QUICK
+from repro.mc.explorer import Explorer
 from repro.mc.vector import FrontierArena, VectorVisited
 
 
@@ -106,3 +111,33 @@ def test_arena_append_extend_and_rows():
     assert arena.count(4) == 1 and arena.count(3) == 5
     assert arena.nbytes > 0
 
+
+# ---------------------------------------------------------------------------
+# Read index (machine steps shared across data memories)
+# ---------------------------------------------------------------------------
+def test_read_index_shares_steps_across_secret_memories():
+    """On the multi-root ``shadow/SimpleOoO-S`` cell, fewer real machine
+    steps run than the per-memory tables hold entries (the rest were
+    bound from the read index), and the cycle memo hits on the shared
+    transition ids.  That the search outcome is unchanged is pinned
+    against the legacy engine by ``test_engine_equivalence.py``."""
+    [unit] = [u for u in table2.units(QUICK) if u.key == ("shadow", "SimpleOoO-S")]
+    task = unit.task
+    roots = task.build_roots()
+    assert len(roots) > 1
+    explorer = Explorer(task.build_product(), task.space, roots, task.limits)
+    engine = explorer._vector
+    calls = 0
+    transition = engine.transition
+
+    def counted(state, bundles):
+        nonlocal calls
+        calls += 1
+        return transition(state, bundles)
+
+    engine.transition = counted
+    explorer.run()
+    bound = sum(len(table) for table in engine._mach_tables.values())
+    assert len(engine._trans) < bound
+    # Every cycle-memo miss adds one entry; any other call was a hit.
+    assert calls > len(engine._cycle_memo)
