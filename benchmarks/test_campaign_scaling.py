@@ -4,7 +4,7 @@ The paper's evaluation is a grid of independent verification tasks; the
 campaign scheduler (``repro.campaign``) shards each cell into batches
 of its secret-pair roots -- and, below the root, across the first cycle's
 nondeterministic choices -- and fans everything over worker processes.
-Three wall-clock records accumulate in ``BENCH_campaign.json`` at the
+Two wall-clock records accumulate in ``BENCH_campaign.json`` at the
 repository root:
 
 - ``table2-grid``: the full model-checked Table-2 grid (shadow +
@@ -12,12 +12,7 @@ repository root:
   granularity (one shard per unit), and
 - ``fig2-rob-subroot``: the dominant Fig. 2 ROB sweep cell -- a workload
   one root's subtree dominates, which root sharding cannot split --
-  serial vs 4 workers with sub-root sharding forced on, and
-- ``fig2-rob-socket``: the same dominant ROB cell dispatched through the
-  multi-host ``SocketClusterBackend`` to two local
-  ``python -m repro.campaign.worker`` agents over TCP -- the committed
-  scaling point for the distributed backend (work-stealing rebalance
-  on, steal/requeue telemetry recorded).
+  serial vs 4 workers with sub-root sharding forced on.
 
 Asserted always: outcomes -- verdict, search statistics and
 counterexamples -- are identical between the serial path and the
@@ -166,67 +161,3 @@ def test_subroot_sharding_dominant_rob_cell(scale):
             f"serial ({serial_s:.2f}s) on a {os.cpu_count()}-CPU runner"
         )
 
-
-def test_socket_backend_dominant_rob_cell(scale):
-    """Serial vs socket-cluster (2 worker agents over TCP) wall-clock on
-    the dominant Fig. 2 ROB cell, sub-root sharding + rebalance on."""
-    from repro.campaign import scheduler
-    from repro.campaign.backends import SocketClusterBackend
-
-    panel = fig2.PANELS[0]
-    size = fig2.ROB_SIZES[-1]
-    task = fig2.point_task(panel, "rob", size, scale)
-
-    started = time.monotonic()
-    serial = verify(task)
-    serial_s = time.monotonic() - started
-
-    backend = SocketClusterBackend()
-    try:
-        backend.spawn_local_workers(2)
-        backend.wait_for_workers(2, timeout=60)
-        started = time.monotonic()
-        sharded = verify_sharded(task, subroot="always", backend=backend)
-        sharded_s = time.monotonic() - started
-        requeued = backend.requeued
-    finally:
-        backend.close()
-
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
-
-    telemetry = scheduler.LAST_TELEMETRY
-    record = {
-        "experiment": "fig2-rob-socket",
-        "scale": scale.name,
-        "cpu_count": os.cpu_count(),
-        "n_workers": 2,
-        "oversubscribed": 2 > (os.cpu_count() or 1),
-        "panel": panel.key,
-        "rob_size": size,
-        "kind": serial.kind,
-        "states": serial.stats.states,
-        "serial_s": round(serial_s, 3),
-        "socket_s": round(sharded_s, 3),
-        "speedup": round(serial_s / sharded_s, 3),
-        "steals": telemetry.steals,
-        "steals_won": telemetry.steal_won,
-        "requeued": requeued,
-    }
-    update_bench_record(BENCH_RECORD, "fig2-rob-socket", record)
-    print()
-    print(
-        f"socket backend: ROB-{size} cell serial {serial_s:.2f}s vs "
-        f"2-agent cluster {sharded_s:.2f}s on {record['cpu_count']} CPUs "
-        f"({telemetry.steals} steals) -> {BENCH_RECORD.name}"
-    )
-
-    # Same caveat as the sub-root record: ~7 uneven shards plus wire
-    # overhead leave a thin margin; assert not-pathological, record the
-    # honest ratio.
-    if (os.cpu_count() or 1) >= 2:
-        assert sharded_s < serial_s * 1.5, (
-            f"socket-backed cell ({sharded_s:.2f}s) much slower than "
-            f"serial ({serial_s:.2f}s) on a {os.cpu_count()}-CPU runner"
-        )

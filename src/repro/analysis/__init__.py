@@ -2,7 +2,7 @@
 
 The test matrix enforces the repository's core invariants *dynamically*
 -- bit-identical serial-order merges across backends, hash-consed
-snapshot immutability, pickle-safe wire payloads, machines that speak
+snapshot immutability, pickle-safe pool payloads, machines that speak
 the ``snapshot_words`` protocol -- which means a violation only surfaces
 when a test happens to hit it, often probabilistically (a salted
 ``hash()`` misbehaves only under an unlucky ``PYTHONHASHSEED``).  This

@@ -32,7 +32,7 @@ probabilistically.  The rules:
 ``import-time-input``
     A module-scope read of ``os.environ``, ``time.*()`` clocks or the
     ``random`` module.  Import-time environment capture makes behavior
-    depend on which process imported the module first -- worker agents
+    depend on which process imported the module first -- pool workers
     and the coordinator import in different orders.
 
 ``global-random``

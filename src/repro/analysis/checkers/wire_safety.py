@@ -1,14 +1,13 @@
-"""The ``wire-safety`` checker: static pickle-safety of wire payloads.
+"""The ``wire-safety`` checker: static pickle-safety of pool payloads.
 
-``repro/campaign/backends/wire.py`` documents the rule -- everything
-inside a ``task``/``result`` frame must pickle by reference to
-module-level, layout-stable classes -- but until now nothing *verified*
-it: a lambda default or a function-local helper class smuggled into a
-:class:`~repro.campaign.backends.base.WorkItem` field only explodes when
-a process-pool or socket campaign first ships it.  This checker walks
-the static type graph instead: starting from the wire root classes, it
-follows dataclass field annotations to every class statically reachable
-from a frame and enforces:
+Everything a campaign pickles into pool workers, and every result they
+pickle back, must pickle by reference to module-level, layout-stable
+classes.  A lambda default or a function-local helper class smuggled
+into a :class:`~repro.campaign.backends.base.WorkItem` field only
+explodes when a process-pool campaign first ships it.  This checker
+walks the static type graph instead: starting from the root classes
+that cross the pool boundary, it follows dataclass field annotations to
+every class statically reachable from them and enforces:
 
 ``local-class``
     The class is defined inside a function.  Pickle resolves classes by
@@ -22,8 +21,7 @@ from a frame and enforces:
 ``unslotted``
     The class declares no instance layout -- it is not a dataclass /
     NamedTuple / Enum and has no ``__slots__``.  Ad-hoc ``__dict__``
-    layouts drift silently between coordinator and worker versions;
-    declared layouts fail loudly on mismatch.
+    layouts drift silently; declared layouts fail loudly on mismatch.
 
 ``callable-field``
     A field is annotated ``Callable``.  Closures satisfy the annotation
@@ -34,7 +32,7 @@ from a frame and enforces:
 
 Reachability is by annotation identifiers, resolved against every class
 defined in the analyzed files; unknown names (builtins, typing forms)
-are skipped.  The root set mirrors the frame kinds in ``wire.py``.
+are skipped.  The root set is :data:`WIRE_ROOTS`.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ from repro.analysis.framework import (
     register,
 )
 
-#: Classes that cross a pool or socket boundary (task/result frames),
+#: Classes pickled into pool workers or back out of them (the shard
+#: envelope and what it carries, every result kind a shard returns),
 #: the roots of the reachability walk.
 WIRE_ROOTS = (
     "WorkItem",
@@ -64,18 +63,12 @@ WIRE_ROOTS = (
     "ProbeResult",
     "Outcome",
     "CoreSpec",
-    # The observability layer's ``spans`` frame and traced-result
-    # wrapper (repro.obs.recorder): batches cross the same pools and
-    # sockets the results do.
+    # A traced shard returns its outcome wrapped with the span batch it
+    # recorded (repro.obs.recorder).
     "SpanBatch",
     "SpanRecord",
     "EventRecord",
     "TracedOutcome",
-    # The live-status ``status`` frame (repro.obs.live): snapshots are
-    # streamed to read-only observers as JSON, but the same wire rules
-    # keep them frozen, slotted and closure-free end to end.
-    "ProgressSnapshot",
-    "WorkerHealth",
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -116,7 +109,7 @@ def reachable_classes(project: Project) -> dict[str, ClassInfo]:
 class WireSafetyChecker(Checker):
     id = "wire-safety"
     description = (
-        "classes reachable from wire frames must be module-level, "
+        "classes reachable from pool payloads must be module-level, "
         "layout-declared, lambda- and closure-free"
     )
 

@@ -87,10 +87,8 @@ def run(
     Rounds are inherently sequential (each adds the previous round's
     exclusion), but within a round the secret-pair roots shard across
     ``n_workers`` worker processes (``1`` = the serial path) on any
-    campaign ``backend`` -- a connected
-    :class:`repro.campaign.backends.SocketClusterBackend` is reused
-    across rounds, so the hunt scales past one host without re-spawning
-    workers per round.
+    campaign ``backend``; a live backend instance is reused across
+    rounds.
 
     ``log`` streams one JSONL record per round -- keyed
     ``(contract, round)`` and carrying the classified mis-speculation

@@ -92,10 +92,6 @@ GATES: dict[str, list[Metric]] = {
         Metric("serial states/s", _states_per_serial_s),
         Metric("speedup", _path("speedup"), parallel=True),
     ],
-    "fig2-rob-socket": [
-        Metric("serial states/s", _states_per_serial_s),
-        Metric("speedup", _path("speedup"), parallel=True),
-    ],
     "explorer-throughput": [
         Metric("engine states/s", _path("engine", "states_per_s")),
         # Same-process engine-vs-legacy ratio: throughput, not parallel.

@@ -124,21 +124,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
         "sharded_s": _field(_NUM, positive=True),
         "speedup": _field(_NUM, positive=True),
     },
-    "fig2-rob-socket": {
-        "scale": _field(str),
-        "n_workers": _field(int, positive=True),
-        "oversubscribed": _field(bool),
-        "panel": _field(str),
-        "rob_size": _field(int, positive=True),
-        "kind": _kind,
-        "states": _field(int, positive=True),
-        "serial_s": _field(_NUM, positive=True),
-        "socket_s": _field(_NUM, positive=True),
-        "speedup": _field(_NUM, positive=True),
-        "steals": _field(int),
-        "steals_won": _field(int),
-        "requeued": _field(int),
-    },
     "explorer-throughput": {
         "scale": _field(str),
         "cell": _field(dict),
@@ -191,7 +176,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
 _SPEEDUP_LEGS = {
     "table2-grid": ("serial_s", "parallel_s"),
     "fig2-rob-subroot": ("serial_s", "sharded_s"),
-    "fig2-rob-socket": ("serial_s", "socket_s"),
 }
 
 

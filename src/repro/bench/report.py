@@ -8,12 +8,11 @@ statistics.
 
 The campaign-backed experiments (Tables 2 and 3, the Fig. 2 sweeps, the
 fetch-gate ablation and the BOOM hunt) accept ``--workers N`` to fan out
-over worker processes, ``--backend {serial,process,socket}`` to pick the
-execution backend (``socket`` with ``--listen``/``--spawn`` scales past
-one host -- see EXPERIMENTS.md), and ``--log FILE`` to write a JSONL
-result log (the file is overwritten; records stream in as cells
-finish); ``--from-log FILE`` re-renders those tables -- hunt narrative
-included -- from a previous log without re-running anything.
+over worker processes, ``--backend {serial,process}`` to pick the
+execution backend, and ``--log FILE`` to write a JSONL result log (the
+file is overwritten; records stream in as cells finish); ``--from-log
+FILE`` re-renders those tables -- hunt narrative included -- from a
+previous log without re-running anything.
 
 ``--trace FILE`` renders an observability trace (the JSONL a campaign
 CLI's ``--trace`` wrote) instead of running: per-worker timeline,
@@ -31,11 +30,7 @@ from pathlib import Path
 from repro.obs import clock
 from repro.bench import ablation, boom_hunt, fig2, table1, table2, table3
 from repro.bench.configs import scale_by_name
-from repro.campaign.cli import (
-    add_backend_arguments,
-    backend_from_args,
-    close_backend,
-)
+from repro.campaign.cli import add_backend_arguments
 from repro.campaign.log import CampaignLog, read_records, result_records
 from repro.core.contracts import sandboxing
 
@@ -195,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     skip = set(filter(None, args.skip.split(",")))
     n_workers = None if args.workers == 0 else args.workers
     started = clock.monotonic()
-    backend = backend_from_args(args)
+    backend = args.backend
     log_handle = open(args.log, "w", encoding="utf-8") if args.log else None
     log = CampaignLog(log_handle) if log_handle else None
     try:
@@ -232,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if log_handle:
             log_handle.close()
-        close_backend(backend)
     _print_explorer_bench(args.explorer_bench)
     print(f"total evaluation time: {clock.monotonic() - started:.0f}s")
     return 0

@@ -70,8 +70,7 @@ def run_units(
     existing callers and committed benchmark numbers keep their meaning;
     drivers surface the knob to their callers.  ``subroot`` selects the
     shard granularity below the root and ``backend`` the executor --
-    ``"serial"`` / ``"process"`` or a live instance such as a connected
-    ``SocketClusterBackend`` (see
+    ``"serial"`` / ``"process"`` or a live instance (see
     :func:`repro.campaign.scheduler.run_campaign`; results are
     bit-identical across backends).
     """

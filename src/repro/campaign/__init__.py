@@ -10,9 +10,7 @@ Public surface:
   roots and, below each root, across the first cycle's independent
   subtrees (``subroot="auto"|"always"|"never"``),
 - :mod:`repro.campaign.backends` -- the executors: ``SerialBackend``
-  (inline reference), ``ProcessPoolBackend`` (single host) and
-  ``SocketClusterBackend`` + ``python -m repro.campaign.worker``
-  (multi-host over TCP, token-authenticated, death-tolerant),
+  (inline reference) and ``ProcessPoolBackend`` (worker processes),
 - :class:`repro.campaign.log.CampaignLog` -- JSONL result logs that
   ``python -m repro.bench.report --from-log`` re-renders without
   re-running.
@@ -25,7 +23,6 @@ from repro.campaign.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SocketClusterBackend,
     WorkItem,
 )
 from repro.campaign.log import (
@@ -66,7 +63,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "SocketClusterBackend",
     "WorkItem",
     "canonical_lines",
     "core_factory_names",

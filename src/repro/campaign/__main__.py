@@ -15,17 +15,13 @@ accepted too and delegate to the random-testing CLI
 (``python -m repro.fuzz``) with the backend/log/budget flags forwarded,
 so one entry point drives both verification modes.
 
-``--backend`` selects the executor (``serial`` / ``process`` /
-``socket``); the socket backend listens on ``--listen HOST:PORT`` for
-``python -m repro.campaign.worker`` agents (or spawns local ones with
-``--spawn N``).
+``--backend`` selects the executor (``serial`` / ``process``).
 
 CI runs each grid twice, with ``--workers 1`` and ``--workers 4
---subroot always``, plus a socket-backend leg against two local worker
-agents, and diffs the canonical JSONL logs: any pickling break,
-nondeterministic merge (root-, sub-root- or steal-granular), backend
-divergence or scheme regression fails the smoke job within minutes
-instead of surfacing in the ten-minute benchmark suite.
+--subroot always``, and diffs the canonical JSONL logs: any pickling
+break, nondeterministic merge (root-, sub-root- or steal-granular),
+backend divergence or scheme regression fails the smoke job within
+minutes instead of surfacing in the ten-minute benchmark suite.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ from repro.campaign.cli import (
     add_status_arguments,
     add_trace_argument,
     append_history,
-    backend_from_args,
-    close_backend,
     trace_to,
 )
 from repro.campaign.log import CampaignLog
@@ -154,12 +148,6 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--budget", str(args.budget)]
         if args.backend:
             forwarded += ["--backend", args.backend]
-        if args.listen:
-            forwarded += ["--listen", args.listen]
-        if args.spawn:
-            forwarded += ["--spawn", str(args.spawn)]
-        if args.min_workers is not None:
-            forwarded += ["--min-workers", str(args.min_workers)]
         if args.trace:
             forwarded += ["--trace", args.trace]
         if args.status_json:
@@ -170,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     build_units, expected = GRIDS[args.units]
     units = build_units()
     n_workers = None if args.workers == 0 else args.workers
-    backend = backend_from_args(args)
 
     def _run(log):
         return run_campaign(
@@ -180,22 +167,19 @@ def main(argv: list[str] | None = None) -> int:
             log=log,
             experiment=args.units,
             subroot=args.subroot,
-            backend=backend,
+            backend=args.backend,
             status_json=args.status_json,
         )
 
     from repro.obs import clock
 
     wall_t0 = clock.monotonic()
-    try:
-        with trace_to(args.trace):
-            if args.log:
-                with open(args.log, "w", encoding="utf-8") as handle:
-                    results = _run(CampaignLog(handle))
-            else:
-                results = _run(None)
-    finally:
-        close_backend(backend)
+    with trace_to(args.trace):
+        if args.log:
+            with open(args.log, "w", encoding="utf-8") as handle:
+                results = _run(CampaignLog(handle))
+        else:
+            results = _run(None)
     wall_s = clock.monotonic() - wall_t0
     telemetry = results[0].telemetry if results else None
     verdicts: dict = {}

@@ -1,16 +1,13 @@
 """Pluggable campaign execution backends.
 
-The scheduler plans shards; a backend runs them.  Three implementations
+The scheduler plans shards; a backend runs them.  Two implementations
 share one contract (:class:`ExecutionBackend`):
 
 - :class:`SerialBackend` -- inline, lazy, deterministic reference,
-- :class:`ProcessPoolBackend` -- the single-host process fan-out
-  (historical behavior),
-- :class:`SocketClusterBackend` -- a TCP coordinator for
-  ``python -m repro.campaign.worker`` agents on any number of hosts,
-  with token auth, heartbeats and in-flight requeue on worker death.
+- :class:`ProcessPoolBackend` -- the process fan-out (historical
+  behavior).
 
-Merged campaign results are bit-identical across all three (the shards
+Merged campaign results are bit-identical across both (the shards
 are deterministic pure functions and the merge replays serial order);
 the backend choice only moves wall-clock around.
 """
@@ -27,7 +24,6 @@ from repro.campaign.backends.base import (
     execute_item,
     resolve_workers,
 )
-from repro.campaign.backends.cluster import SocketClusterBackend
 from repro.campaign.backends.process import ProcessPoolBackend
 from repro.campaign.backends.serial import SerialBackend
 from repro.campaign.backends.specs import (
@@ -37,7 +33,6 @@ from repro.campaign.backends.specs import (
     make_envelope,
     split_spec,
 )
-from repro.campaign.backends.wire import TOKEN_ENV, parse_hostport
 
 __all__ = [
     "BACKEND_NAMES",
@@ -47,9 +42,7 @@ __all__ = [
     "SerialBackend",
     "ShardEnvelope",
     "ShardFailure",
-    "SocketClusterBackend",
     "SpecMiss",
-    "TOKEN_ENV",
     "WorkItem",
     "budget_outcome",
     "build_named_backend",
@@ -57,7 +50,6 @@ __all__ = [
     "execute_envelope",
     "execute_item",
     "make_envelope",
-    "parse_hostport",
     "resolve_workers",
     "split_spec",
 ]

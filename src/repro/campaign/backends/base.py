@@ -9,10 +9,7 @@ slice.  *Where* those items execute is the backend's business:
 - :class:`repro.campaign.backends.serial.SerialBackend` runs them inline
   (the deterministic reference),
 - :class:`repro.campaign.backends.process.ProcessPoolBackend` fans them
-  over a local ``ProcessPoolExecutor`` (the historical behavior), and
-- :class:`repro.campaign.backends.cluster.SocketClusterBackend` streams
-  them over TCP to ``python -m repro.campaign.worker`` agents on any
-  number of hosts.
+  over a local ``ProcessPoolExecutor`` (the historical behavior).
 
 Because a shard's outcome is a pure function of its item -- the search is
 deterministic and every input is in the pickle -- the scheduler's merged
@@ -29,13 +26,8 @@ yielded; ``False`` means the item is past the point of no return and its
 result will still arrive (the scheduler must tolerate stale results
 either way).  ``capacity`` is the backend's current parallel width --
 the signal the scheduler's sub-root planner and work-stealing rebalance
-key off.
-
-A lifecycle hook completes the contract: ``set_deadline`` hands the
-backend the campaign's absolute wall-clock deadline so it can refuse
-queued work after expiry (and, in the socket backend, translate the
-monotonic instant into a *remaining budget* at send time -- absolute
-monotonic clocks do not agree across hosts).
+key off.  Backends need no campaign deadline: every item carries it in
+its :class:`repro.mc.explorer.SearchLimits`.
 """
 
 from __future__ import annotations
@@ -57,7 +49,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep workers light
 BUDGET_NOTE = "campaign budget exhausted"
 
 #: The names ``run_campaign``'s string ``backend`` argument accepts.
-BACKEND_NAMES = ("serial", "process", "socket")
+BACKEND_NAMES = ("serial", "process")
 
 
 def budget_outcome() -> Outcome:
@@ -100,13 +92,7 @@ def resolve_workers(n_workers: int | None) -> int:
 
 
 def build_named_backend(name: str, n_workers: int | None = None):
-    """Construct a backend from its CLI name (one place for the zoo).
-
-    ``"socket"`` always raises: a cluster backend needs live connection
-    state, so callers must construct and connect a
-    :class:`repro.campaign.backends.SocketClusterBackend` themselves
-    (the CLIs' ``--backend socket`` does exactly this).
-    """
+    """Construct a backend from its CLI name."""
     if name == "serial":
         from repro.campaign.backends.serial import SerialBackend
 
@@ -115,13 +101,6 @@ def build_named_backend(name: str, n_workers: int | None = None):
         from repro.campaign.backends.process import ProcessPoolBackend
 
         return ProcessPoolBackend(resolve_workers(n_workers))
-    if name == "socket":
-        raise ValueError(
-            "backend='socket' needs live connection state: construct "
-            "repro.campaign.backends.SocketClusterBackend(...), connect or "
-            "spawn its workers, and pass the instance (the campaign and "
-            "fuzz CLIs' --backend socket do exactly this)"
-        )
     raise ValueError(
         f"unknown backend {name!r}; expected an ExecutionBackend "
         f"instance or one of {BACKEND_NAMES}"
@@ -198,8 +177,7 @@ class WorkItem:
         """The unit's :class:`repro.mc.explorer.SearchLimits`.
 
         Search shards carry them on the task, fuzz units on the
-        payload; the wire layer's deadline translation reads and
-        rewrites them through here.
+        payload.
         """
         if self.task is not None:
             return self.task.limits
@@ -246,8 +224,8 @@ def execute_item(item: WorkItem) -> Outcome:
 class ExecutionBackend:
     """Abstract executor of :class:`WorkItem` shards (see module docs)."""
 
-    #: Human-readable backend kind (``"serial"`` / ``"process"`` /
-    #: ``"socket"``); logged into campaign headers.
+    #: Human-readable backend kind (``"serial"`` / ``"process"``);
+    #: logged into campaign headers.
     name: str = "abstract"
 
     # -- the four core operations --------------------------------------
@@ -276,16 +254,9 @@ class ExecutionBackend:
         """Best-effort cancel; ``True`` iff the ticket will never yield."""
         raise NotImplementedError
 
-    # -- lifecycle hooks ------------------------------------------------
-    def set_deadline(self, deadline: float | None) -> None:
-        """Install the campaign's absolute ``time.monotonic()`` deadline."""
-        self._deadline = deadline
-
     # -- status hooks (observability only; see repro.obs.live) ----------
     #: The campaign's :class:`repro.obs.live.StatusPublisher`, if any.
     _status_publisher = None
-    #: The campaign's :class:`repro.obs.metrics.MetricsRegistry`, if any.
-    _registry = None
 
     def set_status_publisher(self, publisher) -> None:
         """Attach (or with ``None`` detach) the campaign's publisher.
@@ -296,25 +267,10 @@ class ExecutionBackend:
         """
         self._status_publisher = publisher
 
-    def attach_registry(self, registry) -> None:
-        """Hand the backend the campaign's metrics registry (or ``None``)
-        so backend-side instruments (e.g. the cluster's heartbeat-RTT
-        histogram) land in the campaign's trace."""
-        self._registry = registry
-
     def _publish_status(self) -> None:
         """Tick the attached publisher, if any (rate-limited there)."""
         if self._status_publisher is not None:
             self._status_publisher.tick(self)
-
-    def worker_health(self) -> tuple:
-        """Per-worker :class:`repro.obs.live.WorkerHealth` records, for
-        backends with that visibility (the cluster); empty otherwise."""
-        return ()
-
-    def broadcast_status(self, payload: dict) -> None:
-        """Fan a ``status`` payload to attached observers, if the
-        backend has any transport for them (the cluster); no-op here."""
 
     def close(self) -> None:
         """Release workers and transports; idempotent."""

@@ -1,4 +1,4 @@
-"""The single-host backend: a ``ProcessPoolExecutor`` fan-out.
+"""The process backend: a ``ProcessPoolExecutor`` fan-out.
 
 This is the historical campaign executor extracted verbatim from the
 scheduler: shards pickle into worker processes, results stream back as
@@ -52,7 +52,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._specs: dict = {}  # fingerprint -> spec (for miss retries)
         self._spec_sent: dict[int, int] = {}  # fingerprint -> inline sends
         self._next_ticket = 0
-        self._deadline: float | None = None
         #: Observability: bare-fingerprint shards a cold child bounced.
         self.spec_misses = 0
 
@@ -119,8 +118,8 @@ class ProcessPoolBackend(ExecutionBackend):
                     outcome = ShardFailure(repr(exc))
                 if isinstance(outcome, TracedOutcome):
                     # Unwrap before any result inspection.  Pool children
-                    # share the host's CLOCK_MONOTONIC, so the batch
-                    # merges with no offset correction.
+                    # share this host's monotonic clock, so the batch
+                    # merges with its timestamps as recorded.
                     recorder = obs.recorder()
                     if recorder is not None:
                         recorder.absorb(outcome.batch)

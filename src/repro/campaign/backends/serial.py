@@ -1,12 +1,12 @@
 """The inline reference backend: one shard at a time, in this process.
 
-``SerialBackend`` is the executable specification the other backends are
-tested against: no processes, no sockets, no timing -- items run lazily
+``SerialBackend`` is the executable specification the process backend is
+tested against: no processes, no timing -- items run lazily
 inside :meth:`as_completed`, in submission order, which is exactly the
 serial engine's exploration order because the scheduler submits shards
 serially-first.  Laziness matters: the scheduler cancels serially-dead
 shards between yields (short-circuiting), and a cancelled item here was
-genuinely never run -- the same work-saving the parallel backends get
+genuinely never run -- the same work-saving the process backend gets
 from racing ahead.
 """
 
@@ -26,7 +26,6 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         self._queue: dict[int, WorkItem] = {}  # insertion-ordered
         self._next_ticket = 0
-        self._deadline: float | None = None
 
     def capacity(self) -> int:
         return 1

@@ -56,8 +56,8 @@ class SpecMiss:
     """A worker process lacked the spec a bare-fingerprint shard named.
 
     Delivered in place of an outcome; the dispatching side re-sends the
-    same ticket with the spec attached.  Picklable (crosses pools and
-    sockets like any result).
+    same ticket with the spec attached.  Picklable (crosses the pool
+    like any result).
     """
 
     __slots__ = ("spec_fp",)
@@ -90,7 +90,7 @@ def join_spec(spec: "VerificationTask", roots, limits) -> "VerificationTask":
 
 @dataclass(frozen=True)
 class ShardEnvelope:
-    """What actually crosses a pool or socket boundary per shard.
+    """What actually crosses the pool boundary per shard.
 
     Plain envelopes (``spec_fp is None``) carry the item whole -- the
     fuzz path and backends that opt out of spec caching.  Spec-backed
@@ -108,23 +108,6 @@ class ShardEnvelope:
     #: :class:`repro.obs.recorder.TracedOutcome` so the spans ride home
     #: with the result.  Pure observability -- never affects outcomes.
     trace: bool = False
-
-    def unit_limits(self):
-        """The shard's ``SearchLimits`` (wire deadline translation)."""
-        if self.spec_fp is not None:
-            return self.limits
-        return self.item.limits
-
-    def with_limits(self, limits) -> "ShardEnvelope":
-        """The envelope with its unit's limits replaced (same shape)."""
-        if self.spec_fp is not None:
-            return replace(self, limits=limits)
-        item = self.item
-        if item.task is not None:
-            item = replace(item, task=replace(item.task, limits=limits))
-        else:
-            item = replace(item, fuzz=replace(item.fuzz, limits=limits))
-        return replace(self, item=item)
 
 
 def make_envelope(
@@ -152,9 +135,8 @@ def make_envelope(
 
 
 #: Per-process spec cache: fingerprint -> spec task.  Lives in whatever
-#: process runs :func:`execute_envelope` (pool children, worker-agent
-#: children); bounded by the number of distinct unit specs a process
-#: ever sees, i.e. small.
+#: process runs :func:`execute_envelope` (the pool children); bounded by
+#: the number of distinct unit specs a process ever sees, i.e. small.
 _SPECS: dict[int, "VerificationTask"] = {}
 
 

@@ -1,104 +1,28 @@
-"""Shared CLI plumbing for backend selection (campaign + bench report).
+"""Shared CLI plumbing for the campaign, fuzz and bench report CLIs.
 
-Both ``python -m repro.campaign`` and ``python -m repro.bench.report``
-grow the same three flags:
-
-- ``--backend {serial,process,socket}`` -- executor choice (default:
-  the historical behavior, serial for ``--workers 1``, a process pool
-  otherwise),
-- ``--listen HOST:PORT`` -- socket backend: where the coordinator
-  accepts ``python -m repro.campaign.worker`` agents (port 0 picks a
-  free port and prints it),
-- ``--spawn N`` -- socket backend: start N local agent subprocesses
-  (single-host smoke runs and tests; multi-host runs start agents
-  out-of-band and use ``--min-workers``).
-
-:func:`backend_from_args` turns parsed args into the ``backend=``
-argument for :func:`repro.campaign.scheduler.run_campaign`; the caller
-owns closing a returned instance (:func:`close_backend`).
+Every campaign-running CLI grows the same ``--backend {serial,process}``
+flag (default: the historical behavior, serial for ``--workers 1``, a
+process pool otherwise); its value passes straight through as the
+``backend=`` argument of :func:`repro.campaign.scheduler.run_campaign`
+or :func:`repro.fuzz.campaign.run_fuzz`.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 
-from repro.campaign.backends import (
-    BACKEND_NAMES,
-    TOKEN_ENV,
-    ExecutionBackend,
-    SocketClusterBackend,
-    parse_hostport,
-)
+from repro.campaign.backends import BACKEND_NAMES
 
 
 def add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the shared ``--backend/--listen/--spawn/--min-workers``."""
+    """Install the shared ``--backend`` flag."""
     parser.add_argument(
         "--backend", default=None, choices=BACKEND_NAMES,
         help="execution backend (default: serial path for 1 worker, "
         "process pool otherwise)",
     )
-    parser.add_argument(
-        "--listen", default=None, metavar="HOST:PORT",
-        help="socket backend: coordinator bind address "
-        "(default 127.0.0.1:0 = any free port, printed on stderr)",
-    )
-    parser.add_argument(
-        "--spawn", type=int, default=0, metavar="N",
-        help="socket backend: spawn N local worker agents "
-        "(multi-host runs launch python -m repro.campaign.worker instead)",
-    )
-    parser.add_argument(
-        "--min-workers", type=int, default=None, metavar="N",
-        help="socket backend: wait for N connected worker slots before "
-        "dispatching (default: --spawn, else 1)",
-    )
-
-
-def backend_from_args(
-    args: argparse.Namespace, *, wait_timeout: float = 120.0
-):
-    """Build the ``backend=`` argument for ``run_campaign`` from CLI args.
-
-    Returns ``None`` / ``"serial"`` / ``"process"`` unchanged; for
-    ``socket`` it constructs a coordinator, optionally spawns local
-    agents, announces the address + token on stderr (for out-of-band
-    agents) and blocks until the required worker slots are connected.
-    """
-    if args.backend != "socket":
-        if args.listen or args.spawn:
-            raise SystemExit("--listen/--spawn require --backend socket")
-        return args.backend
-    listen = parse_hostport(args.listen) if args.listen else ("127.0.0.1", 0)
-    token = os.environ.get(TOKEN_ENV)
-    backend = SocketClusterBackend(listen, token=token)
-    host, port = backend.address
-    print(f"campaign coordinator listening on {host}:{port}", file=sys.stderr)
-    if token is None and not args.spawn:
-        # Out-of-band agents need the generated secret; stderr is the
-        # operator channel (result streams use stdout / --log).
-        print(
-            f"no ${TOKEN_ENV} set; workers must use --token {backend.token}",
-            file=sys.stderr,
-        )
-    if args.spawn:
-        backend.spawn_local_workers(args.spawn)
-    need = args.min_workers if args.min_workers is not None else (args.spawn or 1)
-    try:
-        backend.wait_for_workers(need, timeout=wait_timeout)
-    except TimeoutError as exc:
-        backend.close()
-        raise SystemExit(str(exc)) from None
-    return backend
-
-
-def close_backend(backend) -> None:
-    """Close a backend instance built by :func:`backend_from_args`."""
-    if isinstance(backend, ExecutionBackend):
-        backend.close()
 
 
 def add_trace_argument(parser: argparse.ArgumentParser) -> None:

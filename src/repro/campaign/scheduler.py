@@ -18,13 +18,11 @@ states with another root's (visited-set keys embed the root index), so
 
 **Backends.**  The scheduler plans shards; *where* they run is a
 pluggable :class:`repro.campaign.backends.ExecutionBackend`:
-``SerialBackend`` (inline, the deterministic reference),
-``ProcessPoolBackend`` (the single-host fan-out, the default for
-``n_workers > 1``) or ``SocketClusterBackend`` (a TCP coordinator
-feeding ``python -m repro.campaign.worker`` agents on any number of
-hosts).  A shard's outcome is a pure function of its picklable
-:class:`repro.campaign.backends.WorkItem`, so merged results are
-bit-identical across backends; only wall-clock moves.
+``SerialBackend`` (inline, the deterministic reference) or
+``ProcessPoolBackend`` (the process fan-out, the default for
+``n_workers > 1``).  A shard's outcome is a pure function of its
+picklable :class:`repro.campaign.backends.WorkItem`, so merged results
+are bit-identical across backends; only wall-clock moves.
 
 **Sub-root sharding.**  Root sharding cannot split a workload dominated
 by a *single* root's subtree (the Fig. 2 ROB sweep points).  Below the
@@ -57,10 +55,10 @@ per backend slot is kept so rebalance still has raceable targets.
 entries and limits; re-pickling the task's spec (space, core, contract)
 per shard is pure dispatch overhead.  Items therefore carry a 128-bit
 content fingerprint of their spec
-(:func:`repro.campaign.backends.specs.spec_fingerprint`); the pool and
-socket backends ship the spec inline only on a receiver's first
-encounter and the bare fingerprint thereafter, and executors rehydrate
-from a per-process cache (a cold process answers ``SpecMiss`` and the
+(:func:`repro.campaign.backends.specs.spec_fingerprint`); the process
+backend ships the spec inline only on a receiver's first encounter and
+the bare fingerprint thereafter, and executors rehydrate from a
+per-process cache (a cold process answers ``SpecMiss`` and the
 dispatcher re-sends with the spec attached -- one extra round trip,
 never an error).
 
@@ -113,10 +111,9 @@ which would never have explored them.
 **Budget.**  ``budget_s`` is one shared wall-clock budget for the whole
 campaign.  The scheduler stamps the corresponding absolute deadline into
 every shard's :class:`repro.mc.explorer.SearchLimits`, so in-flight
-worker searches cancel themselves (the paper's third outcome, timeout);
-the socket backend re-anchors the deadline as a remaining budget at send
-time (absolute monotonic clocks do not cross hosts).  Units that cannot
-start before the deadline are reported as timeouts without running.
+worker searches cancel themselves (the paper's third outcome, timeout).
+Units that cannot start before the deadline are reported as timeouts
+without running.
 """
 
 from __future__ import annotations
@@ -614,10 +611,9 @@ def run_campaign(
     plain serial :func:`repro.core.verifier.verify`, larger counts fan
     shards over an implicit process pool; ``"serial"`` / ``"process"``
     name the corresponding :mod:`repro.campaign.backends` class; a
-    live :class:`repro.campaign.backends.ExecutionBackend` instance
-    (e.g. a connected ``SocketClusterBackend``) is used as-is and left
-    open for the caller to reuse.  Merged outcomes are bit-identical
-    across backends (see the module docstring).
+    live :class:`repro.campaign.backends.ExecutionBackend` instance is
+    used as-is and left open for the caller to reuse.  Merged outcomes
+    are bit-identical across backends (see the module docstring).
 
     ``subroot`` controls sharding *below* the root: ``"auto"`` splits a
     unit's roots into per-first-choice subtrees when the unit has fewer
@@ -632,9 +628,9 @@ def run_campaign(
     ``status_json`` names a file to atomically rewrite with the latest
     :class:`repro.obs.live.ProgressSnapshot` about every
     ``status_interval`` seconds (every backend, serial included); the
-    same snapshots stream to socket observers and to
-    ``repro.obs.live.LAST_SNAPSHOT``.  Observability only -- results
-    are bit-identical with or without it.
+    same snapshots land in ``repro.obs.live.LAST_SNAPSHOT``.
+    Observability only -- results are bit-identical with or without
+    it.
     """
     units = list(units)
     if subroot not in SUBROOT_MODES:
@@ -717,7 +713,7 @@ def _run_serial(
             if outcome.elapsed > 0:
                 sink.tracker.note_rate(outcome.stats.states / outcome.elapsed)
     if publisher is not None:
-        publisher.tick(force=True)
+        publisher.finish()
     return outcomes
 
 
@@ -829,7 +825,6 @@ def _run_sharded(
             capacity = max(1, min(capacity, total_slots))
         backend = ProcessPoolBackend(capacity)
         owned = True
-    backend.set_deadline(deadline)
     telemetry.backend = backend.name
     telemetry.capacity = capacity
     if tracker is not None:
@@ -837,9 +832,7 @@ def _run_sharded(
         tracker.capacity = capacity
     # Status plumbing (observability only): the backend ticks the
     # publisher from its wait loop so snapshots flow while the drain
-    # below blocks, and backend-side instruments (the cluster's
-    # heartbeat-RTT histogram) land in the campaign's registry.
-    backend.attach_registry(registry)
+    # below blocks.
     if publisher is not None:
         backend.set_status_publisher(publisher)
     # Batch sizing: the calibrated per-batch state grain, plus a
@@ -1097,20 +1090,12 @@ def _run_sharded(
                 )
                 sink.offer(state.index, state.final)
         if publisher is not None:
-            # The final snapshot always shows every unit done (and
-            # reaches any attached observers before the backend closes).
-            publisher.tick(backend, force=True)
+            publisher.finish(backend)
         return [state.final for state in states]
     finally:
         backend.set_status_publisher(None)
-        backend.attach_registry(None)
         if owned:
             backend.close()
-        else:
-            # Caller-provided backends are reusable (the BOOM hunt runs
-            # many rounds on one cluster): clear this campaign's deadline
-            # so the next campaign does not inherit it.
-            backend.set_deadline(None)
 
 
 def _handle_shard_failure(
@@ -1321,8 +1306,7 @@ def verify_sharded(
     attack hunt uses it to parallelize each exclusion round, and the
     Fig. 2 sweep points rely on its sub-root splitting (a single root's
     subtree dominates them -- root sharding alone cannot help).
-    ``backend`` accepts the same values as :func:`run_campaign`,
-    including a live (reusable) ``SocketClusterBackend``.
+    ``backend`` accepts the same values as :func:`run_campaign`.
     """
     unit = CampaignUnit(experiment="task", key=("task",), task=task)
     [result] = run_campaign(

@@ -26,9 +26,8 @@ The pieces, and how they reuse the existing machinery:
 - **Campaign integration** (:mod:`repro.fuzz.work`,
   :mod:`repro.fuzz.campaign`): fuzz batches are picklable payloads of
   the campaign :class:`repro.campaign.backends.WorkItem`, schedulable
-  on all three execution backends (serial / process / socket) with a
-  deterministic batch-order merge -- same seed, same report, any
-  backend.
+  on both execution backends (serial / process) with a deterministic
+  batch-order merge -- same seed, same report, either backend.
 - **Minimization** (:mod:`repro.fuzz.minimize`): delta debugging over
   the leaking program, each reduction re-validated by the oracle,
   candidate probes fanned over the backend; the result is a 1-minimal

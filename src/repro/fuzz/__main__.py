@@ -11,10 +11,10 @@ report.  Three presets are built in (see :mod:`repro.fuzz.configs`):
 - ``fuzz-boom``: the BoomLike core's misalignment/illegal sources.
 
 ``--backend`` selects the executor exactly like the verification
-campaign CLI (``serial`` / ``process`` / ``socket`` with ``--listen`` /
-``--spawn`` / ``--min-workers``); reports are bit-identical across
-backends for a fixed ``--seed``, which the CI fuzz smoke job checks by
-diffing canonical ``--log`` JSONL between a serial and a process run.
+campaign CLI (``serial`` / ``process``); reports are bit-identical
+across backends for a fixed ``--seed``, which the CI fuzz smoke job
+checks by diffing canonical ``--log`` JSONL between a serial and a
+process run.
 
 Exit status: 0 when the preset's expectation holds (leak found and
 minimized for ``fuzz-mini``/``fuzz-boom``, no leak for
@@ -31,8 +31,6 @@ from repro.campaign.cli import (
     add_status_arguments,
     add_trace_argument,
     append_history,
-    backend_from_args,
-    close_backend,
     trace_to,
 )
 from repro.campaign.log import CampaignLog
@@ -86,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     preset = preset_config(args.units, args.seed)
     # ``--workers 0`` keeps the campaign CLI's meaning: one per CPU.
     n_workers = None if args.workers == 0 else args.workers
-    backend = backend_from_args(args)
+    backend = args.backend
     if backend is None:
         # The fuzz default is the deterministic serial reference; any
         # explicit worker request (including 0 = per-CPU) fans batches
@@ -116,16 +114,12 @@ def main(argv: list[str] | None = None) -> int:
             status_json=args.status_json,
         )
 
-    try:
-        with trace_to(args.trace):
-            if args.log:
-                with open(args.log, "w", encoding="utf-8") as handle:
-                    report = _run(CampaignLog(handle))
-            else:
-                report = _run(None)
-    finally:
-        close_backend(backend)
-    backend_name = backend if isinstance(backend, str) else backend.name
+    with trace_to(args.trace):
+        if args.log:
+            with open(args.log, "w", encoding="utf-8") as handle:
+                report = _run(CampaignLog(handle))
+        else:
+            report = _run(None)
     append_history(
         args.history,
         desc={
@@ -139,11 +133,11 @@ def main(argv: list[str] | None = None) -> int:
                 else preset.batch_size
             ),
             "rounds": args.rounds if args.rounds is not None else preset.max_rounds,
-            "backend": backend_name,
+            "backend": backend,
             "workers": args.workers or 0,
         },
         experiment=preset.name,
-        backend=backend_name,
+        backend=backend,
         capacity=args.workers if args.workers is not None else 1,
         units=len(report.rounds),
         verdicts={"leak" if report.found_leak else "no-leak": 1},

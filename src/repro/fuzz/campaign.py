@@ -2,8 +2,8 @@
 
 One fuzz campaign is a sequence of *rounds*; each round fans
 ``n_batches`` :class:`repro.fuzz.work.FuzzShard` units over an
-execution backend (serial / process / socket -- the same
-:class:`repro.campaign.backends.ExecutionBackend` zoo the verification
+execution backend (serial / process -- the same
+:class:`repro.campaign.backends.ExecutionBackend` pair the verification
 campaigns use), then merges the batch results **in batch-index order**:
 
 - coverage keys union in order, the corpus extends in order (bounded),
@@ -202,7 +202,6 @@ def run_fuzz(
     publisher = StatusPublisher(
         tracker, registry=registry, interval=status_interval, path=status_json
     )
-    backend_obj.attach_registry(registry)
     backend_obj.set_status_publisher(publisher)
     if log is not None:
         log.header(experiment, max(1, backend_obj.capacity()), max_rounds)
@@ -213,7 +212,6 @@ def run_fuzz(
     minimized: MinimizedLeak | None = None
     shards_counter = registry.counter("campaign.shards")
     try:
-        backend_obj.set_deadline(deadline)
         for round_index in range(max_rounds):
             if deadline is not None and clock.monotonic() >= deadline:
                 break
@@ -318,16 +316,17 @@ def run_fuzz(
             minimized = minimize_leak(config, leak, backend_obj, limits=limits)
             if log is not None:
                 _log_minimized(log, experiment, leak, minimized)
+        # Rounds a leak or the budget cut off never run: the finished
+        # campaign's final snapshot counts only the rounds it ran and is
+        # marked finished, so it reads done even with no round run.
+        tracker.units_total = len(rounds)
+        tracker.finished = True
     finally:
-        # Final snapshot before the backend closes (reaches observers).
         publisher.tick(backend_obj, force=True)
         backend_obj.set_status_publisher(None)
-        backend_obj.attach_registry(None)
         fill_telemetry(telemetry, registry)
         if owned:
             backend_obj.close()
-        else:
-            backend_obj.set_deadline(None)
     return FuzzReport(
         config=config,
         rounds=rounds,

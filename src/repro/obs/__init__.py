@@ -1,18 +1,16 @@
 """``repro.obs``: tracing, metrics and profiling for the campaign stack.
 
-Every layer below this one -- scheduler, execution backends, the worker
-agent, the search engines, the fuzz loop -- answers "what happened"
+Every layer below this one -- scheduler, execution backends, the
+search engines, the fuzz loop -- answers "what happened"
 through this package:
 
 - **Tracing** (:mod:`repro.obs.recorder`): ``span()`` / ``event()`` /
   ``count()`` record onto a process-wide recorder.  Off by default: with
   no recorder installed every call is one ``is None`` branch (spans
   return a shared no-op context manager), and *nothing* reads a clock.
-  Worker processes record onto their own scoped recorder and ship the
-  finished batch home (a new ``"spans"`` wire frame for socket workers,
-  a :class:`~repro.obs.recorder.TracedOutcome` wrapper for pool
-  workers); the coordinator merges batches with clock-offset-corrected
-  timestamps into one trace.
+  Pool workers record onto their own scoped recorder and ship the
+  finished batch home in a :class:`~repro.obs.recorder.TracedOutcome`
+  wrapper; the coordinator merges the batches into one trace.
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
   package reads wall/monotonic time, injectable for tests.  The
   determinism lint flags direct clock reads anywhere else.
@@ -29,10 +27,9 @@ through this package:
   top-N hottest units, metric-histogram summaries.
 - **Live status** (:mod:`repro.obs.live`, viewer ``python -m
   repro.obs.watch``): a running campaign periodically folds scheduler
-  progress, the metrics registry and per-worker health into frozen
+  progress and the metrics registry into frozen
   :class:`~repro.obs.live.ProgressSnapshot` records, surfaced
-  in-process, as an atomically-rewritten ``--status-json`` file, and
-  as ``status`` frames streamed to read-only socket observers.
+  in-process and as an atomically-rewritten ``--status-json`` file.
 - **Run history** (:mod:`repro.obs.history`, also ``python -m
   repro.obs.history``): an append-only JSONL ledger of finished runs
   (config fingerprint, verdicts, wall time, throughput) with
@@ -41,7 +38,7 @@ through this package:
 
 The tracing layer never touches verdict or merge paths: the bit-identity
 contract extends to "tracing on vs off is bit-identical", and the test
-suite enforces it across all three backends.
+suite enforces it on both backends.
 """
 
 from __future__ import annotations

@@ -6,18 +6,14 @@ scheduler-side progress (units done/total, verdict counts, shard and
 state counters, an EWMA states/s) as the campaign works, and a
 :class:`StatusPublisher` periodically folds that state -- together with
 the campaign's :class:`repro.obs.metrics.MetricsRegistry` and the
-backend's per-worker health -- into a frozen, wire-safe
-:class:`ProgressSnapshot`.  Each snapshot fans out to up to three sinks:
+backend's in-flight count -- into a frozen :class:`ProgressSnapshot`.
+Each snapshot goes to up to two sinks:
 
-- the process-global :data:`LAST_SNAPSHOT` (the in-process surface the
-  serial and process backends expose -- poll it from another thread or
-  read it after the campaign),
+- the process-global :data:`LAST_SNAPSHOT` (the in-process surface --
+  poll it from another thread or read it after the campaign), and
 - an atomically-rewritten ``--status-json`` file for external scrapers
-  (write-temp-then-``os.replace``, so readers never see a torn write),
-- the socket coordinator's **observer connections** (read-only,
-  token-authed peers that receive ``status`` frames and are never
-  assigned work -- see :mod:`repro.campaign.backends.cluster` and
-  ``python -m repro.obs.watch``).
+  and ``python -m repro.obs.watch`` (write-temp-then-``os.replace``,
+  so readers never see a torn write).
 
 Publication is pull-scheduled from the backends' own wait loops
 (:meth:`repro.campaign.backends.base.ExecutionBackend._publish_status`),
@@ -25,14 +21,11 @@ so snapshots keep flowing while the scheduler blocks on slow shards.
 None of it touches results: every field is derived from counters the
 scheduler already maintains, the publisher is rate-limited, and a lost
 or slow status consumer can only ever cost the snapshot, never a
-verdict -- the bit-identity contract extends to "observer attached vs
-not is bit-identical", and the test suite enforces it.
+verdict.
 
-Snapshots cross pools and sockets, so both record classes are frozen
-slotted dataclasses of plain data and are wire-safety lint roots
-(:mod:`repro.analysis.checkers.wire_safety`); ``status`` frames
-additionally cross as JSON (:func:`snapshot_to_json`), never pickle,
-so an observer needs no pickle trust in the coordinator.
+Snapshots never leave the coordinating process except as JSON
+(:func:`snapshot_to_json`), so a reader needs no pickle trust in the
+campaign.
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ __all__ = [
     "ProgressSnapshot",
     "ProgressTracker",
     "StatusPublisher",
-    "WorkerHealth",
     "snapshot_from_json",
     "snapshot_to_json",
     "write_status_json",
@@ -56,36 +48,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class WorkerHealth:
-    """One worker agent's health as the coordinator sees it.
-
-    ``heartbeat_age_s`` is seconds since the last byte arrived from the
-    agent (the reap threshold is ~30s); ``spec_cache`` counts the task
-    specs shipped to (and cached by) the agent; ``last_states_per_s``
-    is the throughput of its most recent completed search shard, or
-    ``None`` before the first one.
-    """
-
-    label: str
-    slots: int
-    inflight: int
-    heartbeat_age_s: float
-    spec_cache: int
-    last_states_per_s: float | None = None
-    rtt_s: float | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class ProgressSnapshot:
-    """One frozen, wire-safe view of a running campaign.
+    """One frozen view of a running campaign.
 
     ``verdicts`` / ``counters`` / ``gauges`` are sorted name/value
-    tuples (not dicts) so the record hashes and compares; ``workers``
-    is empty on backends without per-worker visibility (serial,
-    process).  ``eta_s`` extrapolates the unit completion rate and is
-    ``None`` until the first unit lands; ``states_per_s`` is the EWMA
-    over completed shards' measured throughput (the same estimate the
-    batch planner calibrates with).
+    tuples (not dicts) so the record hashes and compares.  ``eta_s``
+    extrapolates the unit completion rate and is ``None`` until the
+    first unit lands; ``states_per_s`` is the EWMA over completed
+    shards' measured throughput (the same estimate the batch planner
+    calibrates with).
     """
 
     seq: int
@@ -103,22 +74,26 @@ class ProgressSnapshot:
     states: int
     states_per_s: float
     eta_s: float | None
-    workers: tuple[WorkerHealth, ...] = ()
     counters: tuple[tuple[str, float], ...] = ()
     gauges: tuple[tuple[str, float], ...] = ()
+    finished: bool = False
 
     @property
     def done(self) -> bool:
-        return self.units_total > 0 and self.units_done >= self.units_total
+        # ``finished`` marks the final snapshot of a campaign that ran to
+        # its end, also one that ran fewer units than planned (a fuzz
+        # campaign a leak or its budget stopped, even before round one).
+        return self.finished or (
+            self.units_total > 0 and self.units_done >= self.units_total
+        )
 
 
 def snapshot_to_json(snapshot: ProgressSnapshot) -> dict:
-    """The snapshot as a plain JSON-safe dict (``status`` frame payload)."""
+    """The snapshot as a plain JSON-safe dict (the ``--status-json`` body)."""
     data = asdict(snapshot)
     data["verdicts"] = [list(pair) for pair in snapshot.verdicts]
     data["counters"] = [list(pair) for pair in snapshot.counters]
     data["gauges"] = [list(pair) for pair in snapshot.gauges]
-    data["workers"] = [asdict(worker) for worker in snapshot.workers]
     data["type"] = "status"
     return data
 
@@ -135,9 +110,6 @@ def snapshot_from_json(data: dict) -> ProgressSnapshot:
     )
     fields["gauges"] = tuple(
         (str(name), value) for name, value in fields.get("gauges", ())
-    )
-    fields["workers"] = tuple(
-        WorkerHealth(**worker) for worker in fields.get("workers", ())
     )
     return ProgressSnapshot(**fields)
 
@@ -179,6 +151,7 @@ class ProgressTracker:
         self.shards_done = 0
         self.states = 0
         self.states_per_s = 0.0
+        self.finished = False
         self._seq = 0
         self._done: set[int] = set()
         self._rate_samples = 0
@@ -221,13 +194,7 @@ class ProgressTracker:
             return 0.0 if 0 < self.units_total <= done else None
         return (self.units_total - done) * (uptime / done)
 
-    def build(
-        self,
-        *,
-        workers: tuple[WorkerHealth, ...] = (),
-        inflight: int = 0,
-        registry=None,
-    ) -> ProgressSnapshot:
+    def build(self, *, inflight: int = 0, registry=None) -> ProgressSnapshot:
         """Fold the current state into one frozen snapshot."""
         self._seq += 1
         uptime = max(0.0, clock.monotonic() - self.started)
@@ -258,9 +225,9 @@ class ProgressTracker:
             states=self.states,
             states_per_s=self.states_per_s,
             eta_s=self.eta_s(uptime),
-            workers=workers,
             counters=counters,
             gauges=gauges,
+            finished=self.finished,
         )
 
 
@@ -281,12 +248,12 @@ def write_status_json(path: str, snapshot: ProgressSnapshot) -> None:
 
 
 class StatusPublisher:
-    """Rate-limited snapshot fan-out to every configured sink.
+    """Rate-limited snapshot publication to every configured sink.
 
     Backends call :meth:`tick` from their wait loops (see
-    ``ExecutionBackend._publish_status``); the scheduler calls it with
-    ``force=True`` at campaign end so the final snapshot always shows
-    every unit done.  A publisher is attached to at most one campaign
+    ``ExecutionBackend._publish_status``); the campaign loops call
+    :meth:`finish` at their end so the final snapshot always reads
+    done.  A publisher is attached to at most one campaign
     at a time -- ``run_campaign``/``run_fuzz`` build a fresh one each.
     """
 
@@ -316,13 +283,9 @@ class StatusPublisher:
         ):
             return None
         self._last_tick = now
-        workers: tuple[WorkerHealth, ...] = ()
-        inflight = 0
-        if backend is not None:
-            workers = backend.worker_health()
-            inflight = backend.outstanding()
+        inflight = 0 if backend is None else backend.outstanding()
         snapshot = self.tracker.build(
-            workers=workers, inflight=inflight, registry=self.registry
+            inflight=inflight, registry=self.registry
         )
         self.last_snapshot = snapshot
         global LAST_SNAPSHOT
@@ -340,6 +303,9 @@ class StatusPublisher:
                     f"status-json: cannot write {self.path}: {exc}",
                     file=sys.stderr,
                 )
-        if backend is not None:
-            backend.broadcast_status(snapshot_to_json(snapshot))
         return snapshot
+
+    def finish(self, backend=None) -> ProgressSnapshot | None:
+        """Mark the campaign finished and publish its final snapshot."""
+        self.tracker.finished = True
+        return self.tick(backend, force=True)

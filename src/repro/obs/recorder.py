@@ -13,23 +13,17 @@ Worker processes record onto their own scoped recorder (installed by
 envelope asks for tracing) and return the finished
 :class:`SpanBatch` alongside the outcome (:class:`TracedOutcome`).
 The coordinator merges batches via :meth:`Recorder.absorb`, which
-
-- **remaps span ids**: ids are process-local counters, so two workers'
-  batches collide; absorption renumbers into the coordinator's id space
-  (a parent recorded outside the batch becomes a root),
-- **shifts timestamps**: worker spans are stamped on the *worker's*
-  monotonic clock; the caller passes the estimated offset between that
-  clock and the local one (``local receipt time - sender send stamp``,
-  which for socket workers folds clock skew plus one-way latency --
-  see ``SocketClusterBackend._handle_frame``), and
-- **relabels** spans with the coordinator's name for the worker, so
-  the per-worker timeline groups by connection label rather than by
-  remote pid.
+remaps span ids: ids are process-local counters, so two workers'
+batches collide; absorption renumbers into the coordinator's id space
+(a parent recorded outside the batch becomes a root).  Timestamps merge
+as recorded -- pool children read the same host monotonic clock -- and
+each span keeps its worker's label (``pid<N>``), so the per-worker
+timeline groups by pool child.
 
 Every record type here is a frozen slotted dataclass of plain data --
-picklable and wire-safe; shadowlint's wire-safety checker walks them
-(``WIRE_ROOTS``) because :class:`SpanBatch` crosses the socket as the
-``"spans"`` frame payload.
+picklable; shadowlint's wire-safety checker walks them (``WIRE_ROOTS``)
+because :class:`TracedOutcome` carries a :class:`SpanBatch` back from
+every traced pool shard.
 """
 
 from __future__ import annotations
@@ -76,15 +70,9 @@ class EventRecord:
 
 @dataclass(frozen=True, slots=True)
 class SpanBatch:
-    """A worker's finished records, ready to cross a process boundary.
-
-    ``clock`` is the sender's monotonic stamp at batch *send* time; the
-    receiver's ``local now - clock`` at receipt estimates the offset
-    that maps the batch's timeline onto the local one.
-    """
+    """A worker's finished records, ready to cross a process boundary."""
 
     worker: str
-    clock: float
     spans: tuple = ()
     events: tuple = ()
     counters: tuple = ()
@@ -201,20 +189,16 @@ class Recorder:
         self.counters[name] = self.counters.get(name, 0) + delta
 
     def batch(self) -> SpanBatch:
-        """Freeze everything recorded so far into a wire-safe batch."""
+        """Freeze everything recorded so far into a picklable batch."""
         return SpanBatch(
             worker=self.worker,
-            clock=clock.monotonic(),
             spans=tuple(self.spans),
             events=tuple(self.events),
             counters=tuple(sorted(self.counters.items())),
         )
 
-    def absorb(
-        self, batch: SpanBatch, *, offset: float = 0.0, worker: str | None = None
-    ) -> None:
-        """Merge a worker batch: remap ids, shift timestamps, relabel."""
-        label = worker if worker is not None else batch.worker
+    def absorb(self, batch: SpanBatch) -> None:
+        """Merge a worker batch, remapping its span ids into this one's."""
         id_map: dict[int, int] = {}
         for span in batch.spans:
             id_map[span.span_id] = self._next_id
@@ -223,11 +207,11 @@ class Recorder:
             self.spans.append(
                 SpanRecord(
                     span.name,
-                    span.t0 + offset,
-                    span.t1 + offset,
+                    span.t0,
+                    span.t1,
                     id_map[span.span_id],
                     id_map.get(span.parent_id),
-                    label,
+                    span.worker,
                     span.attrs,
                 )
             )
@@ -235,9 +219,9 @@ class Recorder:
             self.events.append(
                 EventRecord(
                     event.name,
-                    event.t + offset,
+                    event.t,
                     id_map.get(event.span_id),
-                    label,
+                    event.worker,
                     event.attrs,
                 )
             )

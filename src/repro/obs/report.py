@@ -12,8 +12,8 @@ campaign writes (``--trace`` on the campaign/fuzz CLIs):
 - **hottest units**: top-N campaign units by verification time
   (from the scheduler's ``unit.done`` events);
 - **histograms**: metric-histogram summaries from the trace's registry
-  snapshot (e.g. the socket coordinator's per-worker heartbeat RTT,
-  ``cluster.heartbeat_rtt_s``).
+  snapshot (e.g. the scheduler's batch-size prediction error,
+  ``campaign.grain_error``).
 
 ``--chrome OUT.json`` additionally exports the Chrome ``trace_event``
 document (:mod:`repro.obs.sinks`) for ``chrome://tracing`` / Perfetto.
@@ -187,9 +187,7 @@ def format_histograms(records: list[dict]) -> str | None:
     """Metric-histogram summaries (count/mean/p50/p95/max-bucket).
 
     Reads the ``metrics`` record a traced campaign appends (the registry
-    snapshot) -- this is where the per-worker heartbeat RTT histogram
-    (``cluster.heartbeat_rtt_s``) the socket coordinator records
-    surfaces in reports.
+    snapshot).
     """
     for record in records:
         if record["type"] != "metrics":

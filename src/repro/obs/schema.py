@@ -11,7 +11,7 @@ tolerated and skipped -- the two formats share files by design.
 The CI ``obs`` smoke job validates the uploaded trace artifact with
 this module; ``--require-worker-spans`` additionally asserts the trace
 contains spans recorded *off* the coordinator (the merged-trace
-acceptance check for the socket backend)::
+acceptance check for the process backend)::
 
     python -m repro.obs.schema trace.jsonl --require-worker-spans
 """

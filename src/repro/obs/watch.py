@@ -1,56 +1,33 @@
 """Live campaign status viewer: ``python -m repro.obs.watch``.
 
 Renders the stream of :class:`repro.obs.live.ProgressSnapshot` records a
-running campaign publishes, from either source:
-
-- ``--connect HOST:PORT`` attaches to a ``SocketClusterBackend``
-  coordinator as a read-only *observer* (token-authed, never assigned
-  work; the token comes from ``--token`` or ``$REPRO_WORKER_TOKEN``)
-  and renders each ``status`` frame as it arrives;
-- ``--status-json PATH`` polls the file a campaign's ``--status-json``
-  flag atomically rewrites, re-rendering whenever the sequence number
-  moves -- works for serial and process backends too, and across hosts
-  via any shared filesystem.
+running campaign publishes: ``--status-json PATH`` polls the file a
+campaign's ``--status-json`` flag atomically rewrites, re-rendering
+whenever the sequence number moves (every backend, and across hosts via
+any shared filesystem).
 
 On a TTY the view refreshes in place; ``--plain`` (or any non-TTY
 stdout, e.g. CI logs) prints one text block per snapshot instead.
 ``--record PATH`` appends every snapshot as a JSON line -- the CI watch
-smoke uses it to assert the observer saw the campaign finish -- and
+smoke uses it to assert the watcher saw the campaign finish -- and
 ``--min-snapshots N`` turns "did the stream actually flow" into an exit
-code.  The observer is strictly read-only: everything it receives is
-JSON (it never unpickles a byte), and detaching it -- cleanly or by
-SIGKILL -- cannot affect campaign results.
+code.  The watcher is strictly read-only: it parses JSON (it never
+unpickles a byte), and stopping it cannot affect campaign results.
 
-Exit status: 0 after a clean end of stream (coordinator shutdown, the
-campaign's final all-units-done snapshot in file mode, or ``--once``),
-1 when fewer than ``--min-snapshots`` arrived or the coordinator
-refused the connection.
+Exit status: 0 after the campaign's final (``done``) snapshot (or
+the first snapshot with ``--once``); 1 when ``--timeout`` expired
+first or fewer than ``--min-snapshots`` arrived.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import select
-import socket
 import sys
 import time
 
 from repro.obs import clock
 from repro.obs.live import ProgressSnapshot, snapshot_from_json, snapshot_to_json
-from repro.campaign.backends.wire import (
-    TOKEN_ENV,
-    WireError,
-    extract_frames,
-    parse_hostport,
-    recv_frame,
-    send_frame,
-)
-
-#: Observer-side heartbeat cadence (the coordinator reaps connections
-#: silent for ~6 of these, same as workers).
-HEARTBEAT_INTERVAL = 5.0
 
 
 def _fmt_duration(seconds: float | None) -> str:
@@ -98,21 +75,6 @@ def render(snapshot: ProgressSnapshot) -> str:
     if snapshot.verdicts:
         verdicts = "  ".join(f"{k}={v}" for k, v in snapshot.verdicts)
         lines.append(f"verdicts  {verdicts}")
-    if snapshot.workers:
-        lines.append(f"workers ({len(snapshot.workers)}):")
-        for worker in snapshot.workers:
-            rtt = "-" if worker.rtt_s is None else f"{worker.rtt_s * 1e3:.1f}ms"
-            rate = (
-                "-"
-                if worker.last_states_per_s is None
-                else _fmt_rate(worker.last_states_per_s)
-            )
-            lines.append(
-                f"  {worker.label:<24} slots {worker.slots}"
-                f"  inflight {worker.inflight}"
-                f"  hb {worker.heartbeat_age_s:.1f}s"
-                f"  rtt {rtt}  specs {worker.spec_cache}  last {rate}"
-            )
     if snapshot.done:
         lines.append("campaign complete")
     return "\n".join(lines)
@@ -124,14 +86,12 @@ class _View:
     def __init__(self, *, plain: bool, record_path: str | None):
         self.plain = plain or not sys.stdout.isatty()
         self.seen = 0
-        self.last: ProgressSnapshot | None = None
         self._record = (
             open(record_path, "a", encoding="utf-8") if record_path else None
         )
 
     def show(self, snapshot: ProgressSnapshot) -> None:
         self.seen += 1
-        self.last = snapshot
         if self._record is not None:
             json.dump(snapshot_to_json(snapshot), self._record, sort_keys=True)
             self._record.write("\n")
@@ -150,92 +110,6 @@ class _View:
             self._record.close()
 
 
-def _watch_socket(
-    addr: tuple[str, int],
-    token: str,
-    view: _View,
-    *,
-    once: bool,
-    timeout: float | None,
-) -> int:
-    """Attach as an observer and render status frames until shutdown."""
-    try:
-        sock = socket.create_connection(addr, timeout=5.0)
-    except OSError as exc:
-        print(f"watch: cannot reach {addr[0]}:{addr[1]}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        sock.settimeout(10.0)
-        send_frame(
-            sock,
-            "hello",
-            {
-                "token": token,
-                "role": "observer",
-                "label": f"watch:{os.getpid()}",
-            },
-        )
-        try:
-            # Everything an observer sees is JSON -- never allow pickle,
-            # so a hostile coordinator cannot execute code here.
-            kind, _ = recv_frame(sock, allow_pickle=False)
-        except (WireError, socket.timeout):
-            print(
-                "watch: coordinator closed the connection during the "
-                "handshake (wrong token?)",
-                file=sys.stderr,
-            )
-            return 1
-        if kind != "welcome":
-            print(f"watch: unexpected handshake reply {kind!r}", file=sys.stderr)
-            return 1
-        sock.setblocking(False)
-        buffer = bytearray()
-        deadline = None if timeout is None else clock.monotonic() + timeout
-        last_beat = clock.monotonic()
-        while True:
-            now = clock.monotonic()
-            if deadline is not None and now >= deadline:
-                break
-            if now - last_beat >= HEARTBEAT_INTERVAL:
-                try:
-                    send_frame(sock, "heartbeat", {})
-                except WireError:
-                    break  # coordinator gone
-                last_beat = now
-            readable, _, _ = select.select([sock], [], [], 0.2)
-            if not readable:
-                continue
-            try:
-                chunk = sock.recv(1 << 16)
-            except BlockingIOError:
-                continue
-            except OSError:
-                break
-            if not chunk:
-                break  # orderly EOF: campaign over
-            buffer += chunk
-            try:
-                frames = extract_frames(buffer, allow_pickle=False)
-            except WireError:
-                break
-            stop = False
-            for kind, payload in frames:
-                if kind == "status":
-                    view.show(snapshot_from_json(payload))
-                    if once:
-                        stop = True
-                        break
-                elif kind == "shutdown":
-                    stop = True
-                    break
-            if stop:
-                break
-    finally:
-        sock.close()
-    return 0
-
-
 def _watch_file(
     path: str, view: _View, *, once: bool, interval: float, timeout: float | None
 ) -> int:
@@ -244,7 +118,11 @@ def _watch_file(
     last_seq = None
     while True:
         if deadline is not None and clock.monotonic() >= deadline:
-            break
+            print(
+                f"watch: no finished campaign in {path} after {timeout:g}s",
+                file=sys.stderr,
+            )
+            return 1
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -259,9 +137,8 @@ def _watch_file(
                 last_seq = snapshot.seq
                 view.show(snapshot)
                 if once or snapshot.done:
-                    break
+                    return 0
         time.sleep(interval)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -269,18 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.obs.watch",
         description=__doc__.splitlines()[0],
     )
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--connect", metavar="HOST:PORT",
-        help="attach to a socket coordinator as a read-only observer",
-    )
-    source.add_argument(
-        "--status-json", metavar="PATH",
-        help="poll a campaign's --status-json file instead of a socket",
-    )
     parser.add_argument(
-        "--token", default=None,
-        help=f"observer auth token (default: ${TOKEN_ENV})",
+        "--status-json", metavar="PATH", required=True,
+        help="poll a campaign's --status-json file",
     )
     parser.add_argument(
         "--interval", type=float, default=1.0,
@@ -288,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
-        help="give up after this many seconds (default: wait forever)",
+        help="give up (exit 1) after this many seconds without a "
+        "finished campaign (default: wait forever)",
     )
     parser.add_argument(
         "--once", action="store_true",
@@ -310,25 +179,13 @@ def main(argv: list[str] | None = None) -> int:
 
     view = _View(plain=args.plain, record_path=args.record)
     try:
-        if args.connect:
-            token = args.token or os.environ.get(TOKEN_ENV)
-            if not token:
-                parser.error(f"no auth token: pass --token or set ${TOKEN_ENV}")
-            status = _watch_socket(
-                parse_hostport(args.connect),
-                token,
-                view,
-                once=args.once,
-                timeout=args.timeout,
-            )
-        else:
-            status = _watch_file(
-                args.status_json,
-                view,
-                once=args.once,
-                interval=max(0.05, args.interval),
-                timeout=args.timeout,
-            )
+        status = _watch_file(
+            args.status_json,
+            view,
+            once=args.once,
+            interval=max(0.05, args.interval),
+            timeout=args.timeout,
+        )
     finally:
         view.close()
     if status != 0:

@@ -3,7 +3,7 @@
 Everything the fuzzer and the concrete-run drivers do -- program
 generation, secret-pair sampling, predictor bits, mutation choices --
 must be a pure function of the campaign seed and the trial's
-coordinates, so that a batch executed on a socket worker on another host
+coordinates, so that a batch executed in a pool worker process
 reproduces a serial run bit for bit.  ``random.Random`` gives
 reproducible *streams* once seeded, but deriving the per-trial seeds
 themselves must not go through ``hash()`` (string hashing is salted per

@@ -1,32 +1,33 @@
-"""Golden status-frame violations: one per rule, reachable from the
-``status`` wire roots (ProgressSnapshot / WorkerHealth)."""
+"""Golden status-reply violations: one per rule, reachable from the
+replies a pool worker returns in place of an outcome (SpecMiss /
+ShardFailure)."""
 
 from dataclasses import dataclass, field
 from typing import Callable
 
 
-def _make_health_class():
-    class LocalHealth:  # function-local, yet carried inside a snapshot
-        def __init__(self, label):
-            self.label = label
+def _make_detail_class():
+    class LocalDetail:  # function-local, yet carried inside a failure reply
+        def __init__(self, trace):
+            self.trace = trace
 
-    return LocalHealth
+    return LocalDetail
 
 
-class BareGauge:  # module-level but no declared instance layout
+class BareContext:  # module-level but no declared instance layout
     def __init__(self, value):
         self.value = value
 
 
 @dataclass
-class WorkerHealth:
-    health: "LocalHealth"
-    gauge: "BareGauge"
-    probe: Callable[[], float]
-    retries: int = field(default_factory=lambda: 0)
+class ShardFailure:
+    detail: "LocalDetail"
+    context: "BareContext"
+    retry: Callable[[], None]
+    attempts: int = field(default_factory=lambda: 0)
 
 
 @dataclass(frozen=True)
-class ProgressSnapshot:
-    seq: int
-    workers: "tuple[WorkerHealth, ...]" = ()
+class SpecMiss:
+    spec_fp: int
+    failure: "ShardFailure | None" = None

@@ -1,24 +1,26 @@
-"""Near-miss negatives: the same status-frame shapes, kept safe or off
-the wire graph entirely."""
+"""Near-miss negatives: the same status-reply shapes, kept safe or off
+the pool graph entirely."""
 
 from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
-class WorkerHealth:
-    label: str
-    slots: int
-    rtt_s: float
+class ShardFailure:
+    message: str
 
 
 @dataclass(frozen=True)
-class ProgressSnapshot:
-    seq: int
-    workers: "tuple[WorkerHealth, ...]" = field(default_factory=tuple)
+class SpecMiss:
+    spec_fp: int
+    failure: "ShardFailure | None" = field(default=None)
+
+
+class ProgressSnapshot:  # written as JSON by the coordinator, never pickled
+    render = staticmethod(lambda snapshot: str(snapshot))
 
 
 def _make_render_helper():
-    class NeverShipped:  # local AND unslotted, but unreachable from wire roots
+    class NeverShipped:  # local AND unslotted, but unreachable from pool roots
         fmt = staticmethod(lambda snapshot: str(snapshot))
 
     return NeverShipped

@@ -88,30 +88,33 @@ class TestWireSafety:
 
 
 class TestStatusFrames:
-    """The live-status roots (ProgressSnapshot / WorkerHealth) are part
-    of the wire graph: the same four rules fire on status payloads."""
+    """The status replies a pool worker returns in place of an outcome
+    (SpecMiss / ShardFailure) are pool roots: the same four rules fire
+    on them."""
 
     def test_positive_rules(self):
         report = run("status_bad.py", "wire-safety")
         assert rule_counts(report) == Counter(
             {
                 ("wire-safety", "local-class"): 1,
-                ("wire-safety", "unslotted"): 2,  # LocalHealth + BareGauge
+                ("wire-safety", "unslotted"): 2,  # LocalDetail + BareContext
                 ("wire-safety", "lambda-field"): 1,
                 ("wire-safety", "callable-field"): 1,
             }
         )
 
     def test_near_miss_negative(self):
-        # Frozen slotted snapshots pass; the local lambda-carrying
-        # helper stays invisible because nothing on the wire names it.
+        # Frozen replies pass; the lambda-carrying ProgressSnapshot and
+        # the local helper stay invisible because nothing pickled into
+        # or out of a pool worker names them.
         assert run("status_ok.py", "wire-safety").findings == []
 
-    def test_real_snapshot_classes_are_roots(self):
+    def test_real_status_roots_are_pool_replies(self):
         from repro.analysis.checkers.wire_safety import WIRE_ROOTS
 
-        assert "ProgressSnapshot" in WIRE_ROOTS
-        assert "WorkerHealth" in WIRE_ROOTS
+        assert {"SpecMiss", "ShardFailure"} <= set(WIRE_ROOTS)
+        # Live snapshots only ever leave the coordinator as JSON.
+        assert "ProgressSnapshot" not in WIRE_ROOTS
 
 
 class TestSnapshotPurity:

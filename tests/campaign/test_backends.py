@@ -1,32 +1,22 @@
-"""Backend equivalence: serial / process / socket campaigns are bit-equal.
+"""Backend equivalence: serial and process campaigns are bit-equal.
 
 The backend contract's central promise: a campaign's merged outcomes --
 verdicts, counterexamples *and* search statistics -- do not depend on
 *where* shards execute, because every shard is a deterministic pure
 function of its picklable :class:`WorkItem` and the merge replays serial
-LIFO order.  The matrix here runs the CI mini grids through all three
-backends (the socket backend against two real local worker agents over
-TCP), plus the failure paths: campaign budgets, cancellation notes, and
-a worker killed mid-campaign whose in-flight shards must be requeued.
+LIFO order.  The matrix here runs the CI mini grids through both
+backends, plus the failure paths: campaign budgets, cancellation and
+shard failures.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
-from repro.campaign.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SocketClusterBackend,
-    WorkItem,
-)
-from repro.campaign.backends.wire import pack_task, unpack_task
+from repro.campaign.backends import SerialBackend, WorkItem
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     BUDGET_NOTE,
@@ -73,18 +63,6 @@ def _task(defense: Defense, **overrides) -> VerificationTask:
     return VerificationTask(**base)
 
 
-@pytest.fixture(scope="module")
-def socket_backend():
-    """One coordinator + two local worker agents, shared by the module."""
-    backend = SocketClusterBackend()
-    try:
-        backend.spawn_local_workers(2)
-        backend.wait_for_workers(2, timeout=60)
-        yield backend
-    finally:
-        backend.close()
-
-
 def _assert_bit_identical(serial, results, label):
     assert [r.key for r in results] == [r.key for r in serial]
     for ser, par in zip(serial, results):
@@ -99,18 +77,17 @@ def _assert_bit_identical(serial, results, label):
 # The equivalence matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("grid", sorted(GRIDS))
-def test_backend_matrix_bit_identical(grid, socket_backend):
-    """serial / process / socket x {fig2-mini, ablation-mini} all match
-    the historical serial path, sub-root sharding and rebalance on."""
+def test_backend_matrix_bit_identical(grid):
+    """serial / process x {fig2-mini, ablation-mini} both match the
+    historical serial path, sub-root sharding and rebalance on."""
     units = GRIDS[grid]()
     assert units
     serial_path = run_campaign(units, n_workers=1)
-    for backend in ("serial", "process", socket_backend):
+    for backend in ("serial", "process"):
         results = run_campaign(
             units, n_workers=4, subroot="always", backend=backend
         )
-        label = backend if isinstance(backend, str) else backend.name
-        _assert_bit_identical(serial_path, results, label)
+        _assert_bit_identical(serial_path, results, backend)
 
 
 def test_serial_backend_is_lazy_and_cancellable():
@@ -136,57 +113,6 @@ def test_budget_cuts_off_named_backends(backend):
     )
     assert all(r.outcome.timed_out for r in results)
     assert all(r.outcome.note == BUDGET_NOTE for r in results)
-
-
-def test_budget_cuts_off_socket_campaigns(socket_backend):
-    units = [CampaignUnit("t", ("a",), _task(Defense.NONE))]
-    results = run_campaign(units, budget_s=0.0, backend=socket_backend)
-    assert results[0].outcome.timed_out
-    assert results[0].outcome.note == BUDGET_NOTE
-
-
-def test_socket_backend_expires_queued_work_past_the_deadline(socket_backend):
-    """A shard already queued when the deadline passes is budget-synthesized
-    coordinator-side (the worker never sees it)."""
-    socket_backend.set_deadline(time.monotonic() - 1.0)
-    try:
-        ticket = socket_backend.submit_unit(WorkItem(_task(Defense.NONE)))
-        completed = dict(socket_backend.as_completed())
-        assert completed[ticket].timed_out
-        assert completed[ticket].note == BUDGET_NOTE
-    finally:
-        socket_backend.set_deadline(None)
-
-
-# ----------------------------------------------------------------------
-# Worker death
-# ----------------------------------------------------------------------
-def test_worker_kill_requeues_in_flight_shards():
-    """SIGKILL one of two agents mid-campaign: its in-flight shards are
-    requeued to the survivor and the merged outcome stays bit-identical."""
-    task = fig2.point_task(fig2.PANELS[0], "rob", 4, QUICK)
-    serial = verify(task)
-    backend = SocketClusterBackend()
-    try:
-        backend.spawn_local_workers(2)
-        backend.wait_for_workers(2, timeout=60)
-        victim = backend.spawned[0]
-        killer = threading.Timer(0.4, victim.kill)
-        killer.start()
-        try:
-            sharded = verify_sharded(
-                task, subroot="always", backend=backend, rebalance=False
-            )
-        finally:
-            killer.cancel()
-        assert victim.poll() is not None, "victim survived the kill window"
-        assert backend.worker_failures >= 1
-        assert backend.requeued >= 1, "no in-flight shard was requeued"
-    finally:
-        backend.close()
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
 
 
 # ----------------------------------------------------------------------
@@ -216,50 +142,7 @@ def test_rebalance_can_be_disabled():
 
 
 # ----------------------------------------------------------------------
-# Wire-protocol corners
-# ----------------------------------------------------------------------
-def test_wire_translates_absolute_deadlines_to_remaining_budget():
-    """Coordinator-absolute deadlines cross the wire as remaining seconds
-    and re-anchor on the receiving host's monotonic clock."""
-    deadline = time.monotonic() + 30.0
-    task = _task(Defense.NONE, limits=SearchLimits(timeout_s=5, deadline=deadline))
-    kind, payload = pack_task(7, WorkItem(task))
-    assert kind == "task"
-    env = payload["env"]
-    assert env.spec_fp is None  # bare items cross as plain envelopes
-    assert env.item.task.limits.deadline is None
-    assert 25.0 < payload["deadline_left"] <= 30.0
-    ticket, env = unpack_task(payload)
-    assert ticket == 7
-    re_anchored = env.item.task.limits.deadline - time.monotonic()
-    assert 25.0 < re_anchored <= 30.0
-    assert env.item.task.limits.timeout_s == 5  # relative budget untouched
-
-
-def test_socket_backend_rejects_bad_tokens():
-    """A connection presenting the wrong token is dropped unauthenticated."""
-    import socket as socketlib
-
-    from repro.campaign.backends.wire import recv_frame, send_frame
-
-    backend = SocketClusterBackend()
-    try:
-        sock = socketlib.create_connection(backend.address, timeout=5)
-        send_frame(sock, "hello", {"token": "wrong", "slots": 1})
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline and backend.capacity() == 0:
-            backend._poll(0.05)
-        assert backend.capacity() == 0
-        sock.settimeout(2)
-        with pytest.raises(Exception):  # EOF -> WireError
-            recv_frame(sock)
-        sock.close()
-    finally:
-        backend.close()
-
-
-# ----------------------------------------------------------------------
-# Review-hardening regressions: shard failures and pre-auth frames
+# Shard failures
 # ----------------------------------------------------------------------
 class _RaisingItem(WorkItem):
     def run(self):
@@ -293,38 +176,3 @@ def test_relevant_shard_failure_aborts_the_campaign(monkeypatch):
             [CampaignUnit("t", ("a",), _task(Defense.NONE))],
             backend="serial",
         )
-
-
-def test_pre_auth_frames_never_reach_pickle():
-    """Before authentication only JSON control frames decode; a crafted
-    pickle first frame is rejected at the wire layer (no code execution),
-    and the hello/welcome handshake itself crosses as JSON."""
-    import json as jsonlib
-    import pickle as picklelib
-
-    from repro.campaign.backends.wire import (
-        WireError,
-        decode_payload,
-        send_frame,
-    )
-
-    crafted = bytes([0x50]) + picklelib.dumps(("hello", {"token": "x"}))
-    with pytest.raises(WireError, match="before authentication"):
-        decode_payload(crafted, allow_pickle=False)
-
-    class _Capture:
-        def __init__(self):
-            self.sent = b""
-
-        def send(self, view):
-            self.sent += bytes(view)
-            return len(view)
-
-    wire = _Capture()
-    send_frame(wire, "hello", {"token": "secret", "slots": 2})
-    body = wire.sent[8:]
-    assert body[0] == 0x4A  # JSON tag
-    kind, payload = jsonlib.loads(body[1:].decode("utf-8"))
-    assert kind == "hello" and payload["slots"] == 2
-    # And the JSON body decodes fine in pre-auth mode.
-    assert decode_payload(body, allow_pickle=False)[0] == "hello"

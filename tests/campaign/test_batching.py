@@ -14,7 +14,6 @@ and a cold process degrades to one extra round trip (``SpecMiss``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 from repro.bench import table2
@@ -32,7 +31,6 @@ from repro.campaign.backends import (
 )
 from repro.campaign.backends import specs as specs_module
 from repro.campaign.backends.specs import spec_fingerprint
-from repro.campaign.backends.wire import pack_task, unpack_task
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
@@ -374,23 +372,3 @@ def test_process_backend_hot_dispatch_is_bit_identical():
     finally:
         backend.close()
 
-
-def test_wire_translates_spec_backed_deadlines():
-    """Deadline translation applies to the envelope's split limits."""
-    deadline = time.monotonic() + 30.0
-    task = replace(
-        _task(2), limits=SearchLimits(timeout_s=5, deadline=deadline)
-    )
-    fp = spec_fingerprint(split_spec(task)[0])
-    env = make_envelope(WorkItem(task, spec_fp=fp), with_spec=True)
-    kind, payload = pack_task(11, env)
-    assert kind == "task"
-    assert payload["env"].spec is not None  # cold send carries the spec
-    assert payload["env"].limits.deadline is None
-    assert 25.0 < payload["deadline_left"] <= 30.0
-    ticket, received = unpack_task(payload)
-    assert ticket == 11
-    re_anchored = received.limits.deadline - time.monotonic()
-    assert 25.0 < re_anchored <= 30.0
-    assert received.limits.timeout_s == 5
-    assert received.item.task is None

@@ -3,7 +3,7 @@
 The merge contract under test: a fuzz report is a pure function of the
 campaign seed -- same leak, same coverage, same round accounting on
 every backend and worker count.  Plus the WorkItem integration surface:
-fuzz payloads ride the same pickles, deadline translation and CLI as
+fuzz payloads ride the same pickles, deadlines and CLI as
 verification shards.
 """
 
@@ -13,12 +13,7 @@ import time
 
 import pytest
 
-from repro.campaign.backends import (
-    SerialBackend,
-    SocketClusterBackend,
-    WorkItem,
-)
-from repro.campaign.backends.wire import pack_task, unpack_task
+from repro.campaign.backends import SerialBackend, WorkItem
 from repro.campaign.log import canonical_lines
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import FUZZ_PRESETS, preset_config
@@ -66,21 +61,6 @@ def test_serial_and_process_reports_are_bit_identical():
     parallel = _run(preset, "process", n_workers=4)
     assert serial.found_leak
     assert _report_fingerprint(serial) == _report_fingerprint(parallel)
-
-
-def test_socket_backend_reports_are_bit_identical_too():
-    """Fuzz shards pickle over TCP to real worker agents and merge to
-    the same report (the third backend of the acceptance matrix)."""
-    preset = preset_config("fuzz-mini")
-    serial = _run(preset, "serial")
-    backend = SocketClusterBackend()
-    try:
-        backend.spawn_local_workers(2)
-        backend.wait_for_workers(2, timeout=60)
-        socket_report = _run(preset, backend)
-    finally:
-        backend.close()
-    assert _report_fingerprint(serial) == _report_fingerprint(socket_report)
 
 
 def test_defended_preset_stays_clean():
@@ -136,20 +116,6 @@ def test_fuzz_workitems_run_through_the_backend_contract():
     assert done == ticket
     assert isinstance(result, FuzzShardResult)
     assert result.programs == 8
-
-
-def test_wire_translates_fuzz_deadlines():
-    """The deadline translation satellites ride fuzz payloads too."""
-    deadline = time.monotonic() + 30.0
-    shard = _mini_shard(limits=SearchLimits(deadline=deadline))
-    kind, payload = pack_task(3, WorkItem(fuzz=shard))
-    assert kind == "task"
-    assert payload["env"].item.fuzz.limits.deadline is None
-    assert 25.0 < payload["deadline_left"] <= 30.0
-    ticket, env = unpack_task(payload)
-    assert ticket == 3
-    re_anchored = env.item.fuzz.limits.deadline - time.monotonic()
-    assert 25.0 < re_anchored <= 30.0
 
 
 def test_expired_deadline_synthesizes_a_budget_outcome():

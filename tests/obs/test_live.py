@@ -3,7 +3,7 @@
 The live-status layer is observability-only, but its own contracts
 still need pinning: ``unit_done`` idempotence (finalize paths can offer
 a unit twice), the EWMA matching the scheduler's calibration constant,
-JSON round-tripping (the ``status`` frame is JSON end to end), the
+JSON round-tripping (the ``--status-json`` file is JSON end to end), the
 publisher's rate limit / ``force`` override, and the atomic
 ``--status-json`` rewrite that external scrapers rely on.
 """
@@ -18,7 +18,6 @@ from repro.obs.live import (
     ProgressSnapshot,
     ProgressTracker,
     StatusPublisher,
-    WorkerHealth,
     snapshot_from_json,
     snapshot_to_json,
     write_status_json,
@@ -44,7 +43,7 @@ def make_snapshot(**overrides) -> ProgressSnapshot:
         uptime_s=12.5,
         wall_unix_s=1.7e9,
         experiment="fig2-mini",
-        backend="socket",
+        backend="process",
         capacity=4,
         units_total=8,
         units_done=5,
@@ -55,17 +54,6 @@ def make_snapshot(**overrides) -> ProgressSnapshot:
         states=123456,
         states_per_s=8000.0,
         eta_s=7.5,
-        workers=(
-            WorkerHealth(
-                label="w0",
-                slots=2,
-                inflight=1,
-                heartbeat_age_s=0.4,
-                spec_cache=2,
-                last_states_per_s=9100.0,
-                rtt_s=0.002,
-            ),
-        ),
         counters=(("campaign.units", 5.0),),
         gauges=(("campaign.capacity", 4.0),),
     )
@@ -138,31 +126,25 @@ class TestSnapshotJson:
         snapshot = make_snapshot()
         data = snapshot_to_json(snapshot)
         assert data["type"] == "status"
-        # The payload must be pure JSON (the observer never unpickles).
+        # The payload must be pure JSON (the watcher never unpickles).
         rebuilt = snapshot_from_json(json.loads(json.dumps(data)))
         assert rebuilt == snapshot
 
     def test_round_trip_with_none_fields(self):
-        snapshot = make_snapshot(
-            eta_s=None,
-            workers=(
-                WorkerHealth(
-                    label="w1",
-                    slots=1,
-                    inflight=0,
-                    heartbeat_age_s=1.0,
-                    spec_cache=0,
-                ),
-            ),
-        )
+        snapshot = make_snapshot(eta_s=None)
         rebuilt = snapshot_from_json(snapshot_to_json(snapshot))
         assert rebuilt == snapshot
-        assert rebuilt.workers[0].rtt_s is None
+        assert rebuilt.eta_s is None
 
     def test_done_property(self):
         assert make_snapshot(units_done=8).done
         assert not make_snapshot(units_done=7).done
         assert not make_snapshot(units_total=0, units_done=0).done
+
+    def test_finished_snapshot_reads_done(self):
+        snapshot = make_snapshot(units_total=0, units_done=0, finished=True)
+        assert snapshot.done
+        assert snapshot_from_json(snapshot_to_json(snapshot)).done
 
 
 class TestPublisher:

@@ -29,7 +29,7 @@ def _sample_recorder() -> Recorder:
     with worker.span("engine.search", engine="vector"):
         pass
     worker.count("engine.states", 11)
-    rec.absorb(worker.batch(), offset=0.0, worker="vm:1")
+    rec.absorb(worker.batch())
     return rec
 
 
@@ -63,7 +63,7 @@ def test_worker_spans_survive_the_export(tmp_path):
     records = read_trace(path)
     assert validate_trace(records, require_worker_spans=True) == []
     workers = {r["worker"] for r in records if r["type"] == "span"}
-    assert workers == {"main", "vm:1"}
+    assert workers == {"main", "pid7"}
 
 
 def test_spans_stream_in_timeline_order(tmp_path):
@@ -165,7 +165,7 @@ def test_require_worker_spans_demands_offloaded_work():
     coordinator_only = [_header(), _span()]
     errors = validate_trace(coordinator_only, require_worker_spans=True)
     assert any("no worker-side spans" in e for e in errors)
-    merged = [_header(), _span(), _span(id=2, worker="vm:1")]
+    merged = [_header(), _span(), _span(id=2, worker="pid7")]
     assert validate_trace(merged, require_worker_spans=True) == []
 
 
@@ -178,7 +178,7 @@ def test_chrome_trace_names_threads_and_scales_to_microseconds(tmp_path):
     document = chrome_trace(read_trace(path))
     events = document["traceEvents"]
     names = {e["args"]["name"] for e in events if e["ph"] == "M"}
-    assert names == {"main", "vm:1"}
+    assert names == {"main", "pid7"}
     complete = [e for e in events if e["ph"] == "X"]
     assert {e["name"] for e in complete} == {
         "campaign", "unit", "engine.search",

@@ -3,11 +3,11 @@
 The recorder must never touch verdict or merge paths: a traced campaign
 produces the same verdicts, the same :class:`SearchStats`, the same
 counterexamples and the same canonical JSONL log as an untraced one, on
-every backend.  The matrix here runs the fig2-mini grid through serial,
-process and socket (two real local worker agents) and the fuzz-mini
-preset through serial, each against its untraced twin -- and asserts the
-traced runs actually recorded what they promise (engine spans, merged
-worker batches, populated telemetry).
+every backend.  The matrix here runs the fig2-mini grid through serial
+and process and the fuzz-mini preset through serial, each against its
+untraced twin -- and asserts the traced runs actually recorded what
+they promise (engine spans, merged worker batches, populated
+telemetry).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro import obs
 from repro.bench import fig2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
-from repro.campaign.backends import SocketClusterBackend
 from repro.campaign.log import CampaignLog
 from repro.campaign.scheduler import run_campaign
 from repro.fuzz.campaign import run_fuzz
@@ -37,17 +36,6 @@ def _tracing_off():
     previous = obs.install(None)
     yield
     obs.install(previous)
-
-
-@pytest.fixture(scope="module")
-def socket_backend():
-    backend = SocketClusterBackend()
-    try:
-        backend.spawn_local_workers(2)
-        backend.wait_for_workers(2, timeout=60)
-        yield backend
-    finally:
-        backend.close()
 
 
 def _canonical(handle: io.StringIO) -> list[str]:
@@ -123,25 +111,6 @@ def test_process_trace_is_bit_identical_and_merges_pool_batches():
     searches = [s for s in recorder.spans if s.name == "engine.search"]
     assert searches
     assert any(span.worker != recorder.worker for span in searches)
-
-
-def test_socket_trace_is_bit_identical_with_worker_side_spans(socket_backend):
-    baseline = _run_grid("serial", traced=False)
-    traced = _run_grid(
-        socket_backend, traced=True, n_workers=2, subroot="always"
-    )
-    _assert_identical(baseline, traced, "socket")
-    recorder = traced[2]
-    remote = {
-        span.worker
-        for span in recorder.spans
-        if span.worker != recorder.worker
-    }
-    # Spans merged from both agents, relabelled with connection labels
-    # and renumbered into the coordinator's id space.
-    assert remote, "no worker-side spans crossed the wire"
-    ids = [span.span_id for span in recorder.spans]
-    assert len(ids) == len(set(ids))
 
 
 # ----------------------------------------------------------------------
