@@ -24,6 +24,7 @@ repository root (regeneration recipe in EXPERIMENTS.md;
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -133,6 +134,12 @@ def test_explorer_throughput_fig2_rob_cell(scale, rob_size):
         )
 
 
+#: Alternating off/noop/jsonl rounds of the tracing-overhead cell; each
+#: leg's time is its median over the rounds, so one leg landing on a
+#: busy moment of a shared host cannot fail (or pass) the test alone.
+TRACING_ROUNDS = 3
+
+
 @pytest.mark.parametrize("rob_size", ROB_SIZES)
 def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
     """The observability cost ledger: off vs recorder vs JSONL export.
@@ -141,46 +148,54 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
     shipped default -- every instrumentation point is one ``is None``
     branch), a live in-memory recorder whose output is discarded
     (``noop``), and a live recorder exported through the JSONL sink
-    (``jsonl``).  Verdicts and stats are asserted bit-identical across
-    legs -- the "tracing on vs off is bit-identical" contract, measured
-    where the overhead is -- and the ratios land in
-    ``BENCH_explorer.json`` for the perf gate.
+    (``jsonl``).  The legs run in :data:`TRACING_ROUNDS` alternating
+    rounds.  Verdicts and stats are asserted bit-identical on every
+    leg -- the "tracing on vs off is bit-identical" contract, measured
+    where the overhead is -- and the ratios of the median leg times land
+    in ``BENCH_explorer.json`` for the perf gate.
     """
     from repro import obs
     from repro.obs import sinks
 
     task = fig2.point_task(fig2.PANELS[0], "rob", rob_size, scale)
 
-    obs.install(None)
-    off = _measure(Explorer, task)
-    with obs.tracing():
-        noop = _measure(Explorer, task)
-    with obs.tracing() as recorder:
-        jsonl = _measure(Explorer, task)
-    trace_records = sinks.write_jsonl(recorder, tmp_path / "trace.jsonl")
+    runs: dict[str, list] = {"off": [], "noop": [], "jsonl": []}
+    for _ in range(TRACING_ROUNDS):
+        obs.install(None)
+        runs["off"].append(_measure(Explorer, task))
+        with obs.tracing():
+            runs["noop"].append(_measure(Explorer, task))
+        with obs.tracing() as recorder:
+            runs["jsonl"].append(_measure(Explorer, task))
+        trace_records = sinks.write_jsonl(recorder, tmp_path / "trace.jsonl")
 
-    off_outcome, off_s, off_keys, off_bytes, mode = off
-    for label, leg in (("noop", noop), ("jsonl", jsonl)):
-        outcome = leg[0]
-        assert outcome.kind == off_outcome.kind, label
-        assert outcome.stats == off_outcome.stats, label
-        assert outcome.counterexample == off_outcome.counterexample, label
-        assert leg[2] == off_keys, label
+    off_outcome, _, off_keys, _, mode = runs["off"][0]
+    for label, measured in runs.items():
+        for outcome, _, keys, _, _ in measured:
+            assert outcome.kind == off_outcome.kind, label
+            assert outcome.stats == off_outcome.stats, label
+            assert outcome.counterexample == off_outcome.counterexample, label
+            assert keys == off_keys, label
 
     states = off_outcome.stats.states
 
-    def _leg(measured):
-        _, elapsed, keys, visited_bytes, _ = measured
-        return {
-            "elapsed_s": round(elapsed, 3),
-            "states_per_s": round(states / elapsed, 1),
-            "visited_keys": keys,
-            "visited_bytes": visited_bytes,
+    elapsed = {
+        label: statistics.median(run[1] for run in measured)
+        for label, measured in runs.items()
+    }
+    legs = {
+        label: {
+            "elapsed_s": round(elapsed[label], 3),
+            "states_per_s": round(states / elapsed[label], 1),
+            "visited_keys": measured[0][2],
+            "visited_bytes": measured[0][3],
         }
-
-    legs = {"off": _leg(off), "noop": _leg(noop), "jsonl": _leg(jsonl)}
-    overhead_noop = legs["off"]["states_per_s"] / legs["noop"]["states_per_s"]
-    overhead_jsonl = legs["off"]["states_per_s"] / legs["jsonl"]["states_per_s"]
+        for label, measured in runs.items()
+    }
+    # Same states every leg, so off/leg states/s is leg/off elapsed: the
+    # recorded overheads agree with the recorded states/s.
+    overhead_noop = elapsed["noop"] / elapsed["off"]
+    overhead_jsonl = elapsed["jsonl"] / elapsed["off"]
     record = {
         "experiment": "tracing-overhead",
         "scale": scale.name,
@@ -189,6 +204,7 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
         "kind": off_outcome.kind,
         "states": states,
         "engine_mode": mode,
+        "rounds": TRACING_ROUNDS,
         "off": legs["off"],
         "noop": legs["noop"],
         "jsonl": legs["jsonl"],
@@ -199,9 +215,9 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
     update_bench_record(BENCH_RECORD, f"fig2-rob{rob_size}-tracing{_SUFFIX}", record)
     print()
     print(
-        f"tracing overhead (ROB-{rob_size}): off "
-        f"{legs['off']['states_per_s']:.0f} st/s, noop recorder "
-        f"{overhead_noop:.3f}x, JSONL sink {overhead_jsonl:.3f}x "
+        f"tracing overhead (ROB-{rob_size}, median of {TRACING_ROUNDS} "
+        f"rounds): off {legs['off']['states_per_s']:.0f} st/s, noop "
+        f"recorder {overhead_noop:.3f}x, JSONL sink {overhead_jsonl:.3f}x "
         f"({trace_records} trace records) -> {BENCH_RECORD.name}"
     )
 
@@ -210,7 +226,6 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
     # against frequency scaling between legs).
     if rob_size >= 4:
         assert overhead_jsonl < 1.25, (
-            f"tracing overhead grew to {overhead_jsonl:.2f}x on the "
-            f"ROB-{rob_size} cell"
+            f"tracing overhead grew to {overhead_jsonl:.2f}x (median of "
+            f"{TRACING_ROUNDS} rounds) on the ROB-{rob_size} cell"
         )
-

@@ -16,9 +16,9 @@ register file, data memory and ROB):
   instructions); divergence D3 in EXPERIMENTS.md.
 
 Every sweep point is an independent :class:`CampaignUnit` (most pin a
-``secret_mode="single"`` quantifier with one or two roots), so the grid
-is the sub-root scheduler's flagship workload: root sharding alone cannot
-split a point's dominant single-root subtree, sub-root sharding can.
+``secret_mode="single"`` quantifier with one or two roots), so a
+parallel sweep spreads its points across workers; a point never splits
+below its roots.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def run(
     n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
-    subroot: str = "auto",
     backend=None,
     regfile_sizes=REGFILE_SIZES,
     dmem_sizes=DMEM_SIZES,
@@ -183,9 +182,9 @@ def run(
     """Run both panels; returns ``results[panel][structure]``.
 
     ``n_workers`` fans the sweep grid over the campaign scheduler
-    (``1`` = the historical serial path); most points have one or two
-    quantifier roots, so parallel speedups here come from sub-root
-    sharding (``subroot="auto"``).
+    (``1`` = the historical serial path).  Most points have one or two
+    quantifier roots, so the sweep parallelizes across points: its wall
+    time is bounded below by its largest point (the biggest ROB).
     """
     grid = units(
         scale,
@@ -199,7 +198,6 @@ def run(
         budget_s=budget_s,
         log=log,
         experiment=EXPERIMENT,
-        subroot=subroot,
         backend=backend,
     )
     results = _empty_results()

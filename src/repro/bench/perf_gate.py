@@ -76,20 +76,9 @@ def _path(*parts: str) -> Callable[[dict], float | None]:
     return get
 
 
-def _states_per_serial_s(record: dict):
-    states, serial_s = record.get("states"), record.get("serial_s")
-    if not states or not serial_s:
-        return None
-    return states / serial_s
-
-
 #: Gated metrics per experiment (see the module docstring for policy).
 GATES: dict[str, list[Metric]] = {
     "table2-grid": [
-        Metric("speedup", _path("speedup"), parallel=True),
-    ],
-    "fig2-rob-subroot": [
-        Metric("serial states/s", _states_per_serial_s),
         Metric("speedup", _path("speedup"), parallel=True),
     ],
     "explorer-throughput": [

@@ -111,19 +111,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
         "speedup": _field(_NUM, positive=True),
         "cells": _cells,
     },
-    "fig2-rob-subroot": {
-        "scale": _field(str),
-        "n_workers": _field(int, positive=True),
-        "oversubscribed": _field(bool),
-        "panel": _field(str),
-        "rob_size": _field(int, positive=True),
-        "n_roots": _field(int, positive=True),
-        "kind": _kind,
-        "states": _field(int, positive=True),
-        "serial_s": _field(_NUM, positive=True),
-        "sharded_s": _field(_NUM, positive=True),
-        "speedup": _field(_NUM, positive=True),
-    },
     "explorer-throughput": {
         "scale": _field(str),
         "cell": _field(dict),
@@ -175,7 +162,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
 #: ``speedup`` recomputation per experiment: (numerator, denominator).
 _SPEEDUP_LEGS = {
     "table2-grid": ("serial_s", "parallel_s"),
-    "fig2-rob-subroot": ("serial_s", "sharded_s"),
 }
 
 

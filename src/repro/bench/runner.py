@@ -61,16 +61,14 @@ def run_units(
     budget_s: float | None = None,
     log: CampaignLog | None = None,
     experiment: str = "bench",
-    subroot: str = "auto",
     backend=None,
 ) -> dict[tuple[str, ...], Outcome]:
     """Run a driver's unit grid; returns ``outcome`` by unit ``key``.
 
     Defaults to ``n_workers=1`` (the serial reproducibility path) so that
     existing callers and committed benchmark numbers keep their meaning;
-    drivers surface the knob to their callers.  ``subroot`` selects the
-    shard granularity below the root and ``backend`` the executor --
-    ``"serial"`` / ``"process"`` or a live instance (see
+    drivers surface the knob to their callers.  ``backend`` selects the
+    executor -- ``"serial"`` / ``"process"`` or a live instance (see
     :func:`repro.campaign.scheduler.run_campaign`; results are
     bit-identical across backends).
     """
@@ -80,7 +78,6 @@ def run_units(
         budget_s=budget_s,
         log=log,
         experiment=experiment,
-        subroot=subroot,
         backend=backend,
     )
     return {result.key: result.outcome for result in results}

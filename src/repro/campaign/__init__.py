@@ -6,9 +6,8 @@ Public surface:
   picklable named core factories (drop-in for the old lambdas),
 - :class:`CampaignUnit` + :func:`run_campaign` -- fan a grid of
   verification tasks (one bench table) across an execution backend,
-- :func:`verify_sharded` -- shard a single task across its secret-pair
-  roots and, below each root, across the first cycle's independent
-  subtrees (``subroot="auto"|"always"|"never"``),
+- :func:`verify_sharded` -- shard a single task into contiguous batches
+  of its secret-pair roots,
 - :mod:`repro.campaign.backends` -- the executors: ``SerialBackend``
   (inline reference) and ``ProcessPoolBackend`` (worker processes),
 - :class:`repro.campaign.log.CampaignLog` -- JSONL result logs that
@@ -43,7 +42,6 @@ from repro.campaign.registry import (
 from repro.campaign.scheduler import (
     BACKEND_NAMES,
     BUDGET_NOTE,
-    SUBROOT_MODES,
     CampaignResult,
     CampaignUnit,
     resolve_workers,
@@ -54,7 +52,6 @@ from repro.campaign.scheduler import (
 __all__ = [
     "BACKEND_NAMES",
     "BUDGET_NOTE",
-    "SUBROOT_MODES",
     "CORE_FACTORIES",
     "CampaignLog",
     "CampaignResult",

@@ -6,7 +6,7 @@ grids are built in:
 - ``mini`` (default): two SimpleOoO cells -- one attack (insecure core)
   and one proof (Delay-spectre defense),
 - ``fig2-mini``: both Fig. 2 panels' sweeps cut to their smallest sizes
-  (includes a single-root point, the sub-root scheduler's target), and
+  (includes a single-root point, which runs as one shard), and
 - ``ablation-mini``: the fetch-gate ablation's attack and plain-proof
   workloads, gated and ungated.
 
@@ -17,11 +17,11 @@ so one entry point drives both verification modes.
 
 ``--backend`` selects the executor (``serial`` / ``process``).
 
-CI runs each grid twice, with ``--workers 1`` and ``--workers 4
---subroot always``, and diffs the canonical JSONL logs: any pickling
-break, nondeterministic merge (root-, sub-root- or steal-granular),
-backend divergence or scheme regression fails the smoke job within
-minutes instead of surfacing in the ten-minute benchmark suite.
+CI runs each grid twice, with ``--workers 1`` and ``--workers 4``, and
+diffs the canonical JSONL logs: any pickling break, nondeterministic
+root-batch merge, backend divergence or scheme regression fails the
+smoke job within minutes instead of surfacing in the ten-minute
+benchmark suite.
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ from repro.campaign.cli import (
 )
 from repro.campaign.log import CampaignLog
 from repro.campaign.registry import core_spec
-from repro.campaign.scheduler import (
-    SUBROOT_MODES,
-    CampaignUnit,
-    run_campaign,
-)
+from repro.campaign.scheduler import CampaignUnit, run_campaign
 from repro.core.contracts import sandboxing
 from repro.core.verifier import VerificationTask
 from repro.isa.encoding import space_tiny
@@ -120,10 +116,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes (default/0: one per CPU; 1 = serial path)",
     )
     parser.add_argument(
-        "--subroot", default="auto", choices=SUBROOT_MODES,
-        help="shard granularity below the root (default: auto)",
-    )
-    parser.add_argument(
         "--log", default=None, help="write a JSONL result log to this path"
     )
     parser.add_argument(
@@ -166,7 +158,6 @@ def main(argv: list[str] | None = None) -> int:
             budget_s=args.budget,
             log=log,
             experiment=args.units,
-            subroot=args.subroot,
             backend=args.backend,
             status_json=args.status_json,
         )
@@ -192,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         desc={
             "cli": "campaign",
             "units": args.units,
-            "subroot": args.subroot,
             "backend": telemetry.backend if telemetry else "",
             "workers": telemetry.capacity if telemetry else 0,
         },

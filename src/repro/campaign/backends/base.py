@@ -3,8 +3,7 @@
 The campaign scheduler (:mod:`repro.campaign.scheduler`) plans work as
 :class:`WorkItem` values -- one picklable, self-contained shard each: a
 :class:`repro.core.verifier.VerificationTask` over a contiguous batch of
-a unit's roots, or a single-root task narrowed to one seeded frontier
-slice.  *Where* those items execute is the backend's business:
+a unit's roots.  *Where* those items execute is the backend's business:
 
 - :class:`repro.campaign.backends.serial.SerialBackend` runs them inline
   (the deterministic reference),
@@ -19,15 +18,14 @@ Backend contract
 ----------------
 ``submit_unit`` enqueues an item and returns a ticket.  ``as_completed``
 is an iterator of ``(ticket, outcome)`` pairs that blocks while work is
-outstanding and stops when none is; items may be submitted or cancelled
-*between* yields (the scheduler requeues stolen work mid-iteration).
-``cancel`` is best-effort: ``True`` guarantees the ticket will never be
-yielded; ``False`` means the item is past the point of no return and its
-result will still arrive (the scheduler must tolerate stale results
-either way).  ``capacity`` is the backend's current parallel width --
-the signal the scheduler's sub-root planner and work-stealing rebalance
-key off.  Backends need no campaign deadline: every item carries it in
-its :class:`repro.mc.explorer.SearchLimits`.
+outstanding and stops when none is; items may be cancelled *between*
+yields.  ``cancel`` is best-effort: ``True`` guarantees the ticket will
+never be yielded; ``False`` means the item is past the point of no
+return and its result will still arrive (the scheduler must tolerate
+stale results either way).  ``capacity`` is the backend's current
+parallel width -- the signal the scheduler's root-batch planner keys
+off.  Backends need no campaign deadline: every item carries it in its
+:class:`repro.mc.explorer.SearchLimits`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.mc.result import TIMEOUT, Outcome, SearchStats
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep workers light
     from repro.core.verifier import VerificationTask
-    from repro.mc.explorer import FrontierEntry
 
 #: ``note`` attached to outcomes synthesized when the campaign budget
 #: expires before a shard could run.
@@ -64,11 +61,10 @@ class ShardFailure:
 
     Backends deliver this through ``as_completed`` rather than raising,
     because only the *scheduler* knows whether the failing shard still
-    matters: a serially-dead shard (its slot already decided by a
-    serially-earlier non-proof, or out-raced by a steal group) is work
-    the serial engine would never have run, so its failure is ignored --
-    exactly like the old pool path, which never fetched the result of an
-    obsolete future.  A failure on a shard the merge still needs is
+    matters: a serially-dead shard (its unit already decided by a
+    serially-earlier non-proof) is work the serial engine would never
+    have run, so its failure is ignored -- exactly like the old pool
+    path, which never fetched the result of an obsolete future.  A failure on a shard the merge still needs is
     re-raised by the scheduler: the error is deterministic and would
     fail identically anywhere, so crashing honestly beats retrying.
     """
@@ -140,19 +136,12 @@ def collect_results(
 class WorkItem:
     """One schedulable shard: everything a worker needs, in one pickle.
 
-    Three item kinds share the schedulable-unit contract (a pure
-    function of the pickled fields, so merges are backend-independent):
+    Two item kinds share the schedulable-unit contract (a pure function
+    of the pickled fields, so merges are backend-independent):
 
-    - ``task`` with ``entries is None``: a root-batch shard (verify
-      ``task`` outright; its roots are a contiguous batch of the unit's,
-      so the outcome equals the serial merge of those roots);
-    - ``task`` with ``entries``: a seeded sub-root *batch* -- a
-      contiguous slice of one root's first-cycle frontier, searched in
-      one :meth:`repro.mc.explorer.Explorer.run_seeded` call.  Because
-      seeded entries are explored LIFO exactly like the serial engine
-      explores a root's children, a batch outcome equals the serial
-      merge of its entries' single-entry outcomes -- batching moves
-      dispatch overhead, never results;
+    - ``task``: a root-batch shard (verify ``task`` outright; its roots
+      are a contiguous batch of the unit's, so the outcome equals the
+      serial merge of those roots);
     - ``fuzz``: a random-testing unit -- a
       :class:`repro.fuzz.work.FuzzShard` batch or a
       :class:`repro.fuzz.work.MinimizeProbe` delta-debugging candidate
@@ -168,7 +157,6 @@ class WorkItem:
     """
 
     task: "VerificationTask | None" = None
-    entries: "tuple[FrontierEntry, ...] | None" = None
     fuzz: object | None = None
     spec_fp: int | None = None
 
@@ -193,27 +181,12 @@ class WorkItem:
         deadline = self.limits.deadline
         if deadline is not None and clock.monotonic() >= deadline:
             return budget_outcome()
-        with obs.span(
-            "shard.run",
-            fuzz=self.fuzz is not None,
-            entries=0 if self.entries is None else len(self.entries),
-        ):
-            return self._execute()
-
-    def _execute(self) -> Outcome:
-        if self.fuzz is not None:
-            return self.fuzz.run()
-        task = self.task
-        if self.entries is None:
+        with obs.span("shard.run", fuzz=self.fuzz is not None):
+            if self.fuzz is not None:
+                return self.fuzz.run()
             from repro.core.verifier import verify
 
-            return verify(task)
-        from repro.mc.explorer import Explorer
-
-        explorer = Explorer(
-            task.build_product(), task.space, task.build_roots(), task.limits
-        )
-        return explorer.run_seeded(list(self.entries))
+            return verify(self.task)
 
 
 def execute_item(item: WorkItem) -> Outcome:
@@ -237,8 +210,8 @@ class ExecutionBackend:
         """Items queued or occupying a worker slot right now.
 
         Counts cancelled-but-unpreemptable items still running (they
-        hold a slot), which scheduler-side bookkeeping cannot see --
-        this is the honest denominator for the work-stealing idle check.
+        hold a slot), which scheduler-side bookkeeping cannot see; live
+        status reports it as the in-flight count.
         """
         raise NotImplementedError
 

@@ -73,9 +73,8 @@ def split_spec(task: "VerificationTask"):
     """Split a task into (spec, roots, limits).
 
     The spec normalizes ``roots`` to ``None`` and ``limits`` to the
-    default, so every shard of one unit -- root batch, seeded batch or
-    steal racer, whatever deadline was stamped -- shares one spec (and
-    one fingerprint).
+    default, so every root batch of one unit, whatever deadline was
+    stamped, shares one spec (and one fingerprint).
     """
     from repro.mc.explorer import SearchLimits
 

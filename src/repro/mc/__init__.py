@@ -19,12 +19,7 @@ the two copies (an uninterpreted function of ``(pc, occurrence)``).
 """
 
 from repro.mc.env import Environment
-from repro.mc.explorer import (
-    Explorer,
-    FrontierEntry,
-    RootExpansion,
-    SearchLimits,
-)
+from repro.mc.explorer import Explorer, SearchLimits
 from repro.mc.intern import deep_sizeof
 from repro.mc.result import Counterexample, Outcome
 
@@ -32,9 +27,7 @@ __all__ = [
     "Counterexample",
     "Environment",
     "Explorer",
-    "FrontierEntry",
     "Outcome",
-    "RootExpansion",
     "SearchLimits",
     "deep_sizeof",
 ]

@@ -86,7 +86,7 @@ class Environment:
 
     def __reduce__(self):
         # Pickle only the value; the dict and cached hash rebuild locally
-        # (keeps FrontierEntry / Counterexample pickles small).
+        # (keeps Counterexample pickles small).
         return (Environment, (self.imem, self.preds))
 
     # ------------------------------------------------------------------

@@ -15,11 +15,6 @@ a depth-first traversal of the product transition system with:
   over the modeled domain.
 - **wall-clock budget**: exceeding it yields the paper's third outcome,
   timeout.
-- **seeded frontiers**: :meth:`Explorer.expand_root` enumerates a root's
-  first-cycle children (independent subtrees -- see
-  :class:`RootExpansion`) and :meth:`Explorer.run_seeded` searches one
-  such slice, the shard boundary ``repro.campaign`` uses to parallelize
-  *inside* a single-root proof.
 
 Hot-path engineering (the state engine)
 ---------------------------------------
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro import obs
 from repro.obs import clock
@@ -95,58 +89,6 @@ class Root:
 
     label: str
     dmem_pair: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class FrontierEntry:
-    """One seeded search node: a first-cycle child of a root.
-
-    Everything a worker needs to resume the DFS below this node --
-    resolved environment, canonical product snapshot, absolute depth --
-    is plain data, so entries pickle across process boundaries.
-    """
-
-    env: Environment
-    snap: tuple
-    depth: int
-
-
-@dataclass(frozen=True)
-class RootExpansion:
-    """The first-cycle expansion of one root: the sub-root shard plan.
-
-    The first cycle's nondeterministic choices (instructions for the
-    slots fetched this cycle, predictor bits for new branches) partition
-    the root's DFS into independent subtrees: every surviving child's
-    environment strictly extends the root environment with a *different*
-    assignment, environments only ever grow along a path, and visited
-    keys embed the environment -- so two children's subtrees can never
-    share a state, and none can revisit the root.  Searching the children
-    separately (:meth:`Explorer.run_seeded`) and merging in serial LIFO
-    order reproduces the monolithic search bit for bit.
-
-    ``decided`` is non-``None`` when the expansion itself settled the
-    root: an attack found on a first-cycle transition, or the budget
-    expiring at the root state.  ``stats``/``elapsed`` are the prelude
-    the merge must add on top of the children's outcomes: the root state
-    itself plus every first-cycle transition (the serial engine completes
-    the whole expansion before descending).
-    """
-
-    decided: Outcome | None
-    stats: SearchStats
-    elapsed: float
-    entries: tuple[FrontierEntry, ...]
-
-    @property
-    def splittable(self) -> bool:
-        """Whether per-child shards are sound and worthwhile.
-
-        With fewer than two children there is nothing to parallelize --
-        and a lone child may share the root's environment (nothing was
-        concretized), voiding the subtree-disjointness argument.
-        """
-        return self.decided is None and len(self.entries) >= 2
 
 
 class _Budget:
@@ -225,110 +167,11 @@ class Explorer:
             stack.append(vec.seed_node(root_index, env, vec.capture(), 0))
         return self._searched(stack)
 
-    def run_seeded(self, entries: Sequence[FrontierEntry]) -> Outcome:
-        """Search a slice of the (single) root's first-cycle frontier.
-
-        The sub-root shard entry point: instead of the bare root, the DFS
-        starts from the given frontier entries (pushed in order, so the
-        LIFO stack explores the *last* entry first, exactly as the serial
-        engine explores a root's children).  The caller owns the serial
-        merge: prelude stats from :meth:`expand_root` plus per-entry
-        outcomes in reversed entry order.
-        """
-        if len(self.roots) != 1:
-            raise ValueError("seeded search requires exactly one root")
-        stack = []
-        vec = self._vector
-        # Entries carry object snapshots; replay each into the live
-        # product (canonical frame by construction) and intern the
-        # resulting state as dense ids.
-        vec.select_root(self.roots[0])
-        for entry in entries:
-            self.product.restore(entry.snap)
-            stack.append(vec.seed_node(0, entry.env, vec.capture(), entry.depth))
-        return self._searched(stack)
-
-    def expand_root(self) -> RootExpansion:
-        """Expand the (single) root's first cycle; the sub-root planner.
-
-        Mirrors the first iteration of :meth:`run` exactly: pop the root
-        state, charge the budget, run every first-cycle choice through the
-        product, and collect the surviving children as frontier entries in
-        yield order.
-        """
-        [root] = self.roots
-        imem_size = self.product.params.imem_size
-        env = Environment.empty(imem_size)
-        self.product.reset(root.dmem_pair)
-        return self._expand_node(root, env, self.product.snapshot(), 0)
-
-    def expand_entry(self, entry: FrontierEntry) -> RootExpansion:
-        """Expand one frontier entry one more cycle; the depth-2 planner.
-
-        The work-stealing rebalance (:mod:`repro.campaign.scheduler`)
-        re-splits a dominant sub-root slice into its children's subtrees
-        with this: the independence argument of :class:`RootExpansion`
-        recurses verbatim (>= 2 surviving children means the cycle
-        concretized at least one slot or predictor bit, so the children's
-        environments conflict and their subtrees stay disjoint forever).
-        Stats mirror the serial engine visiting the entry node at its
-        absolute ``depth``: the prelude carries ``max_depth = depth``,
-        children start at ``depth + 1``, so ``prelude + merged children``
-        is bit-identical to :meth:`run_seeded` on the whole entry.
-        """
-        [root] = self.roots
-        self.product.reset(root.dmem_pair)
-        self.product.restore(entry.snap)
-        return self._expand_node(root, entry.env, entry.snap, entry.depth)
-
-    def _expand_node(
-        self, root: Root, env: Environment, snap: tuple, depth: int
-    ) -> RootExpansion:
-        """One-cycle expansion of a node the product currently embodies."""
-        budget = _Budget(self.limits)
-        transitions = pruned = 0
-        prune_reasons: dict[str, int] = {}
-        if budget.exhausted(1):
-            stats = SearchStats(1, 0, 0, depth, {})
-            decided = Outcome(kind=TIMEOUT, elapsed=budget.elapsed(), stats=stats)
-            return RootExpansion(decided, stats, budget.elapsed(), ())
-        entries: list[FrontierEntry] = []
-        requests = self.product.fetch_requests()
-        stepped = False
-        for child_env, bundles in self._choices(env, requests):
-            if stepped:
-                self.product.restore(snap)
-            stepped = True
-            result = self.product.step_cycle(bundles)
-            transitions += 1
-            if result.pruned:
-                pruned += 1
-                reason = result.reason or "assume"
-                prune_reasons[reason] = prune_reasons.get(reason, 0) + 1
-                continue
-            if result.failed:
-                stats = SearchStats(1, transitions, pruned, depth, prune_reasons)
-                cex = Counterexample(
-                    root_label=root.label,
-                    dmem_pair=root.dmem_pair,
-                    env=child_env,
-                    depth=depth + 1,
-                    reason=result.reason or "leakage",
-                )
-                decided = Outcome(
-                    kind=ATTACK,
-                    elapsed=budget.elapsed(),
-                    stats=stats,
-                    counterexample=cex,
-                )
-                return RootExpansion(decided, stats, budget.elapsed(), ())
-            if self.product.quiescent():
-                continue
-            entries.append(
-                FrontierEntry(child_env, self.product.snapshot(), depth + 1)
-            )
-        stats = SearchStats(1, transitions, pruned, depth, prune_reasons)
-        return RootExpansion(None, stats, budget.elapsed(), tuple(entries))
+    # Kept only because the frozen perfbench/layers.py wraps this name;
+    # seeded sub-root search is gone and nothing calls it.
+    def run_seeded(self, entries) -> Outcome:
+        """Removed; search whole roots with :meth:`run`."""
+        raise NotImplementedError("seeded sub-root search was removed")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -594,12 +437,10 @@ class Explorer:
         n_slots = len(self.product.machines)
         imem = env.imem
         # A fetch PC is enumerable only inside the modeled instruction
-        # memory; ``len(env.imem)`` additionally guards seeded frontiers
-        # whose environment models a smaller memory than the product's
-        # parameters claim.  Everything else -- a wrapped or overflowed PC
-        # from a mispredicted fetch included -- reads as ``HALT``, exactly
-        # like running off the end of the program.
-        imem_size = min(self.product.params.imem_size, len(imem))
+        # memory.  Everything else -- a wrapped or overflowed PC from a
+        # mispredicted fetch included -- reads as ``HALT``, exactly like
+        # running off the end of the program.
+        imem_size = self.product.params.imem_size
         open_pcs = sorted(
             {
                 req.pc

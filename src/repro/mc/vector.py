@@ -483,9 +483,8 @@ class VectorEngine:
     def capture(self) -> tuple[int, ...]:
         """Intern the product's live state as ``(*sids, checker_id)``.
 
-        The live state must be canonical-frame (freshly reset or
-        restored from a canonical snapshot), which is every caller: root
-        seeding and seeded-frontier re-encoding.
+        The live state must be canonical-frame (freshly reset), which
+        root seeding, the one caller, guarantees.
         """
         state = [self._intern_machine(slot) for slot in range(len(self._machines))]
         bases = tuple([machine.seq_base() for machine in self._machines])

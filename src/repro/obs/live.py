@@ -124,13 +124,12 @@ class ProgressTracker:
 
     One per campaign.  ``unit_done`` is idempotent per unit index (the
     scheduler's finalize paths can offer a unit more than once), shard
-    counters are monotonic, and the states/s estimate is the same
-    alpha-0.3 EWMA the batch-size calibration uses.  Everything here is
-    bookkeeping about the campaign, never input to it.
+    counters are monotonic, and the states/s estimate is an alpha-0.3
+    EWMA.  Everything here is bookkeeping about the campaign, never
+    input to it.
     """
 
-    #: EWMA step for the throughput estimate (mirrors the scheduler's
-    #: ``_Calibration.ALPHA``).
+    #: EWMA step for the throughput estimate.
     ALPHA = 0.3
 
     def __init__(

@@ -5,8 +5,7 @@ the scheduler (and now the fuzz loop) increments registry counters as it
 works, and the old dataclass is *filled from* the registry at campaign
 end (:func:`fill_telemetry`) as a compatibility shim -- existing tests
 and callers keep reading ``LAST_TELEMETRY`` unchanged while new series
-(states/s over time, visited load factor, batch grain error vs the EWMA
-prediction) accumulate here.
+(states/s over time, visited load factor) accumulate here.
 
 Instruments:
 
@@ -15,8 +14,7 @@ Instruments:
 - :class:`Histogram` -- fixed *log-scale* bucket boundaries
   (:func:`log_bucket_boundaries`): boundary ``k`` is
   ``10**(lo_exp + k/per_decade)``, so relative error per bucket is
-  bounded and one layout covers microseconds to minutes (or 0.1x to
-  10x grain-error ratios).  Observation is one ``bisect`` plus two
+  bounded and one layout covers microseconds to minutes.  Observation is one ``bisect`` plus two
   adds.
 - :class:`Series` -- an append-only ``(t, value)`` list for
   over-time plots (states/s per completed shard).
@@ -188,29 +186,9 @@ def new_registry() -> MetricsRegistry:
     return registry
 
 
-#: Registry counter name per ``CampaignTelemetry`` counter field.
-TELEMETRY_COUNTERS = {
-    "steals": "campaign.steals",
-    "steal_settled": "campaign.steal_settled",
-    "steal_won": "campaign.steal_won",
-    "shards": "campaign.shards",
-    "grain_states": "campaign.grain_states",
-}
-
-
 def fill_telemetry(telemetry, registry: MetricsRegistry) -> None:
-    """The compatibility shim: copy registry values onto the old
-    ``CampaignTelemetry`` dataclass.
-
-    Each mapped name is read as a counter first, then as a gauge
-    (``campaign.grain_states`` is a gauge -- a planner setting, not a
-    sum); a name recorded as neither reads as 0.
+    """The compatibility shim: copy the ``campaign.shards`` counter onto
+    the old ``CampaignTelemetry`` dataclass (0 if never recorded).
     """
-    for field, name in TELEMETRY_COUNTERS.items():
-        counter = registry.counters.get(name)
-        if counter is not None:
-            setattr(telemetry, field, counter.value)
-            continue
-        gauge = registry.gauges.get(name)
-        value = gauge.value if gauge is not None else None
-        setattr(telemetry, field, 0 if value is None else value)
+    counter = registry.counters.get("campaign.shards")
+    telemetry.shards = 0 if counter is None else counter.value

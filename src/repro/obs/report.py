@@ -12,8 +12,7 @@ campaign writes (``--trace`` on the campaign/fuzz CLIs):
 - **hottest units**: top-N campaign units by verification time
   (from the scheduler's ``unit.done`` events);
 - **histograms**: metric-histogram summaries from the trace's registry
-  snapshot (e.g. the scheduler's batch-size prediction error,
-  ``campaign.grain_error``).
+  snapshot.
 
 ``--chrome OUT.json`` additionally exports the Chrome ``trace_event``
 document (:mod:`repro.obs.sinks`) for ``chrome://tracing`` / Perfetto.

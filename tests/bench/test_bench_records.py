@@ -149,26 +149,12 @@ def test_gate_checks_lower_is_better_metrics():
 
 def test_gate_skips_parallel_metrics_on_oversubscribed_runners():
     """4 workers on 1 CPU cannot demonstrate speedup: the gate must say
-    so and fall back to states/s-only instead of failing on physics."""
-    record = {
-        "experiment": "fig2-rob-subroot",
-        "scale": "quick",
-        "cpu_count": 1,
-        "n_workers": 4,
-        "oversubscribed": True,
-        "panel": "a",
-        "rob_size": 8,
-        "n_roots": 2,
-        "kind": "proved",
-        "states": 504170,
-        "serial_s": 24.0,
-        "sharded_s": 30.0,
-        "speedup": 0.8,
-    }
+    so and skip the parallel metric instead of failing on physics."""
+    record = _campaign_record()  # oversubscribed: 4 workers, 1 CPU
     fresh = copy.deepcopy(record)
-    fresh["sharded_s"], fresh["speedup"] = 60.0, 0.4  # would fail the gate
+    fresh["parallel_s"], fresh["speedup"] = 48.0, 0.125  # would fail the gate
     failures, notes = perf_gate.gate_records(
-        {"cell": record}, {"cell": fresh}, tolerance=0.2
+        {"grid": record}, {"grid": fresh}, tolerance=0.2
     )
     assert failures == []
     assert any("oversubscribed" in n for n in notes)
@@ -176,7 +162,7 @@ def test_gate_skips_parallel_metrics_on_oversubscribed_runners():
     record["cpu_count"] = fresh["cpu_count"] = 8
     record["oversubscribed"] = fresh["oversubscribed"] = False
     failures, _ = perf_gate.gate_records(
-        {"cell": record}, {"cell": fresh}, tolerance=0.2
+        {"grid": record}, {"grid": fresh}, tolerance=0.2
     )
     assert any("speedup" in f for f in failures)
 

@@ -15,17 +15,11 @@ import pytest
 
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
-from repro.campaign import scheduler
 from repro.campaign.backends import SerialBackend, WorkItem
 from repro.campaign.registry import core_spec
-from repro.campaign.scheduler import (
-    BUDGET_NOTE,
-    CampaignUnit,
-    run_campaign,
-    verify_sharded,
-)
+from repro.campaign.scheduler import BUDGET_NOTE, CampaignUnit, run_campaign
 from repro.core.contracts import sandboxing
-from repro.core.verifier import VerificationTask, verify
+from repro.core.verifier import VerificationTask
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
@@ -79,14 +73,12 @@ def _assert_bit_identical(serial, results, label):
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_backend_matrix_bit_identical(grid):
     """serial / process x {fig2-mini, ablation-mini} both match the
-    historical serial path, sub-root sharding and rebalance on."""
+    historical serial path at root-batch granularity."""
     units = GRIDS[grid]()
     assert units
     serial_path = run_campaign(units, n_workers=1)
     for backend in ("serial", "process"):
-        results = run_campaign(
-            units, n_workers=4, subroot="always", backend=backend
-        )
+        results = run_campaign(units, n_workers=4, backend=backend)
         _assert_bit_identical(serial_path, results, backend)
 
 
@@ -113,32 +105,6 @@ def test_budget_cuts_off_named_backends(backend):
     )
     assert all(r.outcome.timed_out for r in results)
     assert all(r.outcome.note == BUDGET_NOTE for r in results)
-
-
-# ----------------------------------------------------------------------
-# Work-stealing rebalance
-# ----------------------------------------------------------------------
-def test_rebalance_steals_and_stays_bit_identical():
-    """The dominant-slice steal fires on a skewed single-root proof and
-    the merged outcome still equals the monolithic serial search."""
-    task = fig2.point_task(fig2.PANELS[0], "rob", 4, QUICK)
-    serial = verify(task)
-    sharded = verify_sharded(task, n_workers=4, subroot="always")
-    telemetry = scheduler.LAST_TELEMETRY
-    assert telemetry.steals >= 1, "idle capacity never triggered a steal"
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
-
-
-def test_rebalance_can_be_disabled():
-    task = fig2.point_task(fig2.PANELS[0], "rob", 2, QUICK)
-    serial = verify(task)
-    sharded = verify_sharded(
-        task, n_workers=4, subroot="always", rebalance=False
-    )
-    assert scheduler.LAST_TELEMETRY.steals == 0
-    assert sharded.stats == serial.stats
 
 
 # ----------------------------------------------------------------------

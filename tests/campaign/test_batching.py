@@ -1,12 +1,9 @@
-"""Batched dispatch and hot-worker spec caching (scheduler tentpole).
+"""Root-batch dispatch and hot-worker spec caching.
 
-The batching contract: a seeded shard carrying a *contiguous* slice of a
-root's first-cycle frontier replays exactly the serial merge of its
-singleton shards, so batch boundaries (which calibration moves freely)
-can never perturb results.  The same holds one level up: a whole shard
-carrying a contiguous batch of a unit's roots is searched by one
-``Explorer`` in serial LIFO order, so its outcome is the serial merge of
-those roots.  The spec contract: shipping a unit's spec by
+The batching contract: a shard carrying a contiguous batch of a unit's
+roots is searched by one ``Explorer`` in serial LIFO order, so its
+outcome is the serial merge of those roots and batch boundaries can
+never perturb results.  The spec contract: shipping a unit's spec by
 content fingerprint instead of re-pickling it per shard changes what
 crosses the pool boundary, not what runs -- outcomes stay bit-identical
 and a cold process degrades to one extra round trip (``SpecMiss``).
@@ -16,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro import obs
 from repro.bench import table2
 from repro.bench.configs import QUICK
-from repro.campaign import scheduler
 from repro.campaign.__main__ import mini_units
 from repro.campaign.backends import (
     ProcessPoolBackend,
@@ -34,19 +31,15 @@ from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
-    _Calibration,
     _cost_model,
-    _merge_serial,
     _plan_batches,
-    _StealGroup,
     run_campaign,
-    verify_sharded,
 )
 from repro.core.contracts import sandboxing
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
-from repro.mc.explorer import Explorer, SearchLimits
+from repro.mc.explorer import SearchLimits
 from repro.uarch.config import Defense
 
 TINY = EncodingSpace(
@@ -71,19 +64,6 @@ def _task(imem_size: int = 2, defense: Defense = Defense.NONE) -> VerificationTa
     )
 
 
-def _first_root_expansion(task: VerificationTask):
-    """A single-root subtask plus its first-cycle expansion."""
-    root = task.build_roots()[0]
-    subtask = replace(task, roots=[root])
-    explorer = Explorer(
-        subtask.build_product(),
-        subtask.space,
-        subtask.build_roots(),
-        subtask.limits,
-    )
-    return subtask, explorer.expand_root()
-
-
 # ----------------------------------------------------------------------
 # Batch planning
 # ----------------------------------------------------------------------
@@ -104,92 +84,6 @@ def test_plan_batches_balances_by_weight_not_count():
     # One dominant entry should sit alone; the light tail groups up.
     batches = _plan_batches([100, 1, 1, 1, 1, 1], 2)
     assert batches == [(0, 1), (1, 6)]
-
-
-# ----------------------------------------------------------------------
-# Calibration
-# ----------------------------------------------------------------------
-def test_calibration_learns_correction_and_grain():
-    cal = _Calibration()
-    assert cal.grain_states() == float(scheduler.DEFAULT_GRAIN_STATES)
-    cal.observe(predicted=1000, states=100, elapsed=0.01)
-    assert cal.corrected(1000) == 100.0  # first sample sets directly
-    assert cal.grain_states() == max(
-        1000.0, 10_000 * scheduler.TARGET_BATCH_SECONDS
-    )
-    before = cal.correction
-    cal.observe(predicted=1000, states=100, elapsed=0.01)
-    assert cal.correction == before  # consistent samples converge
-    cal.observe(predicted=0, states=0, elapsed=0.0)  # guarded: no-op
-    assert cal.samples == 2
-
-
-# ----------------------------------------------------------------------
-# Batch = serial merge of its singletons
-# ----------------------------------------------------------------------
-def test_batch_outcome_equals_merged_singleton_shards():
-    task = _task(3)
-    subtask, expansion = _first_root_expansion(task)
-    assert len(expansion.entries) >= 4, "need a frontier worth batching"
-    batch = tuple(expansion.entries[1:4])
-    batched = WorkItem(subtask, batch).run()
-    singles = [WorkItem(subtask, (entry,)).run() for entry in batch]
-    merged = _merge_serial(singles)
-    assert batched.kind == merged.kind
-    assert batched.stats == merged.stats
-    assert batched.counterexample == merged.counterexample
-
-
-def test_steal_group_batch_resplit_composes_identically():
-    """A stolen multi-entry batch's per-entry racers merge (no prelude)
-    to exactly the batch shard they race."""
-    task = _task(3)
-    subtask, expansion = _first_root_expansion(task)
-    batch = tuple(expansion.entries[0:3])
-    group = _StealGroup(None, count=len(batch))
-    for index, entry in enumerate(batch):
-        group.outcomes[index] = WorkItem(subtask, (entry,)).run()
-    composed = group.outcome()
-    batched = WorkItem(subtask, batch).run()
-    assert composed is not None
-    assert composed.kind == batched.kind
-    assert composed.stats == batched.stats
-    assert composed.counterexample == batched.counterexample
-
-
-def test_campaign_bit_identical_across_forced_grains(monkeypatch):
-    """Coarse and fine grains change the shard count, never the result."""
-    task = _task(2)
-    serial = verify(task)
-
-    coarse = _Calibration()
-    coarse.samples = 1
-    coarse.states_per_s = 1e15  # huge grain -> min-batch floor
-    coarse.correction = 1e-9
-    monkeypatch.setattr(scheduler, "_CALIBRATION", coarse)
-    sharded = verify_sharded(task, n_workers=4, subroot="always")
-    coarse_shards = scheduler.LAST_TELEMETRY.shards
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
-
-    fine = _Calibration()
-    fine.samples = 1
-    fine.states_per_s = 2000.0  # grain floor (1000 states)
-    fine.correction = 1e9  # every entry looks huge -> max batches
-    planned_grain = fine.grain_states()  # the run's observations move it
-    monkeypatch.setattr(scheduler, "_CALIBRATION", fine)
-    sharded = verify_sharded(task, n_workers=4, subroot="always")
-    fine_shards = scheduler.LAST_TELEMETRY.shards
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
-
-    assert fine_shards > coarse_shards, (
-        f"forced grains did not move granularity: "
-        f"{coarse_shards} vs {fine_shards} shards"
-    )
-    assert scheduler.LAST_TELEMETRY.grain_states == planned_grain
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +112,6 @@ def test_root_batch_plan_one_shard_per_unit_when_units_fill_capacity():
     assert len(backend.items) == 10
     n_roots = len(_task(2).build_roots())
     assert [len(item.task.roots) for item in backend.items] == [n_roots] * 10
-    assert all(item.entries is None for item in backend.items)
     assert results[0].telemetry.shards == 10
 
 
@@ -235,42 +128,21 @@ def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches():
     assert [root for batch in batches for root in batch] == roots
 
 
-def test_subroot_always_keeps_single_root_slots():
-    backend = _RecordingBackend(2)
-    run_campaign(
-        [CampaignUnit("t", ("a",), _task(2))], backend=backend,
-        subroot="always",
-    )
-    assert backend.items
-    assert all(len(item.task.roots) == 1 for item in backend.items)
-    assert all(item.entries is not None for item in backend.items)
-
-
-class _RecordingCalibration(_Calibration):
-    __slots__ = ("predicted",)
-
-    def __init__(self):
-        super().__init__()
-        self.predicted: list[int] = []
-
-    def observe(self, predicted, states, elapsed):
-        self.predicted.append(predicted)
-        super().observe(predicted, states, elapsed)
-
-
-def test_root_batch_prediction_scales_with_its_roots(monkeypatch):
-    """Calibration sees each batch predicted as roots x width ^ depth,
-    so measured states per batch do not skew the correction."""
-    calibration = _RecordingCalibration()
-    monkeypatch.setattr(scheduler, "_CALIBRATION", calibration)
+def test_root_batch_prediction_scales_with_its_roots():
+    """Each submitted batch is predicted as roots x width ^ depth, so
+    the cost model ranks batches by their share of the unit's roots."""
     task = _task(2)
-    run_campaign(
-        [CampaignUnit("t", ("a",), task)], backend=_RecordingBackend(2)
-    )
+    with obs.tracing() as recorder:
+        run_campaign(
+            [CampaignUnit("t", ("a",), task)], backend=_RecordingBackend(2)
+        )
     width, depth = _cost_model(task)
-    assert sorted(calibration.predicted) == sorted(
-        n * width**depth for n in (2, 2, 1, 1)
-    )
+    predicted = [
+        dict(event.attrs)["predicted"]
+        for event in recorder.events
+        if event.name == "shard.submit"
+    ]
+    assert sorted(predicted) == sorted(n * width**depth for n in (2, 2, 1, 1))
 
 
 def _table2_pair() -> list[CampaignUnit]:

@@ -1,8 +1,7 @@
-"""Cost-model dispatch and per-campaign telemetry (scheduler satellites).
+"""Cost-model dispatch and per-campaign telemetry.
 
-Covers the two scheduling-policy changes -- largest-first unit
-submission and predicted-subtree steal candidates -- and the telemetry
-lifecycle fix: counters reset per campaign and ride on
+Covers the scheduling policy -- largest-first unit submission -- and
+the telemetry lifecycle: counters reset per campaign and ride on
 ``CampaignResult`` instead of only a process global.
 """
 
@@ -14,16 +13,13 @@ from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
     _predicted_states,
-    _predicted_subtree,
     run_campaign,
-    verify_sharded,
 )
 from repro.core.contracts import sandboxing
 from repro.core.verifier import VerificationTask
-from repro.isa.encoding import EncodingSpace, space_tiny
+from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
-from repro.mc.env import Environment
-from repro.mc.explorer import FrontierEntry, SearchLimits
+from repro.mc.explorer import SearchLimits
 from repro.uarch.config import Defense
 
 TINY = EncodingSpace(
@@ -79,7 +75,7 @@ def test_units_are_submitted_largest_first():
         CampaignUnit("t", ("big",), _task(3)),
     ]
     backend = _RecordingBackend()
-    results = run_campaign(units, backend=backend, subroot="never")
+    results = run_campaign(units, backend=backend)
     assert [r.key for r in results] == [("small",), ("big",)]
     assert backend.submitted_sizes, "nothing was submitted"
     split = backend.submitted_sizes.index(2)
@@ -99,38 +95,8 @@ def test_equal_cost_units_keep_list_order():
         CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
     ]
     backend = _RecordingBackend()
-    run_campaign(units, backend=backend, subroot="never")
+    run_campaign(units, backend=backend)
     assert backend.submitted_sizes == [2] * len(backend.submitted_sizes)
-
-
-# ----------------------------------------------------------------------
-# Predicted-subtree steal candidates
-# ----------------------------------------------------------------------
-def test_predicted_subtree_ranks_open_environments_higher():
-    open_env = Environment.empty(4)
-    closed_env = open_env.with_slots(
-        {pc: space_tiny().instructions()[1] for pc in range(4)}
-    )
-    wide = FrontierEntry(env=open_env, snap=(), depth=1)
-    narrow = FrontierEntry(env=closed_env, snap=(), depth=1)
-    assert _predicted_subtree(7, wide) == 7**4
-    assert _predicted_subtree(7, narrow) == 1
-    assert _predicted_subtree(7, wide) > _predicted_subtree(7, narrow)
-
-
-def test_rebalance_with_cost_model_stays_bit_identical():
-    """The steal path end-to-end under the new candidate policy."""
-    from repro.bench import fig2
-    from repro.bench.configs import QUICK
-    from repro.core.verifier import verify
-
-    task = fig2.point_task(fig2.PANELS[0], "rob", 4, QUICK)
-    serial = verify(task)
-    sharded = verify_sharded(task, n_workers=4, subroot="always")
-    assert scheduler.LAST_TELEMETRY.steals >= 1
-    assert sharded.kind == serial.kind
-    assert sharded.stats == serial.stats
-    assert sharded.counterexample == serial.counterexample
 
 
 # ----------------------------------------------------------------------
@@ -145,16 +111,16 @@ def test_results_carry_the_campaign_telemetry():
 
 
 def test_telemetry_resets_between_campaigns():
-    """A steal-heavy campaign must not leak counters into the next."""
-    from repro.bench import fig2
-    from repro.bench.configs import QUICK
-
-    task = fig2.point_task(fig2.PANELS[0], "rob", 4, QUICK)
-    verify_sharded(task, n_workers=4, subroot="always")
-    assert scheduler.LAST_TELEMETRY.steals >= 1
-    units = [CampaignUnit("t", ("a",), _task(2))]
-    results = run_campaign(units, backend="serial")
-    assert scheduler.LAST_TELEMETRY.steals == 0
+    """A many-shard campaign must not leak counters into the next."""
+    units = [
+        CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
+    ]
+    run_campaign(units, backend="serial")
+    assert scheduler.LAST_TELEMETRY.shards == 3
+    # A lone unit on one slot still splits into two root batches.
+    results = run_campaign(units[:1], backend="serial")
+    assert scheduler.LAST_TELEMETRY.shards == 2
+    assert results[0].telemetry.shards == 2
     assert results[0].telemetry.steals == 0
 
 

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench import ablation, fig2, table2
+from repro.bench.configs import QUICK
+from repro.campaign import scheduler
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     BUDGET_NOTE,
     CampaignUnit,
+    _merge_serial,
     resolve_workers,
     run_campaign,
     verify_sharded,
@@ -25,6 +29,7 @@ from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
 from repro.mc.replay import replay
+from repro.mc.result import ATTACK, TIMEOUT, Outcome, SearchStats
 from repro.uarch.config import Defense
 
 PARAMS = MachineParams(imem_size=3)
@@ -86,6 +91,55 @@ def test_parallel_campaign_is_bit_identical_to_serial():
         assert par.outcome.kind == ser.outcome.kind
         assert par.outcome.stats == ser.outcome.stats
         assert par.outcome.counterexample == ser.outcome.counterexample
+
+
+#: Seconds-scale slices of the three campaign-backed experiment grids.
+#: (The full Table-2 grid runs 1-vs-4 in
+#: ``benchmarks/test_campaign_scaling.py``.)
+GRIDS = {
+    "fig2": lambda: fig2.units(
+        QUICK, regfile_sizes=(2,), dmem_sizes=(2,), rob_sizes=(2,)
+    ),
+    "ablation": lambda: ablation.units(QUICK, workloads=ablation.WORKLOADS[:2]),
+    "table2": lambda: [
+        unit
+        for unit in table2.units(QUICK, schemes=("shadow",))
+        if unit.key[1] in ("SimpleOoO-S", "SimpleOoO")
+    ],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_grid_campaign_bit_identical_to_serial(grid):
+    """Benchmark grid slices on the implicit 4-worker pool match the
+    serial engine: verdict, counterexample and stats."""
+    units = GRIDS[grid]()
+    assert units
+    serial = run_campaign(units, n_workers=1)
+    parallel = run_campaign(units, n_workers=4)
+    for ser, par in zip(serial, parallel):
+        assert par.key == ser.key
+        assert par.outcome.kind == ser.outcome.kind, ser.key
+        assert par.outcome.stats == ser.outcome.stats, ser.key
+        assert par.outcome.counterexample == ser.outcome.counterexample, ser.key
+
+
+def test_single_root_task_runs_as_one_shard():
+    """A one-root task never splits below its root: with 4 workers asked
+    for it runs as exactly one shard on a one-wide pool, and replays the
+    serial search bit for bit, counterexample included."""
+    root = secret_memory_pairs(PARAMS, "single")[-1]  # attackable subtree
+    task = _task(Defense.NONE, roots=[root])
+    serial = verify(task)
+    sharded = verify_sharded(task, n_workers=4)
+    telemetry = scheduler.LAST_TELEMETRY
+    assert (telemetry.backend, telemetry.capacity) == ("process", 1)
+    assert telemetry.shards == 1
+    assert serial.attacked and sharded.attacked
+    assert sharded.stats == serial.stats
+    assert sharded.counterexample == serial.counterexample
+    trace = replay(task.build_product(), sharded.counterexample)
+    assert trace[-1].result.failed
 
 
 def test_result_order_follows_unit_order():
@@ -170,3 +224,39 @@ def test_lambda_factories_still_work_serially():
     )
     [result] = run_campaign([unit], n_workers=1)
     assert result.outcome.attacked
+
+
+# ----------------------------------------------------------------------
+# The serial-order merge: serially-later shards contribute nothing
+# ----------------------------------------------------------------------
+def _outcome(kind: str, states: int, note: str | None = None) -> Outcome:
+    return Outcome(
+        kind=kind,
+        elapsed=0.25,
+        stats=SearchStats(states, states + 1, 1, 2, {"assume": 1}),
+        note=note,
+    )
+
+
+def test_merge_ignores_pending_shards_behind_the_deciding_one():
+    """The serial engine explores list order *reversed*: outcomes[-1] is
+    serially first.  An attack there decides the merge even while the
+    serially-later outcomes[0] is still pending -- and its stats must not
+    be summed once it is cancelled."""
+    attack = _outcome(ATTACK, states=7)
+    merged = _merge_serial([None, attack])
+    assert merged is not None and merged.kind == ATTACK
+    assert merged.stats == attack.stats  # pending sibling contributed nothing
+
+
+def test_merge_blocks_on_pending_serially_earlier_shards():
+    attack = _outcome(ATTACK, states=7)
+    assert _merge_serial([attack, None]) is None
+
+
+def test_merge_preserves_the_budget_note_of_the_deciding_shard():
+    cutoff = _outcome(TIMEOUT, states=3, note=BUDGET_NOTE)
+    merged = _merge_serial([None, cutoff])
+    assert merged is not None and merged.kind == TIMEOUT
+    assert merged.note == BUDGET_NOTE
+    assert merged.stats == cutoff.stats

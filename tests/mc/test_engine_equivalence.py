@@ -52,30 +52,3 @@ def test_new_engine_matches_legacy_bit_for_bit(slice_name):
         assert new.kind == old.kind, label
         assert new.stats == old.stats, label
         assert new.counterexample == old.counterexample, label
-
-
-def test_seeded_shards_match_legacy_monolith():
-    """Sub-root expansion + seeded shards, merged in serial LIFO order,
-    still reproduce the legacy monolithic search on a single-root fig2
-    cell (the sub-root scheduler's workload)."""
-    from repro.campaign.scheduler import _merge_serial, _prepend_prelude
-    from repro.mc.explorer import Explorer
-
-    task = fig2.point_task(fig2.PANELS[0], "rob", 2, QUICK)
-    [root] = task.build_roots()[-1:]
-    task.roots = [root]
-    legacy = verify_legacy(task)
-    expansion = Explorer(
-        task.build_product(), task.space, [root], task.limits
-    ).expand_root()
-    assert expansion.decided is None
-    outcomes = [
-        Explorer(
-            task.build_product(), task.space, [root], task.limits
-        ).run_seeded([entry])
-        for entry in expansion.entries
-    ]
-    merged = _prepend_prelude(expansion, _merge_serial(outcomes))
-    assert merged.kind == legacy.kind
-    assert merged.stats == legacy.stats
-    assert merged.counterexample == legacy.counterexample

@@ -14,14 +14,7 @@ from repro.core.verifier import VerificationTask, verify
 from repro.isa.encoding import EncodingSpace
 from repro.isa.instruction import HALT
 from repro.isa.params import MachineParams
-from repro.mc.env import Environment
-from repro.mc.explorer import (
-    Explorer,
-    FrontierEntry,
-    Root,
-    SearchLimits,
-)
-from repro.mc.result import PROVED, SearchStats
+from repro.mc.explorer import Explorer, Root, SearchLimits
 from repro.uarch.config import Defense
 from repro.uarch.simple_ooo import simple_ooo
 
@@ -152,61 +145,6 @@ def test_relative_timeout_keeps_the_strided_check():
     assert outcome.stats.states > 1
 
 
-def test_expand_root_plus_seeded_shards_reproduce_serial():
-    """Sub-root independence at the engine level: first-cycle expansion +
-    one seeded search per child, merged in serial LIFO order, is
-    bit-identical to the monolithic search of the same root."""
-    for root in (
-        secret_memory_pairs(PARAMS, "single")[-1],  # attackable subtree
-        secret_memory_pairs(PARAMS, "single")[0],  # proof subtree
-    ):
-        task = _task(Defense.NONE, roots=[root])
-        serial = verify(task)
-        expansion = Explorer(
-            task.build_product(), task.space, [root], task.limits
-        ).expand_root()
-        assert expansion.decided is None
-        assert expansion.splittable
-        outcomes = [
-            Explorer(
-                task.build_product(), task.space, [root], task.limits
-            ).run_seeded([entry])
-            for entry in expansion.entries
-        ]
-        # Serial LIFO merge: prelude + children from last yielded to first,
-        # first non-proof decides.
-        stats = expansion.stats
-        states, transitions = stats.states, stats.transitions
-        pruned, max_depth = stats.pruned, stats.max_depth
-        reasons = dict(stats.prune_reasons)
-        decided = None
-        for outcome in reversed(outcomes):
-            sub = outcome.stats
-            states += sub.states
-            transitions += sub.transitions
-            pruned += sub.pruned
-            max_depth = max(max_depth, sub.max_depth)
-            for reason, count in sub.prune_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + count
-            if outcome.kind != PROVED:
-                decided = outcome
-                break
-        merged = SearchStats(states, transitions, pruned, max_depth, reasons)
-        assert (decided.kind if decided else PROVED) == serial.kind
-        assert merged == serial.stats
-        assert (
-            decided.counterexample if decided else None
-        ) == serial.counterexample
-
-
-def test_run_seeded_requires_a_single_root():
-    roots = secret_memory_pairs(PARAMS, "single")
-    task = _task(Defense.NONE)
-    explorer = Explorer(task.build_product(), task.space, roots, task.limits)
-    with pytest.raises(ValueError):
-        explorer.run_seeded([])
-
-
 class _ScriptedFetchMachine:
     """One machine fetching a scripted PC per cycle, then halting."""
 
@@ -308,17 +246,3 @@ def test_wrapped_fetch_pcs_read_as_halt():
     assert outcome.proved
     assert [b.inst for b in product.bundles_seen] == [HALT, HALT]
     assert all(b.predicted_taken is None for b in product.bundles_seen)
-
-
-def test_seeded_env_smaller_than_imem_reads_as_halt():
-    """Regression: a frontier environment modeling a smaller instruction
-    memory than the product's parameters must not index out of range --
-    the unmodeled slots read as ``HALT``."""
-    product = _ScriptedFetchProduct(pcs=(2,), imem_size=3)
-    explorer = Explorer(
-        product, TINY, [Root(label="r", dmem_pair=((), ()))], SearchLimits()
-    )
-    entry = FrontierEntry(env=Environment.empty(1), snap=(0,), depth=0)
-    outcome = explorer.run_seeded([entry])
-    assert outcome.proved
-    assert [b.inst for b in product.bundles_seen] == [HALT]

@@ -71,10 +71,7 @@ class TestTracker:
         assert tracker.units_done == 2
         assert tracker.verdicts == {"proved": 1, "attack": 1}
 
-    def test_ewma_matches_calibration_alpha(self, fake_clock):
-        from repro.campaign.scheduler import _Calibration
-
-        assert ProgressTracker.ALPHA == _Calibration.ALPHA
+    def test_ewma_seeds_then_steps_by_alpha(self, fake_clock):
         tracker = ProgressTracker()
         tracker.note_rate(1000.0)
         assert tracker.states_per_s == 1000.0  # first sample seeds

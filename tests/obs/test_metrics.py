@@ -1,11 +1,10 @@
 """Metrics registry: log buckets, instruments, and the telemetry shim.
 
-The histogram layout is load-bearing (the grain-error series and any
-future latency histogram share it), so the boundary formula is pinned
-exactly: boundary ``k`` is ``10**(lo_exp + k/per_decade)``.  The
-``fill_telemetry`` shim is what keeps ``CampaignTelemetry`` readers
-working after the registry superseded it -- its counter-first,
-gauge-second, else-zero resolution order is part of that contract.
+The histogram layout is load-bearing (every histogram shares it), so
+the boundary formula is pinned exactly: boundary ``k`` is
+``10**(lo_exp + k/per_decade)``.  The ``fill_telemetry`` shim is what
+keeps ``CampaignTelemetry`` readers working after the registry
+superseded it -- a counter never recorded reads 0.
 """
 
 from __future__ import annotations
@@ -122,16 +121,13 @@ def test_snapshot_is_json_safe_and_complete():
 # ----------------------------------------------------------------------
 # The CampaignTelemetry compatibility shim
 # ----------------------------------------------------------------------
-def test_fill_telemetry_reads_counter_then_gauge_then_zero():
+def test_fill_telemetry_copies_shards_and_zero_fills():
     registry = MetricsRegistry()
-    registry.counter("campaign.steals").inc(3)
-    registry.counter("campaign.shards").inc(9)
-    registry.gauge("campaign.grain_states").set(7)
-    # campaign.steal_settled / steal_won never recorded -> 0.
-    telemetry = CampaignTelemetry(backend="serial", capacity=1)
+    telemetry = CampaignTelemetry(backend="serial", capacity=1, shards=5)
     fill_telemetry(telemetry, registry)
-    assert telemetry.steals == 3
+    assert telemetry.shards == 0  # never recorded -> 0
+    registry.counter("campaign.shards").inc(9)
+    fill_telemetry(telemetry, registry)
     assert telemetry.shards == 9
-    assert telemetry.grain_states == 7
-    assert telemetry.steal_settled == 0
+    assert telemetry.steals == 0
     assert telemetry.steal_won == 0

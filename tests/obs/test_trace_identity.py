@@ -102,9 +102,7 @@ def test_serial_trace_is_bit_identical_and_records_engine_spans():
 
 def test_process_trace_is_bit_identical_and_merges_pool_batches():
     baseline = _run_grid("serial", traced=False)
-    traced = _run_grid(
-        "process", traced=True, n_workers=2, subroot="always"
-    )
+    traced = _run_grid("process", traced=True, n_workers=2)
     _assert_identical(baseline, traced, "process")
     recorder = traced[2]
     # Engine spans came home in TracedOutcome batches from pool children.
