@@ -49,13 +49,11 @@ from repro.analysis.framework import (
     register,
 )
 
-#: Classes pickled into pool workers or back out of them (the shard
-#: envelope and what it carries, every result kind a shard returns),
-#: the roots of the reachability walk.
+#: Classes pickled into pool workers or back out of them (the work
+#: item and what it carries, every result kind a shard returns), the
+#: roots of the reachability walk.
 WIRE_ROOTS = (
     "WorkItem",
-    "ShardEnvelope",
-    "SpecMiss",
     "ShardFailure",
     "FuzzShard",
     "MinimizeProbe",

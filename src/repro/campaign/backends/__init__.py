@@ -26,13 +26,6 @@ from repro.campaign.backends.base import (
 )
 from repro.campaign.backends.process import ProcessPoolBackend
 from repro.campaign.backends.serial import SerialBackend
-from repro.campaign.backends.specs import (
-    ShardEnvelope,
-    SpecMiss,
-    execute_envelope,
-    make_envelope,
-    split_spec,
-)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -40,16 +33,11 @@ __all__ = [
     "ExecutionBackend",
     "ProcessPoolBackend",
     "SerialBackend",
-    "ShardEnvelope",
     "ShardFailure",
-    "SpecMiss",
     "WorkItem",
     "budget_outcome",
     "build_named_backend",
     "collect_results",
-    "execute_envelope",
     "execute_item",
-    "make_envelope",
     "resolve_workers",
-    "split_spec",
 ]

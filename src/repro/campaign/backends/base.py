@@ -8,7 +8,8 @@ a unit's roots.  *Where* those items execute is the backend's business:
 - :class:`repro.campaign.backends.serial.SerialBackend` runs them inline
   (the deterministic reference),
 - :class:`repro.campaign.backends.process.ProcessPoolBackend` fans them
-  over a local ``ProcessPoolExecutor`` (the historical behavior).
+  over a local ``ProcessPoolExecutor``, each item pickled whole into a
+  pool child and run there by :func:`execute_item`.
 
 Because a shard's outcome is a pure function of its item -- the search is
 deterministic and every input is in the pickle -- the scheduler's merged
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.obs import clock
+from repro.obs.recorder import Recorder, TracedOutcome
 from repro.mc.result import TIMEOUT, Outcome, SearchStats
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep workers light
@@ -147,18 +149,10 @@ class WorkItem:
       :class:`repro.fuzz.work.MinimizeProbe` delta-debugging candidate
       -- whose ``run()`` returns its own result type instead of an
       :class:`Outcome` (backends pass results through opaquely).
-
-    ``spec_fp`` optionally carries the content fingerprint of the
-    task's *spec* (the task stripped of roots and limits -- the heavy,
-    per-unit-constant part).  Backends that keep workers hot use it to
-    ship the spec once per worker and reference it by fingerprint
-    thereafter (see :mod:`repro.campaign.backends.specs`); backends
-    that do not simply ignore it.
     """
 
     task: "VerificationTask | None" = None
     fuzz: object | None = None
-    spec_fp: int | None = None
 
     @property
     def limits(self):
@@ -189,9 +183,24 @@ class WorkItem:
             return verify(self.task)
 
 
-def execute_item(item: WorkItem) -> Outcome:
-    """Module-level trampoline so pools can pickle the call by reference."""
-    return item.run()
+def execute_item(item: WorkItem, trace: bool):
+    """Run one item in a pool child; pools pickle the call by reference.
+
+    ``trace`` says whether the dispatching campaign is tracing: the item
+    then runs on a scoped recorder and the outcome comes back wrapped in
+    a :class:`repro.obs.recorder.TracedOutcome` carrying the spans the
+    shard recorded.  The dispatching side unwraps it before any result
+    inspection, so every verdict path sees what an untraced run would.
+    """
+    if not trace:
+        return item.run()
+    recorder = Recorder(worker=f"pid{os.getpid()}")
+    previous = obs.install(recorder)
+    try:
+        outcome = item.run()
+    finally:
+        obs.install(previous)
+    return TracedOutcome(outcome, recorder.batch())
 
 
 class ExecutionBackend:

@@ -25,19 +25,10 @@ pluggable :class:`repro.campaign.backends.ExecutionBackend`:
 ``SerialBackend`` (inline, the deterministic reference) or
 ``ProcessPoolBackend`` (the process fan-out, the default for
 ``n_workers > 1``).  A shard's outcome is a pure function of its
-picklable :class:`repro.campaign.backends.WorkItem`, so merged results
-are bit-identical across backends; only wall-clock moves.
-
-**Hot workers.**  Shards of one unit share everything but their roots
-and limits; re-pickling the task's spec (space, core, contract) per
-shard is pure dispatch overhead.  Items therefore carry a 128-bit
-content fingerprint of their spec
-(:func:`repro.campaign.backends.specs.spec_fingerprint`); the process
-backend ships the spec inline only on a receiver's first encounter and
-the bare fingerprint thereafter, and executors rehydrate from a
-per-process cache (a cold process answers ``SpecMiss`` and the
-dispatcher re-sends with the spec attached -- one extra round trip,
-never an error).
+picklable :class:`repro.campaign.backends.WorkItem`, which crosses into
+a pool child whole (task spec, roots and limits in one pickle), so
+merged results are bit-identical across backends; only wall-clock
+moves.
 
 **Determinism.**  The serial engine's LIFO stack explores roots in
 *reversed* list order, finishing one root's subtree before touching the
@@ -92,9 +83,7 @@ from repro.campaign.backends import (
     budget_outcome as _budget_outcome,
     build_named_backend,
     resolve_workers,
-    split_spec,
 )
-from repro.campaign.backends.specs import spec_fingerprint
 from repro.campaign.log import CampaignLog
 from repro.core.verifier import VerificationTask, verify
 from repro.isa.instruction import Opcode
@@ -150,33 +139,24 @@ class CampaignTelemetry:
 LAST_TELEMETRY = CampaignTelemetry()
 
 
-def _plan_batches(weights: Sequence[int], n_batches: int) -> list[tuple[int, int]]:
-    """Partition a unit's roots into contiguous weight-balanced batches.
+def _plan_batches(count: int, n_batches: int) -> list[tuple[int, int]]:
+    """Partition ``count`` roots into contiguous, evenly sized batches.
 
-    Returns ``[start, end)`` index ranges covering ``weights`` in order
-    -- contiguity is what keeps a batch's outcome equal to the serial
-    merge of its roots.  Greedy: each batch closes once it reaches the
-    remaining-average weight, while always leaving at least one entry
-    per remaining batch.
+    Returns ``[start, end)`` index ranges covering ``range(count)`` in
+    order -- contiguity is what keeps a batch's outcome equal to the
+    serial merge of its roots.  At most one batch per root; the first
+    ``count % n`` batches take one extra root (6 roots in 4 batches
+    split 2/2/1/1).
     """
-    count = len(weights)
     if not count:
         return []
     n_batches = max(1, min(n_batches, count))
+    size, extra = divmod(count, n_batches)
     batches: list[tuple[int, int]] = []
     start = 0
-    remaining = float(sum(weights))
     for index in range(n_batches):
-        left = n_batches - index  # batches still to emit, incl. this one
-        max_end = count - (left - 1)
-        target = remaining / left
-        end = start + 1
-        acc = weights[start]
-        while end < max_end and acc < target:
-            acc += weights[end]
-            end += 1
+        end = start + size + (index < extra)
         batches.append((start, end))
-        remaining -= acc
         start = end
     return batches
 
@@ -273,10 +253,6 @@ class _UnitState:
         self.outcomes: list[Outcome | None] = [None] * len(subtasks)
         self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
-        #: Content fingerprint of the unit's task spec (the task minus
-        #: roots and limits); stamped on every shard so hot-worker
-        #: backends ship the spec once per worker.
-        self.spec_fp: int | None = None
 
 
 class _ResultSink:
@@ -518,11 +494,9 @@ def _run_sharded(
         n_roots.append(len(roots))
         subtasks = [
             _stamp_deadline(replace(unit.task, roots=roots[a:b]), deadline)
-            for a, b in _plan_batches([1] * len(roots), batches_per_unit)
+            for a, b in _plan_batches(len(roots), batches_per_unit)
         ]
-        state = _UnitState(index, unit, subtasks)
-        state.spec_fp = spec_fingerprint(split_spec(unit.task)[0])
-        states.append(state)
+        states.append(_UnitState(index, unit, subtasks))
     if backend is None:
         # Implicit process pool: never more processes than shards.
         total = sum(len(state.subtasks) for state in states)
@@ -587,9 +561,7 @@ def _run_sharded(
             # may decide the unit before its serially-later siblings.
             for pos in reversed(range(len(state.subtasks))):
                 subtask = state.subtasks[pos]
-                ticket = backend.submit_unit(
-                    WorkItem(subtask, spec_fp=state.spec_fp)
-                )
+                ticket = backend.submit_unit(WorkItem(subtask))
                 registry.counter("campaign.shards").inc()
                 if tracker is not None:
                     tracker.shard_submitted()

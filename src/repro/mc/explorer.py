@@ -196,9 +196,9 @@ class Explorer:
         name, the verdict kind and the state count, and the recorder's
         counters absorb the engine's memo/visited sizes -- the numbers
         :meth:`visited_footprint` would walk for, at ``len`` cost.
-        The visited-table load factor additionally lands
-        in the live metrics registry (in-process searches only; remote
-        shards carry it home in their span batch counters instead).
+        The visited-table load factor rides along as the
+        ``engine.visited_load_millis`` counter, which pool shards carry
+        home in their span batches like every other counter.
         """
         rec = obs.recorder()
         if rec is None:
@@ -218,13 +218,6 @@ class Explorer:
         rec.count("engine.cycle_memo_entries", len(vec._cycle_memo))
         load = len(visited) / visited.capacity
         rec.count("engine.visited_load_millis", int(load * 1000))
-        from repro.obs.metrics import LAST_REGISTRY
-
-        if LAST_REGISTRY is not None:
-            LAST_REGISTRY.gauge("engine.visited_load").set(load)
-            LAST_REGISTRY.time_series("engine.visited_load").add(
-                clock.monotonic(), load
-            )
         return outcome
 
     def _search(self, stack: list[tuple]) -> Outcome:

@@ -242,8 +242,8 @@ class VectorVisited:
         """Current table slot count (load factor = ``len / capacity``).
 
         The table doubles at 50% load, so an unpinned table reads below
-        0.5 here; observability (``repro.obs``) samples this ratio as
-        the ``engine.visited_load`` gauge.
+        0.5 here; a traced search records this ratio as the
+        ``engine.visited_load_millis`` counter (see ``Explorer``).
         """
         return self._mask + 1
 

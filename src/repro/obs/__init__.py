@@ -8,14 +8,15 @@ through this package:
   ``count()`` record onto a process-wide recorder.  Off by default: with
   no recorder installed every call is one ``is None`` branch (spans
   return a shared no-op context manager), and *nothing* reads a clock.
-  Pool workers record onto their own scoped recorder and ship the
-  finished batch home in a :class:`~repro.obs.recorder.TracedOutcome`
-  wrapper; the coordinator merges the batches into one trace.
+  Pool workers record onto their own scoped recorder (the process
+  backend passes each shard a tracing flag) and ship the finished
+  batch home in a :class:`~repro.obs.recorder.TracedOutcome` wrapper;
+  the coordinator merges the batches into one trace.
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
   package reads wall/monotonic time, injectable for tests.  The
   determinism lint flags direct clock reads anywhere else.
-- **Metrics** (:mod:`repro.obs.metrics`): counters, gauges, log-bucket
-  histograms and time series in a per-campaign registry that supersedes
+- **Metrics** (:mod:`repro.obs.metrics`): counters, gauges and time
+  series in a per-campaign registry that supersedes
   ``CampaignTelemetry`` (the old dataclass is filled from the registry
   as a compatibility shim).
 - **Sinks** (:mod:`repro.obs.sinks`): an in-memory recorder *is* the
@@ -24,7 +25,7 @@ through this package:
   Chrome ``trace_event`` JSON loadable in Perfetto.
 - **Report** (:mod:`repro.obs.report`, also ``python -m
   repro.obs.report``): per-worker timeline, span-tree time breakdown,
-  top-N hottest units, metric-histogram summaries.
+  top-N hottest units, merged trace counters.
 - **Live status** (:mod:`repro.obs.live`, viewer ``python -m
   repro.obs.watch``): a running campaign periodically folds scheduler
   progress and the metrics registry into frozen

@@ -1,21 +1,16 @@
-"""Counters, gauges, log-bucket histograms and series for one campaign.
+"""Counters, gauges and series for one campaign.
 
 The registry supersedes ``repro.campaign.scheduler.CampaignTelemetry``:
 the scheduler (and now the fuzz loop) increments registry counters as it
 works, and the old dataclass is *filled from* the registry at campaign
 end (:func:`fill_telemetry`) as a compatibility shim -- existing tests
 and callers keep reading ``LAST_TELEMETRY`` unchanged while new series
-(states/s over time, visited load factor) accumulate here.
+(states/s over time) accumulate here.
 
 Instruments:
 
 - :class:`Counter` -- a monotonically growing sum.
 - :class:`Gauge` -- a last-value sample.
-- :class:`Histogram` -- fixed *log-scale* bucket boundaries
-  (:func:`log_bucket_boundaries`): boundary ``k`` is
-  ``10**(lo_exp + k/per_decade)``, so relative error per bucket is
-  bounded and one layout covers microseconds to minutes.  Observation is one ``bisect`` plus two
-  adds.
 - :class:`Series` -- an append-only ``(t, value)`` list for
   over-time plots (states/s per completed shard).
 
@@ -27,23 +22,6 @@ sink.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-
-
-def log_bucket_boundaries(
-    lo_exp: int = -6, hi_exp: int = 2, per_decade: int = 4
-) -> tuple[float, ...]:
-    """Fixed log-scale boundaries: ``10**(lo_exp + k/per_decade)``.
-
-    Returns ``(hi_exp - lo_exp) * per_decade + 1`` ascending boundaries
-    spanning ``10**lo_exp`` .. ``10**hi_exp`` inclusive.  The default
-    covers 1 microsecond to 100 seconds at 4 buckets per decade.
-    """
-    if hi_exp <= lo_exp or per_decade < 1:
-        raise ValueError("need hi_exp > lo_exp and per_decade >= 1")
-    steps = (hi_exp - lo_exp) * per_decade
-    return tuple(10.0 ** (lo_exp + k / per_decade) for k in range(steps + 1))
 
 
 class Counter:
@@ -72,34 +50,6 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Fixed-boundary histogram; bucket ``i`` counts values in
-    ``[boundaries[i-1], boundaries[i])`` with an underflow bucket below
-    the first boundary and an overflow bucket at and above the last."""
-
-    __slots__ = ("name", "boundaries", "counts", "count", "total")
-
-    def __init__(self, name: str, boundaries: tuple[float, ...] | None = None):
-        self.name = name
-        self.boundaries = (
-            boundaries if boundaries is not None else log_bucket_boundaries()
-        )
-        if list(self.boundaries) != sorted(self.boundaries):
-            raise ValueError("histogram boundaries must be ascending")
-        self.counts = [0] * (len(self.boundaries) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_right(self.boundaries, value)] += 1
-        self.count += 1
-        self.total += value
-
-    def bucket_for(self, value: float) -> int:
-        """Index of the bucket a value lands in (tests and readers)."""
-        return bisect_right(self.boundaries, value)
-
-
 class Series:
     """An append-only ``(t, value)`` time series."""
 
@@ -119,7 +69,6 @@ class MetricsRegistry:
     def __init__(self):
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.series: dict[str, Series] = {}
 
     def counter(self, name: str) -> Counter:
@@ -132,14 +81,6 @@ class MetricsRegistry:
         instrument = self.gauges.get(name)
         if instrument is None:
             instrument = self.gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(
-        self, name: str, boundaries: tuple[float, ...] | None = None
-    ) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            instrument = self.histograms[name] = Histogram(name, boundaries)
         return instrument
 
     def time_series(self, name: str) -> Series:
@@ -156,15 +97,6 @@ class MetricsRegistry:
             },
             "gauges": {
                 name: g.value for name, g in sorted(self.gauges.items())
-            },
-            "histograms": {
-                name: {
-                    "boundaries": list(h.boundaries),
-                    "counts": list(h.counts),
-                    "count": h.count,
-                    "total": h.total,
-                }
-                for name, h in sorted(self.histograms.items())
             },
             "series": {
                 name: [[t, v] for t, v in s.points]

@@ -9,9 +9,9 @@ allocation beyond a shared no-op context manager -- which is what makes
 always-on instrumentation affordable on the engines' hot paths.
 
 Worker processes record onto their own scoped recorder (installed by
-``repro.campaign.backends.specs.execute_envelope`` when the shard
-envelope asks for tracing) and return the finished
-:class:`SpanBatch` alongside the outcome (:class:`TracedOutcome`).
+``repro.campaign.backends.base.execute_item`` when the dispatching
+campaign is tracing) and return the finished :class:`SpanBatch`
+alongside the outcome (:class:`TracedOutcome`).
 The coordinator merges batches via :meth:`Recorder.absorb`, which
 remaps span ids: ids are process-local counters, so two workers'
 batches collide; absorption renumbers into the coordinator's id space
@@ -84,7 +84,7 @@ class TracedOutcome:
 
     Pool backends get worker spans back through the future's return
     value wrapped in this; they unwrap *before* any outcome inspection
-    (spec-miss retry included) so tracing never touches result paths.
+    so tracing never touches result paths.
     """
 
     outcome: Any

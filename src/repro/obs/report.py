@@ -11,8 +11,8 @@ campaign writes (``--trace`` on the campaign/fuzz CLIs):
   "where did the campaign spend its time" breakdown;
 - **hottest units**: top-N campaign units by verification time
   (from the scheduler's ``unit.done`` events);
-- **histograms**: metric-histogram summaries from the trace's registry
-  snapshot.
+
+followed by the merged trace counters when the trace carries any.
 
 ``--chrome OUT.json`` additionally exports the Chrome ``trace_event``
 document (:mod:`repro.obs.sinks`) for ``chrome://tracing`` / Perfetto.
@@ -159,61 +159,6 @@ def format_hot_units(records: list[dict], *, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-def _percentile_from_buckets(
-    boundaries: list[float], counts: list[int], q: float
-) -> float | None:
-    """Approximate quantile: the upper edge of the bucket holding rank q.
-
-    Good enough for log-bucketed latency summaries (the error is one
-    bucket width); overflow reports the last boundary, underflow the
-    first -- both flagged by the caller-visible edge value itself.
-    """
-    total = sum(counts)
-    if total == 0:
-        return None
-    rank = q * total
-    seen = 0
-    for index, bucket in enumerate(counts):
-        seen += bucket
-        if seen >= rank:
-            if index == 0:
-                return boundaries[0]
-            return boundaries[min(index, len(boundaries)) - 1]
-    return boundaries[-1]
-
-
-def format_histograms(records: list[dict]) -> str | None:
-    """Metric-histogram summaries (count/mean/p50/p95/max-bucket).
-
-    Reads the ``metrics`` record a traced campaign appends (the registry
-    snapshot).
-    """
-    for record in records:
-        if record["type"] != "metrics":
-            continue
-        histograms = (record.get("metrics") or {}).get("histograms") or {}
-        if not histograms:
-            return None
-        lines = ["histograms (count / mean / ~p50 / ~p95)"]
-        for name, data in sorted(histograms.items()):
-            count = data.get("count", 0)
-            if not count:
-                continue
-            mean = data.get("total", 0.0) / count
-            boundaries = list(data.get("boundaries") or [])
-            counts = list(data.get("counts") or [])
-            p50 = _percentile_from_buckets(boundaries, counts, 0.50)
-            p95 = _percentile_from_buckets(boundaries, counts, 0.95)
-            p50_s = "-" if p50 is None else f"{p50:g}"
-            p95_s = "-" if p95 is None else f"{p95:g}"
-            lines.append(
-                f"  {name:<32s} {count:8d}  mean {mean:g}"
-                f"  p50<={p50_s}  p95<={p95_s}"
-            )
-        return "\n".join(lines) if len(lines) > 1 else None
-    return None
-
-
 def format_counters(records: list[dict]) -> str | None:
     """The merged trace counters, when the trace carries any."""
     for record in records:
@@ -234,9 +179,6 @@ def format_report(records: list[dict], *, top: int = 10, limit: int = 30) -> str
     counters = format_counters(records)
     if counters:
         sections.append(counters)
-    histograms = format_histograms(records)
-    if histograms:
-        sections.append(histograms)
     return "\n\n".join(sections)
 
 

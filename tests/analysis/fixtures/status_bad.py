@@ -1,5 +1,5 @@
 """Golden status-reply violations: one per rule, reachable from the
-replies a pool worker returns in place of an outcome (SpecMiss /
+replies a pool shard returns instead of a bare outcome (TracedOutcome /
 ShardFailure)."""
 
 from dataclasses import dataclass, field
@@ -28,6 +28,6 @@ class ShardFailure:
 
 
 @dataclass(frozen=True)
-class SpecMiss:
-    spec_fp: int
-    failure: "ShardFailure | None" = None
+class TracedOutcome:
+    outcome: "ShardFailure | None"
+    batch: tuple = ()

@@ -10,9 +10,9 @@ class ShardFailure:
 
 
 @dataclass(frozen=True)
-class SpecMiss:
-    spec_fp: int
-    failure: "ShardFailure | None" = field(default=None)
+class TracedOutcome:
+    outcome: "ShardFailure | None" = field(default=None)
+    batch: tuple = ()
 
 
 class ProgressSnapshot:  # written as JSON by the coordinator, never pickled

@@ -88,9 +88,9 @@ class TestWireSafety:
 
 
 class TestStatusFrames:
-    """The status replies a pool worker returns in place of an outcome
-    (SpecMiss / ShardFailure) are pool roots: the same four rules fire
-    on them."""
+    """The replies a pool shard returns instead of a bare outcome
+    (TracedOutcome / ShardFailure) are pool roots: the same four rules
+    fire on them."""
 
     def test_positive_rules(self):
         report = run("status_bad.py", "wire-safety")
@@ -112,7 +112,7 @@ class TestStatusFrames:
     def test_real_status_roots_are_pool_replies(self):
         from repro.analysis.checkers.wire_safety import WIRE_ROOTS
 
-        assert {"SpecMiss", "ShardFailure"} <= set(WIRE_ROOTS)
+        assert {"ShardFailure", "TracedOutcome"} <= set(WIRE_ROOTS)
         # Live snapshots only ever leave the coordinator as JSON.
         assert "ProgressSnapshot" not in WIRE_ROOTS
 

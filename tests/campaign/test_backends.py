@@ -15,7 +15,13 @@ import pytest
 
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
-from repro.campaign.backends import SerialBackend, WorkItem
+from repro import obs
+from repro.campaign.backends import (
+    SerialBackend,
+    WorkItem,
+    build_named_backend,
+    execute_item,
+)
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import BUDGET_NOTE, CampaignUnit, run_campaign
 from repro.core.contracts import sandboxing
@@ -23,6 +29,7 @@ from repro.core.verifier import VerificationTask
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
+from repro.obs.recorder import TracedOutcome
 from repro.uarch.config import Defense
 
 PARAMS = MachineParams(imem_size=3)
@@ -115,17 +122,34 @@ class _RaisingItem(WorkItem):
         raise RuntimeError("boom: deterministic shard bug")
 
 
-def test_backends_deliver_shard_failures_instead_of_raising():
+@pytest.mark.parametrize("name", ["serial", "process"])
+def test_backends_deliver_shard_failures_instead_of_raising(name):
     """A raising shard surfaces as a ShardFailure completion, so the
-    scheduler (not the backend) decides whether it was serially dead."""
+    scheduler (not the backend) decides whether it was serially dead.
+    In a pool child the raise reaches the coordinator through
+    ``future.result()``."""
     from repro.campaign.backends import ShardFailure
 
-    backend = SerialBackend()
-    ticket = backend.submit_unit(_RaisingItem(_task(Defense.NONE)))
-    [(done, outcome)] = list(backend.as_completed())
+    with build_named_backend(name, 1) as backend:
+        ticket = backend.submit_unit(_RaisingItem(_task(Defense.NONE)))
+        [(done, outcome)] = list(backend.as_completed())
     assert done == ticket
     assert isinstance(outcome, ShardFailure)
     assert "boom" in outcome.message
+
+
+def test_traced_execute_item_ships_spans_and_the_untraced_outcome():
+    """The pool entry point: a traced call wraps the very outcome an
+    untraced call returns, with the shard's engine spans alongside."""
+    item = WorkItem(_task(Defense.NONE))
+    plain = execute_item(item, False)
+    traced = execute_item(item, True)
+    assert isinstance(traced, TracedOutcome)
+    assert traced.outcome.stats == plain.stats
+    assert traced.outcome.counterexample == plain.counterexample
+    names = {span.name for span in traced.batch.spans}
+    assert {"shard.run", "engine.search"} <= names
+    assert obs.recorder() is None  # the scoped recorder was uninstalled
 
 
 def test_relevant_shard_failure_aborts_the_campaign(monkeypatch):

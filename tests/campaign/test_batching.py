@@ -1,12 +1,10 @@
-"""Root-batch dispatch and hot-worker spec caching.
+"""Root-batch planning and dispatch.
 
 The batching contract: a shard carrying a contiguous batch of a unit's
 roots is searched by one ``Explorer`` in serial LIFO order, so its
 outcome is the serial merge of those roots and batch boundaries can
-never perturb results.  The spec contract: shipping a unit's spec by
-content fingerprint instead of re-pickling it per shard changes what
-crosses the pool boundary, not what runs -- outcomes stay bit-identical
-and a cold process degrades to one extra round trip (``SpecMiss``).
+never perturb results.  Every shard crosses the pool whole, so a process
+backend runs exactly what the serial backend runs.
 """
 
 from __future__ import annotations
@@ -17,17 +15,7 @@ from repro import obs
 from repro.bench import table2
 from repro.bench.configs import QUICK
 from repro.campaign.__main__ import mini_units
-from repro.campaign.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
-    SpecMiss,
-    WorkItem,
-    execute_envelope,
-    make_envelope,
-    split_spec,
-)
-from repro.campaign.backends import specs as specs_module
-from repro.campaign.backends.specs import spec_fingerprint
+from repro.campaign.backends import ProcessPoolBackend, SerialBackend, WorkItem
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
@@ -68,22 +56,22 @@ def _task(imem_size: int = 2, defense: Defense = Defense.NONE) -> VerificationTa
 # Batch planning
 # ----------------------------------------------------------------------
 def test_plan_batches_covers_weights_contiguously():
-    weights = [5, 1, 1, 1, 8, 1, 1]
-    for n in range(1, len(weights) + 2):
-        batches = _plan_batches(weights, n)
-        assert batches[0][0] == 0
-        assert batches[-1][1] == len(weights)
-        for (_, prev_end), (start, end) in zip(batches, batches[1:]):
-            assert start == prev_end  # contiguous, in order
-            assert end > start  # never an empty batch
-        assert len(batches) == min(n, len(weights))
-    assert _plan_batches([], 3) == []  # zero-root units plan no slots
-
-
-def test_plan_batches_balances_by_weight_not_count():
-    # One dominant entry should sit alone; the light tail groups up.
-    batches = _plan_batches([100, 1, 1, 1, 1, 1], 2)
-    assert batches == [(0, 1), (1, 6)]
+    """Batches tile ``range(count)`` in order, sizes differ by at most
+    one, and the larger batches come first."""
+    for count in range(1, 10):
+        for n in range(1, count + 2):
+            batches = _plan_batches(count, n)
+            assert batches[0][0] == 0
+            assert batches[-1][1] == count
+            for (_, prev_end), (start, end) in zip(batches, batches[1:]):
+                assert start == prev_end  # contiguous, in order
+                assert end > start  # never an empty batch
+            assert len(batches) == min(n, count)
+            sizes = [end - start for start, end in batches]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] - sizes[-1] <= 1
+    assert _plan_batches(6, 4) == [(0, 2), (2, 4), (4, 5), (5, 6)]
+    assert _plan_batches(0, 3) == []  # zero-root units plan no slots
 
 
 # ----------------------------------------------------------------------
@@ -179,54 +167,14 @@ def test_root_batches_match_verify_on_every_backend_and_capacity():
 
 
 # ----------------------------------------------------------------------
-# Content-addressed specs
+# Process dispatch
 # ----------------------------------------------------------------------
-def test_spec_fingerprint_shared_across_shard_shapes():
+def test_process_backend_dispatch_is_bit_identical():
+    """Four shards of one unit on two pool children: each crosses the
+    pool whole and returns exactly the outcome it returns inline."""
     task = _task(2)
     roots = task.build_roots()
-    fp = spec_fingerprint(split_spec(task)[0])
-    for sub in (
-        replace(task, roots=[roots[0]]),
-        replace(task, roots=[roots[-1]]),
-        replace(task, limits=SearchLimits(timeout_s=1, deadline=123.0)),
-    ):
-        assert spec_fingerprint(split_spec(sub)[0]) == fp
-    other = spec_fingerprint(split_spec(_task(2, Defense.NOFWD_SPECTRE))[0])
-    assert other != fp
-
-
-def test_execute_envelope_spec_miss_roundtrip(monkeypatch):
-    """A cold process bounces a bare fingerprint; re-sending with the
-    spec attached runs, warms the cache, and bare sends then succeed."""
-    monkeypatch.setattr(specs_module, "_SPECS", {})
-    task = _task(2)
-    fp = spec_fingerprint(split_spec(task)[0])
-    item = WorkItem(task, spec_fp=fp)
-    reference = WorkItem(task).run()
-
-    bare = make_envelope(item, with_spec=False)
-    assert bare.item.task is None  # the heavy part stayed home
-    miss = execute_envelope(bare)
-    assert isinstance(miss, SpecMiss) and miss.spec_fp == fp
-
-    warm = make_envelope(item, with_spec=True)
-    outcome = execute_envelope(warm)
-    assert outcome.kind == reference.kind
-    assert outcome.stats == reference.stats
-
-    outcome = execute_envelope(bare)  # cache is warm now
-    assert not isinstance(outcome, SpecMiss)
-    assert outcome.stats == reference.stats
-
-
-def test_process_backend_hot_dispatch_is_bit_identical():
-    task = _task(2)
-    fp = spec_fingerprint(split_spec(task)[0])
-    roots = task.build_roots()
-    items = [
-        WorkItem(replace(task, roots=[root]), spec_fp=fp)
-        for root in roots[:4]
-    ]
+    items = [WorkItem(replace(task, roots=[root])) for root in roots[:4]]
     references = [item.run() for item in items]
     backend = ProcessPoolBackend(max_workers=2)
     try:
@@ -237,10 +185,9 @@ def test_process_backend_hot_dispatch_is_bit_identical():
                 got[ticket] = outcome
         for ticket, reference in zip(tickets, references):
             outcome = got[ticket]
-            assert not isinstance(outcome, SpecMiss)
             assert outcome.kind == reference.kind
             assert outcome.stats == reference.stats
-        assert backend.spec_misses >= 0  # misses are retried, never seen
+            assert outcome.counterexample == reference.counterexample
     finally:
         backend.close()
 

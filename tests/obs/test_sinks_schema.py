@@ -36,7 +36,6 @@ def _sample_recorder() -> Recorder:
 def _sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("campaign.shards").inc(2)
-    registry.histogram("campaign.grain_error").observe(0.9)
     registry.time_series("campaign.states_per_s").add(0.1, 500.0)
     return registry
 
