@@ -6,7 +6,9 @@ characterizes the explorer:
 - **oracle throughput** (programs per second): one serial
   :class:`repro.fuzz.work.FuzzShard` on the *defended* mini config
   (nothing leaks, so every trial runs to completion -- the honest
-  denominator), and
+  denominator); ``cycles_per_s`` divides every trial's cycles, and
+  ``oracle_runs``/``oracle_cycles`` add the traces and cycles the
+  oracle stepped (the shard's trace memo answers repeats), and
 - **time-to-first-leak**: the committed-seed ``fuzz-mini`` campaign on
   the planted-leak config, wall-clock and trial count until the
   Spectre-v1 snippet is found and minimized.
@@ -64,6 +66,10 @@ def test_fuzz_oracle_throughput():
         "config": preset.config.describe(),
         "programs": result.programs,
         "product_cycles": result.cycles,
+        # The traces and cycles the oracle stepped: the shard's trace
+        # memo answers repeated traces without stepping the product.
+        "oracle_runs": result.oracle_runs,
+        "oracle_cycles": result.oracle_cycles,
         "elapsed_s": round(elapsed, 3),
         "programs_per_s": round(programs_per_s, 1),
         "cycles_per_s": round(result.cycles / elapsed, 1),
@@ -74,7 +80,8 @@ def test_fuzz_oracle_throughput():
     print()
     print(
         f"fuzz oracle throughput: {programs_per_s:.0f} programs/s "
-        f"({result.cycles / elapsed:.0f} product cycles/s) "
+        f"({result.cycles / elapsed:.0f} product cycles/s, "
+        f"{result.oracle_runs} oracle runs) "
         f"-> {BENCH_RECORD.name}"
     )
     assert programs_per_s > 50, "oracle throughput collapsed"

@@ -17,7 +17,9 @@ The pieces, and how they reuse the existing machinery:
   .ShadowProduct`) on a sampled (program, secret pair, predictor seed)
   triple.  The shadow logic's leakage assertion is the oracle: a trace
   it flags is exactly an ``ATTACK`` counterexample of the model checker
-  on the same product -- near-zero new theory.
+  on the same product -- near-zero new theory.  Each batch answers
+  trials that repeat a trace it already ran from a trace memo keyed on
+  the trace's fetch and predictor answers.
 - **Coverage feedback** (:mod:`repro.fuzz.coverage`): per-trace keys
   derived from the :class:`repro.events.CycleOutput` stream (squashes
   via mispredict events, speculation-window entry, memory-bus

@@ -56,11 +56,18 @@ CORPUS_CAP = 64
 
 @dataclass
 class FuzzRound:
-    """Merged accounting of one round (deterministic given the seed)."""
+    """Merged accounting of one round (deterministic given the seed).
+
+    ``oracle_runs``/``oracle_cycles`` are the traces and product cycles
+    the round's shards actually stepped; ``programs``/``cycles`` count
+    every trial, including those a shard's trace memo answered.
+    """
 
     index: int
     programs: int = 0
     cycles: int = 0
+    oracle_runs: int = 0
+    oracle_cycles: int = 0
     verdicts: dict = field(default_factory=dict)
     new_coverage: int = 0
     truncated: bool = False
@@ -118,8 +125,10 @@ class FuzzReport:
 
     def summary(self) -> str:
         """One-line human summary."""
+        oracle_runs = sum(r.oracle_runs for r in self.rounds)
         base = (
-            f"{self.programs} programs / {len(self.rounds)} rounds, "
+            f"{self.programs} programs in {oracle_runs} oracle runs / "
+            f"{len(self.rounds)} rounds, "
             f"{len(self.coverage)} coverage keys, {self.elapsed:.2f}s"
         )
         if self.leak is None:
@@ -254,6 +263,8 @@ def run_fuzz(
                         continue
                     merged.programs += result.programs
                     merged.cycles += result.cycles
+                    merged.oracle_runs += result.oracle_runs
+                    merged.oracle_cycles += result.oracle_cycles
                     for name, count in result.verdicts:
                         merged.verdicts[name] = (
                             merged.verdicts.get(name, 0) + count
@@ -282,6 +293,8 @@ def run_fuzz(
                 "fuzz.round.done",
                 round=round_index,
                 programs=merged.programs,
+                oracle_runs=merged.oracle_runs,
+                oracle_cycles=merged.oracle_cycles,
                 new_coverage=merged.new_coverage,
                 leaks=merged.leaks,
             )
@@ -300,6 +313,8 @@ def run_fuzz(
                     extra={
                         "fuzz": {
                             "programs": merged.programs,
+                            "oracle_runs": merged.oracle_runs,
+                            "oracle_cycles": merged.oracle_cycles,
                             "new_coverage": merged.new_coverage,
                             "coverage_total": len(coverage),
                             "corpus_size": len(corpus),

@@ -11,6 +11,9 @@ rely on for deterministic merges:
   through :func:`repro.rand.derive_seed`, and coverage novelty is
   judged against the ``known_coverage`` snapshot shipped *in* the shard
   -- so a shard's result is independent of where and when it runs.
+  A shard runs each distinct concrete trace once: trials that replay a
+  trace already run in the same shard are answered from its
+  :class:`repro.fuzz.oracle.TraceMemo`.
 - :class:`MinimizeProbe` -- one delta-debugging candidate: does this
   reduced program still leak on this secret pair under this predictor
   seed?
@@ -35,6 +38,7 @@ from repro.fuzz.oracle import (
     TRACE_INVALID,
     TRACE_LEAK,
     TRACE_OK,
+    TraceMemo,
     run_trace,
 )
 from repro.rand import derive_seed
@@ -123,12 +127,19 @@ class FuzzLeak:
 
 @dataclass(frozen=True)
 class FuzzShardResult:
-    """Everything one batch reports back for the deterministic merge."""
+    """Everything one batch reports back for the deterministic merge.
+
+    ``cycles`` is the product cycles of every trial; ``oracle_runs`` and
+    ``oracle_cycles`` count the traces and cycles the shard actually
+    stepped (trials its trace memo answered are left out).
+    """
 
     round_index: int
     batch_index: int
     programs: int
     cycles: int
+    oracle_runs: int
+    oracle_cycles: int
     verdicts: tuple[tuple[str, int], ...]  # verdict name -> count
     new_coverage: tuple[str, ...]  # sorted, novel vs known_coverage
     corpus_additions: tuple[tuple[Instruction, ...], ...]
@@ -171,7 +182,8 @@ class FuzzShard:
         counts = {name: 0 for name in TRIAL_VERDICTS}
         additions: list[tuple[Instruction, ...]] = []
         leaks: list[FuzzLeak] = []
-        programs = cycles = 0
+        memo = TraceMemo()
+        programs = cycles = oracle_runs = oracle_cycles = 0
         truncated: str | None = None
         for trial in range(self.n_programs):
             if deadline is not None and clock.monotonic() >= deadline:
@@ -186,8 +198,17 @@ class FuzzShard:
                 program = sampler.mutate(parent, rng)
             else:
                 program = sampler.fresh(rng)
-            root = roots[rng.randrange(len(roots))]
+            root_index = rng.randrange(len(roots))
+            root = roots[root_index]
             pred_seed = derive_seed(trial_seed, 0x70726564)  # "pred"
+            programs += 1
+            leaf = memo.lookup(root_index, program, pred_seed)
+            if leaf is not None:
+                # A replay of a trace this shard ran: its coverage keys
+                # are all seen already, and it never leaked.
+                counts[leaf[0]] += 1
+                cycles += leaf[1]
+                continue
             trace = run_trace(
                 product,
                 program,
@@ -196,7 +217,9 @@ class FuzzShard:
                 max_cycles=config.max_cycles,
                 root_label=root.label,
             )
-            programs += 1
+            memo.insert(root_index, trace)
+            oracle_runs += 1
+            oracle_cycles += trace.cycles
             cycles += trace.cycles
             counts[trace.verdict] += 1
             novel = [k for k in trace.coverage if k not in seen]
@@ -225,6 +248,8 @@ class FuzzShard:
             batch_index=self.batch_index,
             programs=programs,
             cycles=cycles,
+            oracle_runs=oracle_runs,
+            oracle_cycles=oracle_cycles,
             verdicts=tuple((name, counts[name]) for name in TRIAL_VERDICTS),
             new_coverage=tuple(sorted(new_keys)),
             corpus_additions=tuple(additions),

@@ -15,8 +15,8 @@ through this package:
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
   package reads wall/monotonic time, injectable for tests.  The
   determinism lint flags direct clock reads anywhere else.
-- **Metrics** (:mod:`repro.obs.metrics`): counters, gauges and time
-  series in a per-campaign registry that supersedes
+- **Metrics** (:mod:`repro.obs.metrics`): counters and time series
+  in a per-campaign registry that supersedes
   ``CampaignTelemetry`` (the old dataclass is filled from the registry
   as a compatibility shim).
 - **Sinks** (:mod:`repro.obs.sinks`): an in-memory recorder *is* the

@@ -51,7 +51,7 @@ __all__ = [
 class ProgressSnapshot:
     """One frozen view of a running campaign.
 
-    ``verdicts`` / ``counters`` / ``gauges`` are sorted name/value
+    ``verdicts`` / ``counters`` are sorted name/value
     tuples (not dicts) so the record hashes and compares.  ``eta_s``
     extrapolates the unit completion rate and is ``None`` until the
     first unit lands; ``states_per_s`` is the EWMA over completed
@@ -75,7 +75,6 @@ class ProgressSnapshot:
     states_per_s: float
     eta_s: float | None
     counters: tuple[tuple[str, float], ...] = ()
-    gauges: tuple[tuple[str, float], ...] = ()
     finished: bool = False
 
     @property
@@ -93,7 +92,6 @@ def snapshot_to_json(snapshot: ProgressSnapshot) -> dict:
     data = asdict(snapshot)
     data["verdicts"] = [list(pair) for pair in snapshot.verdicts]
     data["counters"] = [list(pair) for pair in snapshot.counters]
-    data["gauges"] = [list(pair) for pair in snapshot.gauges]
     data["type"] = "status"
     return data
 
@@ -107,9 +105,6 @@ def snapshot_from_json(data: dict) -> ProgressSnapshot:
     )
     fields["counters"] = tuple(
         (str(name), value) for name, value in fields.get("counters", ())
-    )
-    fields["gauges"] = tuple(
-        (str(name), value) for name, value in fields.get("gauges", ())
     )
     return ProgressSnapshot(**fields)
 
@@ -198,15 +193,9 @@ class ProgressTracker:
         self._seq += 1
         uptime = max(0.0, clock.monotonic() - self.started)
         counters: tuple[tuple[str, float], ...] = ()
-        gauges: tuple[tuple[str, float], ...] = ()
         if registry is not None:
             counters = tuple(
                 (name, c.value) for name, c in sorted(registry.counters.items())
-            )
-            gauges = tuple(
-                (name, g.value)
-                for name, g in sorted(registry.gauges.items())
-                if g.value is not None
             )
         return ProgressSnapshot(
             seq=self._seq,
@@ -225,7 +214,6 @@ class ProgressTracker:
             states_per_s=self.states_per_s,
             eta_s=self.eta_s(uptime),
             counters=counters,
-            gauges=gauges,
             finished=self.finished,
         )
 

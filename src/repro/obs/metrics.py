@@ -1,4 +1,4 @@
-"""Counters, gauges and series for one campaign.
+"""Counters and series for one campaign.
 
 The registry supersedes ``repro.campaign.scheduler.CampaignTelemetry``:
 the scheduler (and now the fuzz loop) increments registry counters as it
@@ -10,7 +10,6 @@ and callers keep reading ``LAST_TELEMETRY`` unchanged while new series
 Instruments:
 
 - :class:`Counter` -- a monotonically growing sum.
-- :class:`Gauge` -- a last-value sample.
 - :class:`Series` -- an append-only ``(t, value)`` list for
   over-time plots (states/s per completed shard).
 
@@ -37,19 +36,6 @@ class Counter:
         self.value += delta
 
 
-class Gauge:
-    """A named last-value sample."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float | None = None
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
 class Series:
     """An append-only ``(t, value)`` time series."""
 
@@ -68,19 +54,12 @@ class MetricsRegistry:
 
     def __init__(self):
         self.counters: dict[str, Counter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.series: dict[str, Series] = {}
 
     def counter(self, name: str) -> Counter:
         instrument = self.counters.get(name)
         if instrument is None:
             instrument = self.counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self.gauges.get(name)
-        if instrument is None:
-            instrument = self.gauges[name] = Gauge(name)
         return instrument
 
     def time_series(self, name: str) -> Series:
@@ -94,9 +73,6 @@ class MetricsRegistry:
         return {
             "counters": {
                 name: c.value for name, c in sorted(self.counters.items())
-            },
-            "gauges": {
-                name: g.value for name, g in sorted(self.gauges.items())
             },
             "series": {
                 name: [[t, v] for t, v in s.points]

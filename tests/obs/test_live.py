@@ -55,7 +55,6 @@ def make_snapshot(**overrides) -> ProgressSnapshot:
         states_per_s=8000.0,
         eta_s=7.5,
         counters=(("campaign.units", 5.0),),
-        gauges=(("campaign.capacity", 4.0),),
     )
     fields.update(overrides)
     return ProgressSnapshot(**fields)
@@ -104,8 +103,6 @@ class TestTracker:
     def test_build_folds_registry_and_bumps_seq(self, fake_clock):
         registry = metrics.MetricsRegistry()
         registry.counter("campaign.units").inc(2)
-        registry.gauge("campaign.capacity").set(4)
-        registry.gauge("never.set")  # value None: excluded
         tracker = ProgressTracker(
             experiment="mini", units_total=2, backend="serial", capacity=1
         )
@@ -114,7 +111,6 @@ class TestTracker:
         assert snapshot.seq == 1
         assert snapshot.uptime_s == pytest.approx(5.0)
         assert snapshot.counters == (("campaign.units", 2),)
-        assert snapshot.gauges == (("campaign.capacity", 4),)
         assert tracker.build().seq == 2
 
 

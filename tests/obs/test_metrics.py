@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.campaign.scheduler import CampaignTelemetry
 from repro.obs.metrics import MetricsRegistry, fill_telemetry, new_registry
 from repro.obs import metrics
@@ -22,7 +20,6 @@ from repro.obs import metrics
 def test_registry_instruments_are_get_or_create():
     registry = MetricsRegistry()
     assert registry.counter("c") is registry.counter("c")
-    assert registry.gauge("g") is registry.gauge("g")
     assert registry.time_series("s") is registry.time_series("s")
 
 
@@ -36,12 +33,10 @@ def test_new_registry_repoints_the_module_global():
 def test_snapshot_is_json_safe_and_complete():
     registry = MetricsRegistry()
     registry.counter("campaign.shards").inc(4)
-    registry.gauge("engine.visited_load").set(0.43)
     registry.time_series("campaign.states_per_s").add(0.5, 1000.0)
     snapshot = json.loads(json.dumps(registry.snapshot()))
-    assert set(snapshot) == {"counters", "gauges", "series"}
+    assert set(snapshot) == {"counters", "series"}
     assert snapshot["counters"] == {"campaign.shards": 4}
-    assert snapshot["gauges"]["engine.visited_load"] == pytest.approx(0.43)
     assert snapshot["series"]["campaign.states_per_s"] == [[0.5, 1000.0]]
 
 
