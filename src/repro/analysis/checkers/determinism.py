@@ -43,9 +43,8 @@ probabilistically.  The rules:
 
 ``direct-clock``
     A function-scope ``time.*()`` clock read.  All wall/monotonic reads
-    belong behind :mod:`repro.obs.clock` (same call cost, rebindable
-    module globals): tests inject deterministic clocks through one seam,
-    and trace timestamps stay mutually consistent.  ``repro/obs/clock.py``
+    belong behind :mod:`repro.obs.clock` (same call cost), so trace
+    timestamps stay mutually consistent.  ``repro/obs/clock.py``
     itself carries the file waiver -- it is the one sanctioned caller of
     ``time``; the frozen legacy engine keeps per-line waivers.
 """

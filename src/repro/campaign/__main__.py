@@ -33,7 +33,7 @@ from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
 from repro.campaign.cli import (
     add_backend_arguments,
-    add_status_arguments,
+    add_history_argument,
     add_trace_argument,
     append_history,
     trace_to,
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_backend_arguments(parser)
     add_trace_argument(parser)
-    add_status_arguments(parser)
+    add_history_argument(parser)
     args = parser.parse_args(argv)
     if args.units in FUZZ_PRESETS:
         # Random-testing grids run through the fuzz driver: forward the
@@ -142,8 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--backend", args.backend]
         if args.trace:
             forwarded += ["--trace", args.trace]
-        if args.status_json:
-            forwarded += ["--status-json", args.status_json]
         if args.history:
             forwarded += ["--history", args.history]
         return fuzz_main(forwarded)
@@ -159,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             log=log,
             experiment=args.units,
             backend=args.backend,
-            status_json=args.status_json,
         )
 
     from repro.obs import clock

@@ -215,15 +215,6 @@ class ExecutionBackend:
         """Current parallel width (worker slots able to run items now)."""
         raise NotImplementedError
 
-    def outstanding(self) -> int:
-        """Items queued or occupying a worker slot right now.
-
-        Counts cancelled-but-unpreemptable items still running (they
-        hold a slot), which scheduler-side bookkeeping cannot see; live
-        status reports it as the in-flight count.
-        """
-        raise NotImplementedError
-
     def submit_unit(self, item: WorkItem) -> int:
         """Enqueue one shard; returns its ticket."""
         raise NotImplementedError
@@ -235,24 +226,6 @@ class ExecutionBackend:
     def cancel(self, ticket: int) -> bool:
         """Best-effort cancel; ``True`` iff the ticket will never yield."""
         raise NotImplementedError
-
-    # -- status hooks (observability only; see repro.obs.live) ----------
-    #: The campaign's :class:`repro.obs.live.StatusPublisher`, if any.
-    _status_publisher = None
-
-    def set_status_publisher(self, publisher) -> None:
-        """Attach (or with ``None`` detach) the campaign's publisher.
-
-        Backends call :meth:`_publish_status` from their wait loops so
-        snapshots keep flowing while the scheduler blocks; everything
-        here is observability-only and never touches results.
-        """
-        self._status_publisher = publisher
-
-    def _publish_status(self) -> None:
-        """Tick the attached publisher, if any (rate-limited there)."""
-        if self._status_publisher is not None:
-            self._status_publisher.tick(self)
 
     def close(self) -> None:
         """Release workers and transports; idempotent."""

@@ -40,11 +40,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def capacity(self) -> int:
         return self._max_workers
 
-    def outstanding(self) -> int:
-        # Includes cancel()ed-but-already-running futures: they hold a
-        # pool slot until they finish, idle capacity must not count them.
-        return len(self._futures)
-
     def submit_unit(self, item: WorkItem) -> int:
         ticket = self._next_ticket
         self._next_ticket += 1
@@ -64,13 +59,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def as_completed(self) -> Iterator[tuple[int, Outcome]]:
         while self._futures:
-            self._publish_status()
             by_future = {f: t for t, f in self._futures.items()}
-            # The short timeout exists only so status snapshots keep
-            # flowing during a long shard; completion order was already
-            # nondeterministic and the merge is order-blind, so polling
-            # cannot affect results.
-            done, _ = wait(by_future, timeout=0.25, return_when=FIRST_COMPLETED)
+            done, _ = wait(by_future, return_when=FIRST_COMPLETED)
             for future in done:
                 ticket = by_future[future]
                 # A future cancelled between ``wait`` and here never ran.

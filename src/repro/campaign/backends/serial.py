@@ -30,9 +30,6 @@ class SerialBackend(ExecutionBackend):
     def capacity(self) -> int:
         return 1
 
-    def outstanding(self) -> int:
-        return len(self._queue)
-
     def submit_unit(self, item: WorkItem) -> int:
         ticket = self._next_ticket
         self._next_ticket += 1
@@ -45,7 +42,6 @@ class SerialBackend(ExecutionBackend):
 
     def as_completed(self) -> Iterator[tuple[int, Outcome]]:
         while self._queue:
-            self._publish_status()
             ticket = next(iter(self._queue))
             item = self._queue.pop(ticket)
             try:

@@ -4,7 +4,10 @@ Every campaign-running CLI grows the same ``--backend {serial,process}``
 flag (default: the historical behavior, serial for ``--workers 1``, a
 process pool otherwise); its value passes straight through as the
 ``backend=`` argument of :func:`repro.campaign.scheduler.run_campaign`
-or :func:`repro.fuzz.campaign.run_fuzz`.
+or :func:`repro.fuzz.campaign.run_fuzz`.  The campaign and fuzz CLIs
+also share ``--trace FILE`` (a :mod:`repro.obs` trace of the run) and
+``--history FILE`` (one record appended to the run ledger read by
+``python -m repro.obs.history``).
 """
 
 from __future__ import annotations
@@ -35,14 +38,8 @@ def add_trace_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_status_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the shared ``--status-json`` / ``--history`` flags."""
-    parser.add_argument(
-        "--status-json", default=None, metavar="FILE",
-        help="atomically rewrite FILE with the latest live ProgressSnapshot "
-        "(~1/s, every backend); watch it with "
-        "python -m repro.obs.watch --status-json FILE",
-    )
+def add_history_argument(parser: argparse.ArgumentParser) -> None:
+    """Install the shared ``--history FILE`` run-ledger flag."""
     parser.add_argument(
         "--history", default=None, metavar="FILE",
         help="append one run record to this JSONL ledger when the run "
@@ -91,22 +88,18 @@ def trace_to(path: str | None):
 
     ``None`` is a true no-op (no recorder installed -- the traced-off
     fast path).  Otherwise a recorder spans the block, and on the way
-    out the trace JSONL lands at ``path`` -- including the metrics
-    snapshot of whatever campaign ran last inside the block (the
-    registry ``run_campaign``/``run_fuzz`` re-pointed).  The write runs
-    in a ``finally`` so an interrupted campaign still keeps its trace.
+    out the trace JSONL lands at ``path``.  The write runs in a
+    ``finally`` so an interrupted campaign still keeps its trace.
     """
     if not path:
         yield
         return
     from repro import obs
-    from repro.obs import metrics, sinks
+    from repro.obs import sinks
 
     with obs.tracing() as recorder:
         try:
             yield
         finally:
-            count = sinks.write_jsonl(
-                recorder, path, registry=metrics.LAST_REGISTRY
-            )
+            count = sinks.write_jsonl(recorder, path)
             print(f"trace: {count} records -> {path}", file=sys.stderr)

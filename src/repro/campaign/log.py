@@ -3,7 +3,10 @@
 Each campaign run appends one JSON object per line:
 
 - one ``{"type": "campaign", ...}`` header with the run metadata
-  (experiment name, worker count, unit count), and
+  (experiment name, worker count, and ``n_units``, the number of units
+  *planned* -- for a fuzz run its round cap, which a leak or the budget
+  can cut short; count the ``result`` records for the units that ran),
+  and
 - one ``{"type": "result", ...}`` record per campaign unit, *in unit
   submission order*, carrying the unit's identity (``experiment``,
   ``key``, contract / scheme labels) and its full
@@ -137,6 +140,12 @@ class CampaignLog:
         self._stream = stream
 
     def header(self, experiment: str, n_workers: int, n_units: int) -> None:
+        """Write the run header.
+
+        ``n_units`` is the number of units *planned*: a fuzz run logs its
+        round cap, and a leak or the budget can stop it sooner.  Readers
+        count ``result`` records for the units that actually ran.
+        """
         self._write(
             {
                 "type": "campaign",

@@ -71,8 +71,6 @@ from typing import Sequence
 
 from repro import obs
 from repro.obs import clock
-from repro.obs.live import ProgressTracker, StatusPublisher
-from repro.obs.metrics import MetricsRegistry, fill_telemetry, new_registry
 from repro.campaign.backends import (
     BACKEND_NAMES,
     BUDGET_NOTE,
@@ -116,12 +114,10 @@ class CampaignTelemetry:
     object; it is re-pointed (never mutated in place) at the start of
     every ``run_campaign``, so counters can no longer leak across runs.
 
-    Since the ``repro.obs`` layer landed this dataclass is a
-    *compatibility shim*: the scheduler counts into the campaign's
-    :class:`repro.obs.metrics.MetricsRegistry` (the superset -- time
-    series live only there, see ``repro.obs.metrics.LAST_REGISTRY``),
-    and ``shards`` is filled from the registry when the campaign ends
-    (:func:`repro.obs.metrics.fill_telemetry`).
+    This is the campaign's one count of itself: the scheduler and
+    :func:`repro.fuzz.campaign.run_fuzz` add to ``shards`` as they
+    submit work.  Per-shard detail (states, elapsed) lives in the
+    ``shard.done`` trace events, not here.
     """
 
     backend: str = ""
@@ -264,25 +260,14 @@ class _ResultSink:
     survives a mid-campaign crash or interrupt.
     """
 
-    def __init__(
-        self,
-        units: list[CampaignUnit],
-        log: CampaignLog | None,
-        tracker: ProgressTracker | None = None,
-    ):
+    def __init__(self, units: list[CampaignUnit], log: CampaignLog | None):
         self.units = units
         self.log = log
-        self.tracker = tracker
         self.outcomes: list[Outcome | None] = [None] * len(units)
         self._next = 0
 
     def offer(self, index: int, outcome: Outcome) -> None:
         self.outcomes[index] = outcome
-        if self.tracker is not None:
-            # Every finalized unit passes through here (idempotent per
-            # index on the tracker side), so live progress needs no
-            # second choke point.
-            self.tracker.unit_done(index, outcome.kind)
         if self.log is None:
             return
         while self._next < len(self.units):
@@ -321,8 +306,6 @@ def run_campaign(
     log: CampaignLog | None = None,
     experiment: str = "campaign",
     backend=None,
-    status_json: str | None = None,
-    status_interval: float = 1.0,
 ) -> list[CampaignResult]:
     """Run a campaign; results align with ``units`` (deterministic order).
 
@@ -337,51 +320,30 @@ def run_campaign(
 
     ``budget_s`` is a shared wall-clock budget; units it cuts off report
     timeout outcomes noted ``"campaign budget exhausted"``.
-
-    ``status_json`` names a file to atomically rewrite with the latest
-    :class:`repro.obs.live.ProgressSnapshot` about every
-    ``status_interval`` seconds (every backend, serial included); the
-    same snapshots land in ``repro.obs.live.LAST_SNAPSHOT``.
-    Observability only -- results are bit-identical with or without
-    it.
     """
     units = list(units)
     deadline = None if budget_s is None else clock.monotonic() + budget_s
     backend_obj, owned, capacity = _resolve_backend(backend, n_workers)
     # One telemetry object per campaign, shared by every result of the
     # run; the process-global alias is re-pointed (not mutated) so a
-    # previous campaign's counters can never bleed into this one.  The
-    # registry is the counters' source of truth; the telemetry shim is
-    # filled from it when the campaign ends.
+    # previous campaign's counters can never bleed into this one.
     global LAST_TELEMETRY
     telemetry = CampaignTelemetry(capacity=capacity)
     LAST_TELEMETRY = telemetry
-    registry = new_registry()
-    tracker = ProgressTracker(
-        experiment=experiment, units_total=len(units), capacity=capacity
-    )
-    publisher = StatusPublisher(
-        tracker, registry=registry, interval=status_interval, path=status_json
-    )
     if log is not None:
         log.header(experiment, capacity, len(units))
     # Results stream to the log in submission order as units finalize
     # (each record is flushed), so an interrupted campaign keeps every
     # completed prefix for --from-log re-rendering.
-    sink = _ResultSink(units, log, tracker)
-    try:
-        with obs.span("campaign", experiment=experiment, units=len(units)):
-            if backend is None and capacity == 1:
-                telemetry.backend = "serial"
-                tracker.backend = "serial"
-                outcomes = _run_serial(units, deadline, sink, publisher)
-            else:
-                outcomes = _run_sharded(
-                    units, backend_obj, owned, capacity, deadline, sink,
-                    telemetry, registry, tracker, publisher,
-                )
-    finally:
-        fill_telemetry(telemetry, registry)
+    sink = _ResultSink(units, log)
+    with obs.span("campaign", experiment=experiment, units=len(units)):
+        if backend is None and capacity == 1:
+            telemetry.backend = "serial"
+            outcomes = _run_serial(units, deadline, sink)
+        else:
+            outcomes = _run_sharded(
+                units, backend_obj, owned, capacity, deadline, sink, telemetry
+            )
     return [
         CampaignResult(unit.experiment, unit.key, outcome, telemetry)
         for unit, outcome in zip(units, outcomes)
@@ -401,12 +363,9 @@ def _run_serial(
     units: list[CampaignUnit],
     deadline: float | None,
     sink: _ResultSink,
-    publisher: StatusPublisher | None = None,
 ) -> list[Outcome]:
     outcomes: list[Outcome] = []
     for index, unit in enumerate(units):
-        if publisher is not None:
-            publisher.tick()
         key = "/".join(unit.key)
         if deadline is not None and clock.monotonic() >= deadline:
             outcome = _budget_outcome()
@@ -418,12 +377,6 @@ def _run_serial(
         )
         outcomes.append(outcome)
         sink.offer(index, outcome)
-        if sink.tracker is not None:
-            sink.tracker.states += outcome.stats.states
-            if outcome.elapsed > 0:
-                sink.tracker.note_rate(outcome.stats.states / outcome.elapsed)
-    if publisher is not None:
-        publisher.finish()
     return outcomes
 
 
@@ -476,9 +429,6 @@ def _run_sharded(
     deadline: float | None,
     sink: _ResultSink,
     telemetry: CampaignTelemetry,
-    registry: MetricsRegistry,
-    tracker: ProgressTracker | None = None,
-    publisher: StatusPublisher | None = None,
 ) -> list[Outcome]:
     for unit in units:
         _check_picklable(unit)
@@ -505,14 +455,6 @@ def _run_sharded(
         owned = True
     telemetry.backend = backend.name
     telemetry.capacity = capacity
-    if tracker is not None:
-        tracker.backend = backend.name
-        tracker.capacity = capacity
-    # Status plumbing (observability only): the backend ticks the
-    # publisher from its wait loop so snapshots flow while the drain
-    # below blocks.
-    if publisher is not None:
-        backend.set_status_publisher(publisher)
     #: ticket -> (unit state, batch position)
     owner: dict[int, tuple[_UnitState, int]] = {}
 
@@ -562,9 +504,7 @@ def _run_sharded(
             for pos in reversed(range(len(state.subtasks))):
                 subtask = state.subtasks[pos]
                 ticket = backend.submit_unit(WorkItem(subtask))
-                registry.counter("campaign.shards").inc()
-                if tracker is not None:
-                    tracker.shard_submitted()
+                telemetry.shards += 1
                 obs.event(
                     "shard.submit",
                     ticket=ticket,
@@ -588,10 +528,6 @@ def _run_sharded(
                     states=outcome.stats.states,
                     elapsed=outcome.elapsed,
                 )
-                if tracker is not None:
-                    tracker.shard_done(
-                        outcome.stats.states, outcome.elapsed
-                    )
             if info is None:
                 continue  # cancelled: a stale result
             state, pos = info
@@ -603,15 +539,6 @@ def _run_sharded(
                     f"{state.unit.experiment}/{'/'.join(state.unit.key)} "
                     f"failed: {outcome.message}"
                 )
-            if (
-                not outcome.timed_out
-                and outcome.elapsed > 0
-                and outcome.stats.states > 0
-            ):
-                # Engine-level series: measured throughput over time.
-                registry.time_series("campaign.states_per_s").add(
-                    clock.monotonic(), outcome.stats.states / outcome.elapsed
-                )
             state.outcomes[pos] = outcome
             if try_finalize(state):
                 sink.offer(state.index, state.final)
@@ -621,11 +548,8 @@ def _run_sharded(
                     [o or _budget_outcome() for o in state.outcomes]
                 )
                 sink.offer(state.index, state.final)
-        if publisher is not None:
-            publisher.finish(backend)
         return [state.final for state in states]
     finally:
-        backend.set_status_publisher(None)
         if owned:
             backend.close()
 

@@ -26,9 +26,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.campaign.backends import build_named_backend
 from repro.campaign.cli import (
     add_backend_arguments,
-    add_status_arguments,
+    add_history_argument,
     add_trace_argument,
     append_history,
     trace_to,
@@ -79,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_backend_arguments(parser)
     add_trace_argument(parser)
-    add_status_arguments(parser)
+    add_history_argument(parser)
     args = parser.parse_args(argv)
     preset = preset_config(args.units, args.seed)
     # ``--workers 0`` keeps the campaign CLI's meaning: one per CPU.
@@ -106,15 +107,18 @@ def main(argv: list[str] | None = None) -> int:
                 args.rounds if args.rounds is not None else preset.max_rounds
             ),
             minimize=not args.no_minimize,
-            backend=backend,
-            n_workers=n_workers,
+            backend=backend_obj,
             budget_s=args.budget,
             log=log,
             experiment=preset.name,
-            status_json=args.status_json,
         )
 
-    with trace_to(args.trace):
+    # The CLI owns the backend so the history ledger records the width
+    # the run actually had (``--workers 0`` resolves to one per CPU).
+    with trace_to(args.trace), build_named_backend(
+        backend, n_workers
+    ) as backend_obj:
+        capacity = backend_obj.capacity()
         if args.log:
             with open(args.log, "w", encoding="utf-8") as handle:
                 report = _run(CampaignLog(handle))
@@ -138,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         experiment=preset.name,
         backend=backend,
-        capacity=args.workers if args.workers is not None else 1,
+        capacity=capacity,
         units=len(report.rounds),
         verdicts={"leak" if report.found_leak else "no-leak": 1},
         wall_s=report.elapsed,

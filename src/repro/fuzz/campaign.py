@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs import clock
-from repro.obs.live import ProgressTracker, StatusPublisher
-from repro.obs.metrics import fill_telemetry, new_registry
 from repro.campaign.backends import (
     ExecutionBackend,
     SerialBackend,
@@ -171,8 +169,6 @@ def run_fuzz(
     budget_s: float | None = None,
     log: CampaignLog | None = None,
     experiment: str = "fuzz",
-    status_json: str | None = None,
-    status_interval: float = 1.0,
 ) -> FuzzReport:
     """Run one fuzz campaign (see the module docstring).
 
@@ -181,37 +177,20 @@ def run_fuzz(
     open for the caller, like verification campaigns).  ``budget_s``
     stamps a shared absolute deadline on every shard; truncated rounds
     report ``timeout`` records (timing-dependent, like every budget).
-    ``status_json`` / ``status_interval`` stream live
-    :class:`repro.obs.live.ProgressSnapshot` records exactly like
-    :func:`repro.campaign.scheduler.run_campaign` -- here one "unit" is
-    one fuzz round -- and are observability-only.
+    The log header's ``n_units`` is ``max_rounds``, the rounds planned.
     """
     started = clock.monotonic()
     deadline = None if budget_s is None else started + budget_s
     limits = SearchLimits(deadline=deadline)
     backend_obj, owned = _resolve_backend(backend, n_workers)
-    # Fuzz campaigns share the verification campaigns' telemetry shim:
-    # one CampaignTelemetry per run, re-pointing the process-global
-    # alias, filled from the metrics registry at the end (so fuzz runs
-    # finally report their shard counter instead of a stale search
-    # campaign's numbers).
+    # Fuzz campaigns count themselves like verification campaigns: one
+    # CampaignTelemetry per run, re-pointing the process-global alias.
     from repro.campaign import scheduler as _scheduler
 
     telemetry = _scheduler.CampaignTelemetry(
         backend=backend_obj.name, capacity=max(1, backend_obj.capacity())
     )
     _scheduler.LAST_TELEMETRY = telemetry
-    registry = new_registry()
-    tracker = ProgressTracker(
-        experiment=experiment,
-        units_total=max_rounds,
-        backend=backend_obj.name,
-        capacity=max(1, backend_obj.capacity()),
-    )
-    publisher = StatusPublisher(
-        tracker, registry=registry, interval=status_interval, path=status_json
-    )
-    backend_obj.set_status_publisher(publisher)
     if log is not None:
         log.header(experiment, max(1, backend_obj.capacity()), max_rounds)
     coverage = CoverageMap()
@@ -219,12 +198,10 @@ def run_fuzz(
     rounds: list[FuzzRound] = []
     leak: FuzzLeak | None = None
     minimized: MinimizedLeak | None = None
-    shards_counter = registry.counter("campaign.shards")
     try:
         for round_index in range(max_rounds):
             if deadline is not None and clock.monotonic() >= deadline:
                 break
-            round_t0 = clock.monotonic()
             with obs.span(
                 "fuzz.round", round=round_index, batches=n_batches
             ):
@@ -243,8 +220,7 @@ def run_fuzz(
                     )
                     ticket = backend_obj.submit_unit(WorkItem(fuzz=shard))
                     tickets[ticket] = batch_index
-                    shards_counter.inc()
-                    tracker.shard_submitted()
+                    telemetry.shards += 1
                     obs.event(
                         "shard.submit",
                         ticket=ticket,
@@ -279,16 +255,6 @@ def run_fuzz(
                     round_leaks.extend(result.leaks)
                 del corpus[:-CORPUS_CAP]
             merged.elapsed = clock.monotonic() - started
-            round_dt = clock.monotonic() - round_t0
-            if round_dt > 0 and merged.programs:
-                registry.time_series("fuzz.programs_per_s").add(
-                    clock.monotonic(), merged.programs / round_dt
-                )
-                # Live status: fuzz "states/s" is programs/s.
-                tracker.note_rate(merged.programs / round_dt)
-            for _ in results:
-                tracker.shard_done()
-            tracker.states += merged.programs  # "states" = programs here
             obs.event(
                 "fuzz.round.done",
                 round=round_index,
@@ -304,7 +270,6 @@ def run_fuzz(
                 else None
             )
             rounds.append(merged)
-            tracker.unit_done(round_index, merged.outcome(round_leak).kind)
             if log is not None:
                 log.result(
                     experiment,
@@ -331,15 +296,7 @@ def run_fuzz(
             minimized = minimize_leak(config, leak, backend_obj, limits=limits)
             if log is not None:
                 _log_minimized(log, experiment, leak, minimized)
-        # Rounds a leak or the budget cut off never run: the finished
-        # campaign's final snapshot counts only the rounds it ran and is
-        # marked finished, so it reads done even with no round run.
-        tracker.units_total = len(rounds)
-        tracker.finished = True
     finally:
-        publisher.tick(backend_obj, force=True)
-        backend_obj.set_status_publisher(None)
-        fill_telemetry(telemetry, registry)
         if owned:
             backend_obj.close()
     return FuzzReport(

@@ -1,4 +1,4 @@
-"""``repro.obs``: tracing, metrics and profiling for the campaign stack.
+"""``repro.obs``: tracing, run history and profiling for the campaign stack.
 
 Every layer below this one -- scheduler, execution backends, the
 search engines, the fuzz loop -- answers "what happened"
@@ -15,10 +15,6 @@ through this package:
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
   package reads wall/monotonic time, injectable for tests.  The
   determinism lint flags direct clock reads anywhere else.
-- **Metrics** (:mod:`repro.obs.metrics`): counters and time series
-  in a per-campaign registry that supersedes
-  ``CampaignTelemetry`` (the old dataclass is filled from the registry
-  as a compatibility shim).
 - **Sinks** (:mod:`repro.obs.sinks`): an in-memory recorder *is* the
   collector; finished traces export to JSONL (interleavable with the
   campaign result log -- record ``type`` values are disjoint) and to
@@ -26,16 +22,15 @@ through this package:
 - **Report** (:mod:`repro.obs.report`, also ``python -m
   repro.obs.report``): per-worker timeline, span-tree time breakdown,
   top-N hottest units, merged trace counters.
-- **Live status** (:mod:`repro.obs.live`, viewer ``python -m
-  repro.obs.watch``): a running campaign periodically folds scheduler
-  progress and the metrics registry into frozen
-  :class:`~repro.obs.live.ProgressSnapshot` records, surfaced
-  in-process and as an atomically-rewritten ``--status-json`` file.
 - **Run history** (:mod:`repro.obs.history`, also ``python -m
   repro.obs.history``): an append-only JSONL ledger of finished runs
   (config fingerprint, verdicts, wall time, throughput) with
   ``diff``/``regressions`` gating built on
   :mod:`repro.bench.perf_gate`'s tolerance machinery.
+
+A campaign's own counters (backend, capacity, shards submitted) live
+in one place, :class:`repro.campaign.scheduler.CampaignTelemetry`;
+everything finer-grained is a trace event.
 
 The tracing layer never touches verdict or merge paths: the bit-identity
 contract extends to "tracing on vs off is bit-identical", and the test
@@ -44,7 +39,7 @@ suite enforces it on both backends.
 
 from __future__ import annotations
 
-from repro.obs import clock, live, metrics
+from repro.obs import clock
 from repro.obs.recorder import (
     EventRecord,
     Recorder,
@@ -71,8 +66,6 @@ __all__ = [
     "enabled",
     "event",
     "install",
-    "live",
-    "metrics",
     "recorder",
     "span",
     "tracing",

@@ -1,19 +1,10 @@
 """The sanctioned clock: every wall/monotonic read funnels through here.
 
-Scattered ``time.monotonic()`` calls make the campaign stack hard to
-test (deadline logic wants a controllable clock) and hard to observe
-(trace spans must be stamped from the same timeline the scheduler
-budgets against).  This module is the single place the package reads
-clocks:
-
-- :data:`monotonic`, :data:`wall` and :data:`perf` are *rebindable
-  module globals*.  Callers must go through the module attribute --
-  ``clock.monotonic()`` -- and never ``from``-import the function;
-  that late binding is what makes :func:`install` work.
-- :func:`install` swaps replacement clocks in for tests (deadline and
-  clock-offset-correction tests drive time by hand) and returns the
-  previous bindings; :func:`restore` puts a saved triple back and
-  :func:`reset` restores the real clocks.
+Trace spans must be stamped from the same timeline the scheduler
+budgets against, so this module is the single place the package reads
+clocks: :data:`monotonic`, :data:`wall` and :data:`perf`.  Callers go
+through the module attribute -- ``clock.monotonic()`` -- so that every
+clock read in the package is visible as one.
 
 The determinism lint (:mod:`repro.analysis`) flags direct clock reads
 everywhere else in the package; this file carries the one sanctioned
@@ -26,37 +17,10 @@ from __future__ import annotations
 
 import time as _time
 
-#: Monotonic seconds (deadlines, span timestamps).  Rebindable.
+#: Monotonic seconds (deadlines, span timestamps).
 monotonic = _time.monotonic
 #: Wall-clock epoch seconds (log headers, human-facing stamps).
 wall = _time.time
 #: High-resolution performance counter (benchmark legs).
 perf = _time.perf_counter
 
-
-def install(*, monotonic=None, wall=None, perf=None) -> tuple:
-    """Swap in replacement clocks; returns the previous bindings.
-
-    Only the clocks passed are replaced.  Pass the returned triple to
-    :func:`restore` (typically in a ``finally``) to undo.
-    """
-    module = globals()
-    previous = (module["monotonic"], module["wall"], module["perf"])
-    if monotonic is not None:
-        module["monotonic"] = monotonic
-    if wall is not None:
-        module["wall"] = wall
-    if perf is not None:
-        module["perf"] = perf
-    return previous
-
-
-def restore(previous: tuple) -> None:
-    """Rebind the clocks to a triple previously returned by :func:`install`."""
-    module = globals()
-    module["monotonic"], module["wall"], module["perf"] = previous
-
-
-def reset() -> None:
-    """Restore the real OS clocks (test teardown safety net)."""
-    restore((_time.monotonic, _time.time, _time.perf_counter))

@@ -4,8 +4,8 @@ Every campaign or fuzz run invoked with ``--history PATH`` appends one
 JSON line describing itself -- a *config fingerprint* (a stable hash of
 the knobs that define what was run, so only like runs compare), verdict
 counts, wall time, and a bench-style metric summary (states and
-states/s).  The ledger is the cross-run memory the live view lacks:
-``python -m repro.obs.history`` then answers "did this configuration
+states/s).  The ledger is the cross-run memory a single run's trace
+and log lack: ``python -m repro.obs.history`` then answers "did this configuration
 get slower or change its verdicts?" without re-running anything.
 
 Subcommands:

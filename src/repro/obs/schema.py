@@ -90,9 +90,6 @@ SCHEMAS: dict[str, dict[str, Callable[[Any], str | None]]] = {
     "counters": {
         "values": _counter_values,
     },
-    "metrics": {
-        "metrics": _field(dict),
-    },
 }
 
 

@@ -1,12 +1,11 @@
 """Trace sinks: JSONL files and Chrome ``trace_event`` JSON.
 
 The in-memory collector is the :class:`repro.obs.recorder.Recorder`
-itself; this module renders a finished recorder (plus an optional
-metrics registry snapshot) into
+itself; this module renders a finished recorder into
 
 - **JSONL** (:func:`write_jsonl` / :func:`read_trace`): one JSON object
   per line, discriminated by ``"type"`` -- ``trace-header``, ``span``,
-  ``event``, ``counters``, ``metrics``.  The type values are disjoint
+  ``event``, ``counters``.  The type values are disjoint
   from the campaign result log's (``campaign`` / ``result``), so a trace
   can be interleaved into -- or concatenated with -- a ``CampaignLog``
   file and each reader simply skips the other's records.
@@ -27,18 +26,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 
 #: Record discriminators this package owns.  Disjoint from the campaign
 #: log's ``{"campaign", "result"}`` on purpose (interleavability).
-TRACE_TYPES = frozenset({"trace-header", "span", "event", "counters", "metrics"})
+TRACE_TYPES = frozenset({"trace-header", "span", "event", "counters"})
 
 #: Format version stamped into the trace header.
 TRACE_VERSION = 1
 
 
-def trace_records(recorder: Recorder, registry: MetricsRegistry | None = None):
+def trace_records(recorder: Recorder):
     """Yield the JSON-safe records of a finished recorder, header first.
 
     Spans sort by start time (id as tiebreak) so the file reads as a
@@ -76,19 +74,13 @@ def trace_records(recorder: Recorder, registry: MetricsRegistry | None = None):
             "type": "counters",
             "values": dict(sorted(recorder.counters.items())),
         }
-    if registry is not None:
-        yield {"type": "metrics", "metrics": registry.snapshot()}
 
 
-def write_jsonl(
-    recorder: Recorder,
-    path: str | Path,
-    registry: MetricsRegistry | None = None,
-) -> int:
+def write_jsonl(recorder: Recorder, path: str | Path) -> int:
     """Write the trace as JSONL; returns the number of records."""
     written = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for record in trace_records(recorder, registry):
+        for record in trace_records(recorder):
             handle.write(json.dumps(record, sort_keys=True) + "\n")
             written += 1
     return written

@@ -113,7 +113,7 @@ class TestStatusFrames:
         from repro.analysis.checkers.wire_safety import WIRE_ROOTS
 
         assert {"ShardFailure", "TracedOutcome"} <= set(WIRE_ROOTS)
-        # Live snapshots only ever leave the coordinator as JSON.
+        # The fixture's coordinator-only class name is no wire root.
         assert "ProgressSnapshot" not in WIRE_ROOTS
 
 

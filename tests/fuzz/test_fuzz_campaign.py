@@ -181,6 +181,26 @@ def test_campaign_cli_delegates_fuzz_presets(tmp_path, capsys):
     assert "LEAK" in capsys.readouterr().out
 
 
+def test_fuzz_cli_history_records_the_resolved_capacity(tmp_path, monkeypatch):
+    """``--workers 0`` is one worker per CPU, and the ledger says so."""
+    import os
+
+    from repro.fuzz.__main__ import main as fuzz_main
+    from repro.obs.history import read_runs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ledger = tmp_path / "history.jsonl"
+    fuzz_main(
+        [
+            "--units", "fuzz-mini", "--workers", "0", "--rounds", "1",
+            "--no-minimize", "--history", str(ledger),
+        ]
+    )
+    [run] = read_runs(str(ledger))
+    assert run["backend"] == "process"
+    assert run["capacity"] == 2
+
+
 @pytest.mark.parametrize("name", FUZZ_PRESETS)
 def test_presets_build(name):
     preset = preset_config(name)

@@ -15,7 +15,6 @@ import pickle
 import pytest
 
 from repro import obs
-from repro.obs import clock
 from repro.obs.recorder import (
     _NOOP,
     EventRecord,
@@ -27,12 +26,11 @@ from repro.obs.recorder import (
 
 
 @pytest.fixture(autouse=True)
-def _real_clocks_and_no_recorder():
-    """Every test starts with tracing off and the OS clocks installed."""
+def _no_recorder():
+    """Every test starts with tracing off."""
     previous = obs.install(None)
     yield
     obs.install(previous)
-    clock.reset()
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 
 from repro.campaign.log import read_records, result_records
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.report import format_report, main as report_main
 from repro.obs.schema import validate_file, validate_trace
@@ -33,19 +32,12 @@ def _sample_recorder() -> Recorder:
     return rec
 
 
-def _sample_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("campaign.shards").inc(2)
-    registry.time_series("campaign.states_per_s").add(0.1, 500.0)
-    return registry
-
-
 # ----------------------------------------------------------------------
 # JSONL roundtrip + validation
 # ----------------------------------------------------------------------
 def test_jsonl_roundtrip_validates(tmp_path):
     path = tmp_path / "trace.jsonl"
-    written = write_jsonl(_sample_recorder(), path, registry=_sample_registry())
+    written = write_jsonl(_sample_recorder(), path)
     records = read_trace(path)
     assert len(records) == written
     assert records[0]["type"] == "trace-header"
@@ -53,7 +45,7 @@ def test_jsonl_roundtrip_validates(tmp_path):
     assert validate_trace(records) == []
     assert validate_file(path) == []
     types = {r["type"] for r in records}
-    assert types == {"trace-header", "span", "event", "counters", "metrics"}
+    assert types == {"trace-header", "span", "event", "counters"}
 
 
 def test_worker_spans_survive_the_export(tmp_path):
@@ -144,9 +136,11 @@ def test_schema_flags_unresolvable_parents_and_unknown_types():
         _header(),
         _span(parent=99),
         {"type": "mystery"},
+        {"type": "metrics", "metrics": {}},
     ])
     assert any("unknown parent 99" in e for e in errors)
-    assert any("unknown record type" in e for e in errors)
+    assert any("unknown record type 'mystery'" in e for e in errors)
+    assert any("unknown record type 'metrics'" in e for e in errors)
 
 
 def test_schema_flags_missing_and_mistyped_fields():
@@ -199,7 +193,7 @@ def test_chrome_trace_names_threads_and_scales_to_microseconds(tmp_path):
 # ----------------------------------------------------------------------
 def test_report_sections_render(tmp_path):
     path = tmp_path / "trace.jsonl"
-    write_jsonl(_sample_recorder(), path, registry=_sample_registry())
+    write_jsonl(_sample_recorder(), path)
     text = format_report(read_trace(path))
     assert "timeline" in text
     assert "span tree" in text
