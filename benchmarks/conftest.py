@@ -15,6 +15,11 @@ import pytest
 
 from repro.bench.configs import scale_by_name
 
+#: Where the suites write fresh ``BENCH_*.json`` records (gitignored).  The
+#: committed files at the repository root are the perf gate's baselines;
+#: a benchmark never rewrites them.
+BENCH_OUT = Path(__file__).resolve().parents[1] / ".bench"
+
 
 @pytest.fixture(scope="session")
 def scale():
@@ -23,20 +28,18 @@ def scale():
 
 
 def update_bench_record(path: Path, key: str, record: dict) -> None:
-    """Merge one named record into a ``BENCH_*.json`` file.
+    """Merge one named record into a fresh ``BENCH_*.json`` under ``BENCH_OUT``.
 
-    Shared by the campaign-scaling and explorer-throughput suites so both
-    record files keep one format (a dict of named records; a legacy
-    single-record layout is folded in under its ``experiment`` name).
+    Shared by the benchmark suites so every record file keeps one format:
+    a dict of named records.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     records: dict = {}
     if path.exists():
         try:
             existing = json.loads(path.read_text())
         except ValueError:
             existing = {}
-        if "experiment" in existing:  # legacy single-record layout
-            existing = {existing["experiment"]: existing}
         if isinstance(existing, dict):
             records = existing
     records[key] = record

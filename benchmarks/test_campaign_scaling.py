@@ -3,10 +3,11 @@
 The paper's evaluation is a grid of independent verification tasks; the
 campaign scheduler (``repro.campaign``) shards each cell into batches
 of its secret-pair roots and fans them over worker processes.  One
-wall-clock record accumulates in ``BENCH_campaign.json`` at the
-repository root: ``table2-grid``, the full model-checked Table-2 grid
-(shadow + baseline schemes, five designs), serial vs 4 workers at
-root-batch granularity (one shard per unit).
+wall-clock record accumulates in ``.bench/BENCH_campaign.json`` (the
+committed root copy is the perf gate's baseline): ``table2-grid``, the
+full model-checked Table-2 grid (shadow + baseline schemes, five
+designs), serial vs 4 workers at root-batch granularity (one shard per
+unit).
 
 Asserted always: outcomes -- verdict, search statistics and
 counterexamples -- are identical between the serial path and the
@@ -22,16 +23,15 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
-from conftest import update_bench_record
+from conftest import BENCH_OUT, update_bench_record
 from repro import obs
 from repro.bench import table2
 from repro.bench.runner import run_units
 from repro.campaign import scheduler
 
 N_WORKERS = 4
-BENCH_RECORD = Path(__file__).resolve().parents[1] / "BENCH_campaign.json"
+BENCH_RECORD = BENCH_OUT / "BENCH_campaign.json"
 
 
 def test_campaign_scaling_table2_grid(scale):
@@ -88,7 +88,7 @@ def test_campaign_scaling_table2_grid(scale):
     print(
         f"campaign scaling: serial {serial_s:.2f}s vs {N_WORKERS}-worker "
         f"{parallel_s:.2f}s on {record['cpu_count']} CPUs "
-        f"({record['n_shards']} shards) -> {BENCH_RECORD.name}"
+        f"({record['n_shards']} shards) -> .bench/{BENCH_RECORD.name}"
     )
 
     if (os.cpu_count() or 1) >= 2:

@@ -9,14 +9,15 @@ engines run the *same* task in the same process; verdicts and
 state-handling cost (memoized transitions, the visited table, choice
 enumeration), not search-order luck.
 
-Results accumulate as named records in ``BENCH_explorer.json`` at the
-repository root (regeneration recipe in EXPERIMENTS.md;
+Results accumulate as named records in ``.bench/BENCH_explorer.json``
+(the committed root copy is the perf gate's baseline; regeneration
+recipe in EXPERIMENTS.md;
 ``repro.bench.report`` surfaces the numbers).  Modes, via
 ``REPRO_EXPLORER_BENCH``:
 
 - ``smoke``: the ROB-2 cell only -- seconds, used by the CI smoke job
-  (records under a ``-smoke`` suffix so committed full-mode numbers
-  survive);
+  (records under a ``-smoke`` suffix, gated against the committed
+  ``-smoke`` baselines);
 - default: the ROB-4 cell;
 - ``full``: ROB-4 and ROB-8 (the committed BENCH_explorer.json numbers).
 """
@@ -27,17 +28,16 @@ import os
 import statistics
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from conftest import update_bench_record
+from conftest import BENCH_OUT, update_bench_record
 from repro.bench import fig2
 from repro.core.verifier import verify
 from repro.mc.explorer import Explorer
 from repro.mc.legacy import LegacyExplorer
 
-BENCH_RECORD = Path(__file__).resolve().parents[1] / "BENCH_explorer.json"
+BENCH_RECORD = BENCH_OUT / "BENCH_explorer.json"
 
 _MODE = os.environ.get("REPRO_EXPLORER_BENCH", "")
 if _MODE == "smoke":
@@ -119,7 +119,7 @@ def test_explorer_throughput_fig2_rob_cell(scale, rob_size):
         f"{engine_mode} engine "
         f"{record['engine']['states_per_s']:.0f} st/s -> {speedup:.2f}x, "
         f"visited {legacy_bytes >> 10}KiB -> {engine_bytes >> 10}KiB "
-        f"-> {BENCH_RECORD.name}"
+        f"-> .bench/{BENCH_RECORD.name}"
     )
 
     # The ROB-2 smoke cell finishes in tens of milliseconds, where timer
@@ -218,7 +218,7 @@ def test_tracing_overhead_fig2_rob_cell(scale, rob_size, tmp_path):
         f"tracing overhead (ROB-{rob_size}, median of {TRACING_ROUNDS} "
         f"rounds): off {legs['off']['states_per_s']:.0f} st/s, noop "
         f"recorder {overhead_noop:.3f}x, JSONL sink {overhead_jsonl:.3f}x "
-        f"({trace_records} trace records) -> {BENCH_RECORD.name}"
+        f"({trace_records} trace records) -> .bench/{BENCH_RECORD.name}"
     )
 
     # The smoke cell finishes in tens of milliseconds -- pure timer

@@ -13,8 +13,9 @@ characterizes the explorer:
   the planted-leak config, wall-clock and trial count until the
   Spectre-v1 snippet is found and minimized.
 
-Results accumulate as named records in ``BENCH_fuzz.json`` at the
-repository root (regeneration recipe in EXPERIMENTS.md).  Modes, via
+Results accumulate as named records in ``.bench/BENCH_fuzz.json`` (the
+committed root copy is the perf gate's baseline; regeneration recipe in
+EXPERIMENTS.md).  Modes, via
 ``REPRO_FUZZ_BENCH``:
 
 - ``smoke``: small batches, records under a ``-smoke`` suffix (the CI
@@ -26,14 +27,13 @@ from __future__ import annotations
 
 import os
 import time
-from pathlib import Path
 
-from conftest import update_bench_record
+from conftest import BENCH_OUT, update_bench_record
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import preset_config
 from repro.fuzz.work import FuzzShard
 
-BENCH_RECORD = Path(__file__).resolve().parents[1] / "BENCH_fuzz.json"
+BENCH_RECORD = BENCH_OUT / "BENCH_fuzz.json"
 
 _MODE = os.environ.get("REPRO_FUZZ_BENCH", "")
 if _MODE == "smoke":
@@ -82,7 +82,7 @@ def test_fuzz_oracle_throughput():
         f"fuzz oracle throughput: {programs_per_s:.0f} programs/s "
         f"({result.cycles / elapsed:.0f} product cycles/s, "
         f"{result.oracle_runs} oracle runs) "
-        f"-> {BENCH_RECORD.name}"
+        f"-> .bench/{BENCH_RECORD.name}"
     )
     assert programs_per_s > 50, "oracle throughput collapsed"
 
@@ -126,5 +126,5 @@ def test_fuzz_time_to_first_leak():
         f"fuzz time-to-first-leak: {report.elapsed:.3f}s, "
         f"{report.leak.trial_index + 1} trials to the leak "
         f"({report.programs} programs in the round), minimized to "
-        f"{report.minimized.length} insts -> {BENCH_RECORD.name}"
+        f"{report.minimized.length} insts -> .bench/{BENCH_RECORD.name}"
     )

@@ -1,11 +1,15 @@
 """Performance-regression gate over the ``BENCH_*.json`` records.
 
 Compares a *fresh* set of benchmark records (produced by running the
-smoke- or full-mode benchmark suites on the current checkout) against a
-*baseline* set (the committed records, or a previous run's artifact) and
-fails when a gated metric regressed beyond the tolerance::
+smoke- or full-mode benchmark suites on the current checkout, which
+write to the gitignored ``.bench/``) against a *baseline* set (the
+committed records at the repository root) and fails when a gated metric
+regressed beyond the tolerance::
 
-    python -m repro.bench.perf_gate --baseline-dir baseline --fresh-dir .
+    python -m repro.bench.perf_gate --baseline-dir . --fresh-dir .bench
+
+A baseline changes only when a change copies ``.bench/BENCH_x.json``
+over the committed file on purpose.
 
 Gating policy, metric by metric:
 

@@ -1,8 +1,9 @@
 """Schema validation for the committed ``BENCH_*.json`` records.
 
-The benchmark suites accumulate named records in three files at the
+The committed baselines are three files of named records at the
 repository root (``BENCH_campaign.json``, ``BENCH_explorer.json``,
-``BENCH_fuzz.json``); the perf-regression gate
+``BENCH_fuzz.json``); the benchmark suites write fresh records of the
+same names to the gitignored ``.bench/``.  The perf-regression gate
 (:mod:`repro.bench.perf_gate`) and the report CLI both consume them, so
 a silently malformed record -- a hand-edited baseline, a benchmark that
 stopped stamping a field -- would rot the gate into a no-op.  This
@@ -17,9 +18,10 @@ module pins the shape:
   ``n_workers`` vs ``cpu_count``).
 
 Run as a module to validate the committed files (the tier-1 suite and a
-CI step both do)::
+CI step both do), or name fresh ones::
 
     python -m repro.bench.records [FILE ...]
+    python -m repro.bench.records .bench/BENCH_fuzz.json
 """
 
 from __future__ import annotations

@@ -12,12 +12,8 @@ over worker processes, ``--backend {serial,process}`` to pick the
 execution backend, and ``--log FILE`` to write a JSONL result log (the
 file is overwritten; records stream in as cells finish); ``--from-log
 FILE`` re-renders those tables -- hunt narrative included -- from a
-previous log without re-running anything.
-
-``--trace FILE`` renders an observability trace (the JSONL a campaign
-CLI's ``--trace`` wrote) instead of running: per-worker timeline,
-span-tree time breakdown and the hottest units (see
-:mod:`repro.obs.report`).
+previous log without re-running anything.  Observability traces render
+with ``python -m repro.obs.report FILE``.
 """
 
 from __future__ import annotations
@@ -170,20 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         help="state-engine throughput record to surface "
         "(default: BENCH_explorer.json at the repository root)",
     )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="render an observability trace (JSONL written by a campaign "
-        "CLI's --trace) instead of running: per-worker timeline, span-tree "
-        "time breakdown, hottest units",
-    )
     add_backend_arguments(parser)
     args = parser.parse_args(argv)
-    if args.trace:
-        from repro.obs import report as obs_report
-
-        return obs_report.main([args.trace])
     if args.from_log:
         return render_from_log(args.from_log, args.explorer_bench)
     scale = scale_by_name(args.scale)

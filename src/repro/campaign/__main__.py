@@ -31,13 +31,7 @@ import sys
 
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
-from repro.campaign.cli import (
-    add_backend_arguments,
-    add_history_argument,
-    add_trace_argument,
-    append_history,
-    trace_to,
-)
+from repro.campaign.cli import add_backend_arguments, add_trace_argument, trace_to
 from repro.campaign.log import CampaignLog
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import CampaignUnit, run_campaign
@@ -124,7 +118,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_backend_arguments(parser)
     add_trace_argument(parser)
-    add_history_argument(parser)
     args = parser.parse_args(argv)
     if args.units in FUZZ_PRESETS:
         # Random-testing grids run through the fuzz driver: forward the
@@ -142,8 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--backend", args.backend]
         if args.trace:
             forwarded += ["--trace", args.trace]
-        if args.history:
-            forwarded += ["--history", args.history]
         return fuzz_main(forwarded)
     build_units, expected = GRIDS[args.units]
     units = build_units()
@@ -159,38 +150,12 @@ def main(argv: list[str] | None = None) -> int:
             backend=args.backend,
         )
 
-    from repro.obs import clock
-
-    wall_t0 = clock.monotonic()
     with trace_to(args.trace):
         if args.log:
             with open(args.log, "w", encoding="utf-8") as handle:
                 results = _run(CampaignLog(handle))
         else:
             results = _run(None)
-    wall_s = clock.monotonic() - wall_t0
-    telemetry = results[0].telemetry if results else None
-    verdicts: dict = {}
-    states = 0
-    for result in results:
-        verdicts[result.outcome.kind] = verdicts.get(result.outcome.kind, 0) + 1
-        states += result.outcome.stats.states
-    append_history(
-        args.history,
-        desc={
-            "cli": "campaign",
-            "units": args.units,
-            "backend": telemetry.backend if telemetry else "",
-            "workers": telemetry.capacity if telemetry else 0,
-        },
-        experiment=args.units,
-        backend=telemetry.backend if telemetry else "",
-        capacity=telemetry.capacity if telemetry else 0,
-        units=len(results),
-        verdicts=verdicts,
-        wall_s=wall_s,
-        states=states,
-    )
     failures = 0
     for result in results:
         print(f"{'/'.join(result.key):24s} {result.outcome.summary()}")

@@ -26,14 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.campaign.backends import build_named_backend
-from repro.campaign.cli import (
-    add_backend_arguments,
-    add_history_argument,
-    add_trace_argument,
-    append_history,
-    trace_to,
-)
+from repro.campaign.cli import add_backend_arguments, add_trace_argument, trace_to
 from repro.campaign.log import CampaignLog
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import FUZZ_PRESETS, preset_config
@@ -80,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_backend_arguments(parser)
     add_trace_argument(parser)
-    add_history_argument(parser)
     args = parser.parse_args(argv)
     preset = preset_config(args.units, args.seed)
     # ``--workers 0`` keeps the campaign CLI's meaning: one per CPU.
@@ -107,47 +99,19 @@ def main(argv: list[str] | None = None) -> int:
                 args.rounds if args.rounds is not None else preset.max_rounds
             ),
             minimize=not args.no_minimize,
-            backend=backend_obj,
+            backend=backend,
+            n_workers=n_workers,
             budget_s=args.budget,
             log=log,
             experiment=preset.name,
         )
 
-    # The CLI owns the backend so the history ledger records the width
-    # the run actually had (``--workers 0`` resolves to one per CPU).
-    with trace_to(args.trace), build_named_backend(
-        backend, n_workers
-    ) as backend_obj:
-        capacity = backend_obj.capacity()
+    with trace_to(args.trace):
         if args.log:
             with open(args.log, "w", encoding="utf-8") as handle:
                 report = _run(CampaignLog(handle))
         else:
             report = _run(None)
-    append_history(
-        args.history,
-        desc={
-            "cli": "fuzz",
-            "preset": preset.name,
-            "seed": preset.config.seed,
-            "batches": args.batches if args.batches is not None else preset.n_batches,
-            "batch_size": (
-                args.batch_size
-                if args.batch_size is not None
-                else preset.batch_size
-            ),
-            "rounds": args.rounds if args.rounds is not None else preset.max_rounds,
-            "backend": backend,
-            "workers": args.workers or 0,
-        },
-        experiment=preset.name,
-        backend=backend,
-        capacity=capacity,
-        units=len(report.rounds),
-        verdicts={"leak" if report.found_leak else "no-leak": 1},
-        wall_s=report.elapsed,
-        states=report.programs,
-    )
     print(f"{preset.name}: {report.summary()}")
     if report.leak is not None:
         print("leaking program (as found):")

@@ -1,4 +1,4 @@
-"""``repro.obs``: tracing, run history and profiling for the campaign stack.
+"""``repro.obs``: tracing and profiling for the campaign stack.
 
 Every layer below this one -- scheduler, execution backends, the
 search engines, the fuzz loop -- answers "what happened"
@@ -13,8 +13,8 @@ through this package:
   batch home in a :class:`~repro.obs.recorder.TracedOutcome` wrapper;
   the coordinator merges the batches into one trace.
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
-  package reads wall/monotonic time, injectable for tests.  The
-  determinism lint flags direct clock reads anywhere else.
+  package reads monotonic time.  The determinism lint flags direct
+  clock reads anywhere else.
 - **Sinks** (:mod:`repro.obs.sinks`): an in-memory recorder *is* the
   collector; finished traces export to JSONL (interleavable with the
   campaign result log -- record ``type`` values are disjoint) and to
@@ -22,11 +22,6 @@ through this package:
 - **Report** (:mod:`repro.obs.report`, also ``python -m
   repro.obs.report``): per-worker timeline, span-tree time breakdown,
   top-N hottest units, merged trace counters.
-- **Run history** (:mod:`repro.obs.history`, also ``python -m
-  repro.obs.history``): an append-only JSONL ledger of finished runs
-  (config fingerprint, verdicts, wall time, throughput) with
-  ``diff``/``regressions`` gating built on
-  :mod:`repro.bench.perf_gate`'s tolerance machinery.
 
 A campaign's own counters (backend, capacity, shards submitted) live
 in one place, :class:`repro.campaign.scheduler.CampaignTelemetry`;

@@ -16,7 +16,6 @@ followed by the merged trace counters when the trace carries any.
 
 ``--chrome OUT.json`` additionally exports the Chrome ``trace_event``
 document (:mod:`repro.obs.sinks`) for ``chrome://tracing`` / Perfetto.
-``repro.bench.report --trace`` renders the same sections.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ from repro.fuzz.generator import (
     generate_program,
     mutate_program,
 )
-from repro.fuzz.rand import derive_seed, mix64, predictor_bit
 from repro.isa.encoding import space_small, space_tiny
 from repro.isa.instruction import HALT, Opcode
 from repro.isa.params import MachineParams
+from repro.rand import derive_seed, mix64, predictor_bit
 
 PARAMS = MachineParams()
 

@@ -9,12 +9,12 @@ from repro.campaign.registry import core_spec
 from repro.fuzz.configs import preset_config
 from repro.fuzz.minimize import minimize_leak, minimized_env
 from repro.fuzz.oracle import TRACE_LEAK, run_trace
-from repro.fuzz.rand import predictor_bit
 from repro.fuzz.work import FuzzConfig, FuzzLeak, MinimizeProbe
 from repro.isa.encoding import space_tiny
 from repro.isa.instruction import HALT, alu, branch, load, loadimm
 from repro.isa.params import MachineParams
 from repro.mc.replay import replay
+from repro.rand import predictor_bit
 from repro.uarch.config import Defense
 
 #: Six instruction slots so the padded program has real fat to trim.

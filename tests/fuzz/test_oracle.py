@@ -13,10 +13,10 @@ from repro.fuzz.oracle import (
     TRACE_OK,
     run_trace,
 )
-from repro.fuzz.rand import predictor_bit
 from repro.isa.instruction import branch, load
 from repro.isa.params import MachineParams
 from repro.mc.replay import replay
+from repro.rand import predictor_bit
 from repro.uarch.config import Defense
 from repro.uarch.simple_ooo import simple_ooo
 

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.rand import derive_seed, predictor_bit
+from repro.rand import predictor_bit
 from repro.uarch.driver import seeded_predictor
 
 #: (pc, occurrence) grid flattened to a bit-string, pinned per seed.
@@ -47,12 +47,6 @@ def test_driver_predictor_matches_fuzz_oracle():
     for pc in range(8):
         for occurrence in range(4):
             assert predict(pc, occurrence) == predictor_bit(7, pc, occurrence)
-
-
-def test_legacy_import_path_still_works():
-    from repro.fuzz.rand import derive_seed as legacy_derive_seed
-
-    assert legacy_derive_seed is derive_seed
 
 
 _SUBPROCESS_SNIPPET = (
