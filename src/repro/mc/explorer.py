@@ -34,6 +34,7 @@ and ``SearchStats`` alike.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
 
@@ -60,6 +61,10 @@ _CLOCK_STRIDE = 128
 #: expansion otherwise), and wide enough that the two clock reads per
 #: span disappear against ~1024 product steps.
 _WAVE_STRIDE = 1024
+
+#: Generation-2 threshold during a search: a full collection waits for
+#: this many generation-1 collections (CPython's default is 10).
+_GC_FULL_THRESHOLD = 1000
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,18 @@ class _Budget:
 
 
 class Explorer:
-    """Depth-first explicit-state search over one product."""
+    """Depth-first explicit-state search over one product.
+
+    The collector scope: :meth:`run` touches one process-global setting,
+    the cyclic GC's generation-2 threshold, and only for the duration of
+    the search.  The kernel's memo tables grow for the whole run and
+    never form cycles, yet every full collection walks them all; at
+    CPython's default threshold (10) a DoM search made 17 of them, which
+    took 22% of its CPU (EXPERIMENTS.md, "Memo heap and the cyclic GC").
+    Generations 0 and 1 keep their thresholds, so young garbage is
+    still collected, and whether the collector is enabled is left
+    alone.
+    """
 
     #: The state engine's name, as trace spans and layer timings report it.
     engine = "vector"
@@ -157,7 +173,12 @@ class Explorer:
     # Entry points
     # ------------------------------------------------------------------
     def run(self) -> Outcome:
-        """Search every root; return proof, first attack, or timeout."""
+        """Search every root; return proof, first attack, or timeout.
+
+        The search raises the collector's generation-2 threshold to at
+        least :data:`_GC_FULL_THRESHOLD` and puts the old thresholds back
+        when it returns or raises (see the class docstring).
+        """
         stack: list[tuple] = []
         imem_size = self.product.params.imem_size
         vec = self._vector
@@ -165,7 +186,12 @@ class Explorer:
             vec.select_root(root)
             env = Environment.empty(imem_size)
             stack.append(vec.seed_node(root_index, env, vec.capture(), 0))
-        return self._searched(stack)
+        t0, t1, t2 = gc.get_threshold()
+        gc.set_threshold(t0, t1, max(t2, _GC_FULL_THRESHOLD))
+        try:
+            return self._searched(stack)
+        finally:
+            gc.set_threshold(t0, t1, t2)
 
     # Kept only because the frozen perfbench/layers.py wraps this name;
     # seeded sub-root search is gone and nothing calls it.

@@ -46,6 +46,17 @@ Python pipeline model on every product cycle:
   pair of the four-machine
   :class:`repro.core.products.BaselineProduct`.  A product state is then
   a tuple of small integers ``(sid_0, ..., sid_n-1, checker_id)``.
+- **A memo heap the cyclic GC can skip.**  The tables live for a whole
+  run and never form cycles, so the long-lived ones hold ints: CPython
+  stops tracking a tuple of ints, ``None`` and bools at its first
+  collection.  Each machine state keeps one per-sid fact row
+  ``_sid_info[sid] = (poll pc, fetch occurrence, halted, canonical
+  tail, canonical head)``; a paused slot's leg is built from that row
+  and one of two shared ``CycleOutput`` constants on a cycle-memo miss.
+  An OoO ROB atom is a tuple of interned entry ids
+  (:mod:`repro.mc.packed`), and equal step outputs in ``_trans`` share
+  one object.  :meth:`repro.mc.explorer.Explorer.run` also raises the
+  collector's generation-2 threshold for the duration of the search.
 - **Structure-of-arrays storage.**  :class:`FrontierArena` stores word
   rows (the visited keys) as 2-D ``int64`` numpy arrays bucketed by row
   width.  :class:`VectorVisited` is the visited set: an open-addressed
@@ -102,6 +113,11 @@ _MAX_PROBES = 32
 #: (per-insert scalar numpy row writes are the alternative, and they
 #: cost more than the whole block assignment).
 _FLUSH_ROWS = 1024
+
+#: The output of a paused slot's cycle, one shared constant per halted
+#: flag (see :meth:`VectorEngine._cycle_miss`).
+_PAUSED_HALTED = CycleOutput(commits=(), membus=(), halted=True)
+_PAUSED_RUNNING = CycleOutput(commits=(), membus=(), halted=False)
 
 
 def fingerprint_row(row) -> int:
@@ -395,8 +411,10 @@ class VectorEngine:
         by_class: dict[type, dict] = {}
         self._sid_ids = [by_class.setdefault(type(m), {}) for m in machines]
         self._sid_words: list[tuple] = []
-        # Per-sid frame-invariant facts: (poll pc, fetch occurrence,
-        # paused leg payload).
+        # Per-sid frame-invariant facts, int-only so the cyclic GC stops
+        # tracking them: (poll pc, fetch occurrence, halted, canonical
+        # tail, canonical head).  A paused leg is built from them on
+        # demand (:meth:`_cycle_miss`).
         self._sid_info: list[tuple] = []
         # Checker-state interning (canonical checker snapshots) and each
         # state's (fetch gated, per-slot pauses, any slot paused).
@@ -419,6 +437,9 @@ class VectorEngine:
         self._read_index: dict[tuple, int] = {}
         #: tid -> (CycleOutput, new_sid, tail, head, new seq base, True).
         self._trans: list[tuple] = []
+        # Hash-consed step outputs: equal ``CycleOutput``s in ``_trans``
+        # share one object.
+        self._outputs: dict = {}
         # Cycle memo: (leg_0, ..., leg_n-1, checker_id) -> folded
         # StepResult where a leg is a transition id (stepped) or
         # -1 - sid (paused).
@@ -515,19 +536,14 @@ class VectorEngine:
             tail = machine.max_inflight_seq()
             head = machine.min_inflight_seq()
             pc = machine.poll_fetch()
-            # A paused slot's leg, laid out like a ``_trans`` payload: an
-            # empty output, the same sid, canonical tail/head, base 0,
-            # not stepped.
-            pause = (
-                CycleOutput(commits=(), membus=(), halted=machine.halted),
-                sid,
-                None if tail is None else tail - base,
-                None if head is None else head - base,
-                0,
-                False,
-            )
             self._sid_info.append(
-                (pc, 0 if pc is None else machine.fetch_occurrence(pc), pause)
+                (
+                    pc,
+                    0 if pc is None else machine.fetch_occurrence(pc),
+                    machine.halted,
+                    None if tail is None else tail - base,
+                    None if head is None else head - base,
+                )
             )
         return sid
 
@@ -557,7 +573,7 @@ class VectorEngine:
         for slot, paused in enumerate(pauses):
             if paused:
                 continue
-            pc, occurrence, _ = info[state[slot]]
+            pc, occurrence, _, _, _ = info[state[slot]]
             if pc is None:
                 continue
             requests.append(FetchRequest(slot, pc, occurrence, predictors[slot]))
@@ -661,6 +677,7 @@ class VectorEngine:
         machine.restore_words(self._sid_words[sid], 0, self.atoms)
         machine.dmem_read = None
         out = machine.step(bundle)
+        out = self._outputs.setdefault(out, out)
         word = machine.dmem_read
         tid = len(self._trans)
         self._trans.append(
@@ -689,16 +706,22 @@ class VectorEngine:
         restored to the cycle's checker state, then interns the
         canonical child: the checker snapshot against the post-step
         sequence bases (a paused slot's canonical state has base 0 by
-        construction).
+        construction).  A paused leg is laid out like a ``_trans``
+        payload: an empty output, the same sid, the sid's canonical
+        tail/head, base 0, not stepped.
         """
         trans = self._trans
         info = self._sid_info
-        outputs, child, tails, heads, bases, stepped = zip(
-            *[
-                trans[leg] if leg >= 0 else info[-1 - leg][2]
-                for leg in cycle_key[:-1]
-            ]
-        )
+        legs = []
+        for leg in cycle_key[:-1]:
+            if leg >= 0:
+                legs.append(trans[leg])
+            else:
+                sid = -1 - leg
+                _, _, halted, tail, head = info[sid]
+                pause = _PAUSED_HALTED if halted else _PAUSED_RUNNING
+                legs.append((pause, sid, tail, head, 0, False))
+        outputs, child, tails, heads, bases, stepped = zip(*legs)
         product = self.product
         product.checker_restore(self._checker_states[cycle_key[-1]])
         pruned, failed, reason = product.fold_cycle(outputs, tails, heads, stepped)
@@ -741,17 +764,20 @@ class VectorEngine:
         """(visited key count, approx deep bytes of the search state).
 
         Counts the visited table and exact key rows plus everything
-        backing them -- interned machine words, checker states, atom
-        values and the environment intern dict -- and every memo: the
-        per-memory step tables, the read index, the transition payloads
-        and the request, expansion and cycle memos.  The number is
-        comparable to the legacy engine's deep-walked visited set.
+        backing them -- interned machine words and their per-sid facts,
+        checker states and their clock gates, atom values and the
+        environment intern dict -- and every memo: the per-memory step
+        tables, the read index, the transition payloads and their
+        hash-consed outputs, and the request, expansion and cycle memos.
+        The number is comparable to the legacy engine's deep-walked
+        visited set.
         """
         seen: set[int] = set()
         total = self.visited.nbytes
         for part in (
-            self._sid_words, self._checker_states, self.atoms.values,
-            self._env_ids, self._mach_tables, self._read_index, self._trans,
+            self._sid_words, self._sid_info, self._checker_states,
+            self._gates, self.atoms.values, self._env_ids,
+            self._mach_tables, self._read_index, self._trans, self._outputs,
             self._req_memo, self._expand_memo, self._cycle_memo,
         ):
             total += deep_sizeof(part, seen)

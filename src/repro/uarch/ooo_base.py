@@ -46,7 +46,8 @@ Timing channels modeled
 Implementation note: ROB entries are plain mutable lists indexed by the
 ``E_*`` constants (the model checker restores/steps/snapshots millions of
 states; attribute-style named tuples measurably dominate the profile).
-Snapshots freeze entries into tuples.
+Snapshots freeze entries into tuples; word snapshots intern each frozen
+entry once and store the ROB as a tuple of entry ids.
 """
 
 from __future__ import annotations
@@ -613,10 +614,14 @@ class OoOCore:
         Field-for-field the same canonical state as :meth:`snapshot`
         (same rebasing, same ``branch_occ`` ordering rule), flattened:
         scalars pack inline, while the register file, cache tags, the
-        frozen (rebased) ROB, and the branch-occurrence map intern as
-        atoms -- atom-id equality is tuple equality, so word equality
-        coincides with object-snapshot equality.  Every section has a
-        config-fixed width, so the word stream parses unambiguously.
+        ROB, and the branch-occurrence map intern as atoms -- atom-id
+        equality is tuple equality, so word equality coincides with
+        object-snapshot equality.  The ROB is hash-consed one level
+        deeper: each frozen, rebased entry interns as its own atom and
+        the ROB atom is the tuple of those entry ids.  A search sees few
+        distinct entries but many ROBs, and an int-only ROB atom is one
+        the cyclic GC stops tracking.  Every section has a config-fixed
+        width, so the word stream parses unambiguously.
         """
         rob = self._rob
         base = rob[0][E_SEQ] if rob else self._next_seq
@@ -624,9 +629,9 @@ class OoOCore:
         mem_seq = self._mem_seq
         cache = self._cache
         if base:
-            rob_frozen = tuple((e[E_SEQ] - base, *e[1:]) for e in rob)
+            rob_ids = tuple(map(aid, [(e[E_SEQ] - base, *e[1:]) for e in rob]))
         else:
-            rob_frozen = tuple(map(tuple, rob))
+            rob_ids = tuple(map(aid, map(tuple, rob)))
         branch_occ = self._branch_occ
         if len(branch_occ) > 1:
             occ = tuple(sorted(branch_occ.items()))
@@ -641,7 +646,7 @@ class OoOCore:
                 1 if mem_seq is None else (mem_seq - base) << 2,
                 self._mem_cancel << 2,
                 (aid(tuple(self._regs)) << 2) | 2,
-                (aid(rob_frozen) << 2) | 2,
+                (aid(rob_ids) << 2) | 2,
                 (aid(occ) << 2) | 2,
             )
             if cache is None
@@ -654,7 +659,7 @@ class OoOCore:
                 self._mem_cancel << 2,
                 (aid(tuple(self._regs)) << 2) | 2,
                 (aid(cache.snapshot()) << 2) | 2,
-                (aid(rob_frozen) << 2) | 2,
+                (aid(rob_ids) << 2) | 2,
                 (aid(occ) << 2) | 2,
             )
         )
@@ -674,6 +679,6 @@ class OoOCore:
         if self._cache is not None:
             self._cache.restore(values[words[pos] >> 2])
             pos += 1
-        self._rob = list(map(list, values[words[pos] >> 2]))
+        self._rob = list(map(list, map(values.__getitem__, values[words[pos] >> 2])))
         self._branch_occ = dict(values[words[pos + 1] >> 2])
         return pos + 2

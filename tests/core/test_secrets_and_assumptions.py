@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.campaign.registry import core_spec
 from repro.core.assumptions import (
@@ -112,11 +111,11 @@ def test_no_secret_region_yields_no_roots():
     assert secret_memory_pairs(params, "all") == []
 
 
-@given(
-    mode=st.sampled_from(["all", "single"]),
-    value_bits=st.integers(1, 2),
-    n_public=st.integers(0, 3),
-)
+# The whole domain is 16 points, so it is enumerated rather than sampled:
+# exhaustive, and free of any per-example deadline.
+@pytest.mark.parametrize("n_public", range(4))
+@pytest.mark.parametrize("value_bits", (1, 2))
+@pytest.mark.parametrize("mode", ("all", "single"))
 def test_pairs_always_differ_and_share_public(mode, value_bits, n_public):
     params = MachineParams(
         value_bits=value_bits, mem_size=4, n_public=n_public
