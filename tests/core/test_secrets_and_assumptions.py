@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.campaign.registry import core_spec
@@ -111,20 +113,20 @@ def test_no_secret_region_yields_no_roots():
     assert secret_memory_pairs(params, "all") == []
 
 
-# The whole domain is 16 points, so it is enumerated rather than sampled:
-# exhaustive, and free of any per-example deadline.
-@pytest.mark.parametrize("n_public", range(4))
-@pytest.mark.parametrize("value_bits", (1, 2))
-@pytest.mark.parametrize("mode", ("all", "single"))
-def test_pairs_always_differ_and_share_public(mode, value_bits, n_public):
-    params = MachineParams(
-        value_bits=value_bits, mem_size=4, n_public=n_public
-    )
-    for root in secret_memory_pairs(params, mode):
-        left, right = root.dmem_pair
-        assert left != right
-        assert left[:n_public] == right[:n_public]
-        assert all(0 <= v < params.value_domain for v in left + right)
+def test_pairs_always_differ_and_share_public():
+    # The whole domain is 16 points, so it is enumerated rather than
+    # sampled: exhaustive, and free of any per-example deadline.
+    for mode, value_bits, n_public in itertools.product(
+        ("all", "single"), (1, 2), range(4)
+    ):
+        params = MachineParams(
+            value_bits=value_bits, mem_size=4, n_public=n_public
+        )
+        for root in secret_memory_pairs(params, mode):
+            left, right = root.dmem_pair
+            assert left != right
+            assert left[:n_public] == right[:n_public]
+            assert all(0 <= v < params.value_domain for v in left + right)
 
 
 def test_assumption_excludes_matching_events():
