@@ -96,7 +96,6 @@ def test_fuzz_time_to_first_leak():
         n_batches=preset.n_batches,
         batch_size=preset.batch_size,
         max_rounds=preset.max_rounds,
-        backend="serial",
     )
     elapsed = time.monotonic() - started
     assert report.found_leak, "planted leak not found from the fixed seed"

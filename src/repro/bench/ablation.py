@@ -144,7 +144,6 @@ def run(
     n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
-    backend=None,
 ) -> list[AblationResult]:
     """Run the ablation on attack, plain-proof and drain-heavy workloads."""
     by_key = run_units(
@@ -153,7 +152,6 @@ def run(
         budget_s=budget_s,
         log=log,
         experiment=EXPERIMENT,
-        backend=backend,
     )
     return _assemble(by_key, workloads)
 

@@ -79,16 +79,14 @@ def run(
     max_rounds: int = 4,
     *,
     n_workers: int | None = 1,
-    backend=None,
     log: CampaignLog | None = None,
 ) -> list[HuntStep]:
     """Run the iterative exclusion hunt for one contract.
 
     Rounds are inherently sequential (each adds the previous round's
     exclusion), but within a round the secret-pair roots shard across
-    ``n_workers`` worker processes (``1`` = the serial path) on any
-    campaign ``backend``; a live backend instance is reused across
-    rounds.
+    ``n_workers`` worker processes (``1`` = the whole round as one
+    inline shard).
 
     ``log`` streams one JSONL record per round -- keyed
     ``(contract, round)`` and carrying the classified mis-speculation
@@ -107,7 +105,7 @@ def run(
             assumptions=tuple(exclusions),
             limits=SearchLimits(timeout_s=scale.hunt_timeout),
         )
-        outcome = verify_sharded(task, n_workers=n_workers, backend=backend)
+        outcome = verify_sharded(task, n_workers=n_workers)
         source = None
         if outcome.attacked:
             source = classify_source(task, outcome)

@@ -174,7 +174,6 @@ def run(
     n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
-    backend=None,
     regfile_sizes=REGFILE_SIZES,
     dmem_sizes=DMEM_SIZES,
     rob_sizes=ROB_SIZES,
@@ -182,7 +181,7 @@ def run(
     """Run both panels; returns ``results[panel][structure]``.
 
     ``n_workers`` fans the sweep grid over the campaign scheduler
-    (``1`` = the historical serial path).  Most points have one or two
+    (``1`` = every point inline).  Most points have one or two
     quantifier roots, so the sweep parallelizes across points: its wall
     time is bounded below by its largest point (the biggest ROB).
     """
@@ -198,7 +197,6 @@ def run(
         budget_s=budget_s,
         log=log,
         experiment=EXPERIMENT,
-        backend=backend,
     )
     results = _empty_results()
     for (panel_key, structure, size), outcome in by_key.items():

@@ -8,8 +8,7 @@ statistics.
 
 The campaign-backed experiments (Tables 2 and 3, the Fig. 2 sweeps, the
 fetch-gate ablation and the BOOM hunt) accept ``--workers N`` to fan out
-over worker processes, ``--backend {serial,process}`` to pick the
-execution backend, and ``--log FILE`` to write a JSONL result log (the
+over worker processes and ``--log FILE`` to write a JSONL result log (the
 file is overwritten; records stream in as cells finish); ``--from-log
 FILE`` re-renders those tables -- hunt narrative included -- from a
 previous log without re-running anything.  Observability traces render
@@ -26,7 +25,6 @@ from pathlib import Path
 from repro.obs import clock
 from repro.bench import ablation, boom_hunt, fig2, table1, table2, table3
 from repro.bench.configs import scale_by_name
-from repro.campaign.cli import add_backend_arguments
 from repro.campaign.log import CampaignLog, read_records, result_records
 from repro.core.contracts import sandboxing
 
@@ -166,7 +164,6 @@ def main(argv: list[str] | None = None) -> int:
         help="state-engine throughput record to surface "
         "(default: BENCH_explorer.json at the repository root)",
     )
-    add_backend_arguments(parser)
     args = parser.parse_args(argv)
     if args.from_log:
         return render_from_log(args.from_log, args.explorer_bench)
@@ -174,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     skip = set(filter(None, args.skip.split(",")))
     n_workers = None if args.workers == 0 else args.workers
     started = clock.monotonic()
-    backend = args.backend
     log_handle = open(args.log, "w", encoding="utf-8") if args.log else None
     log = CampaignLog(log_handle) if log_handle else None
     try:
@@ -183,29 +179,28 @@ def main(argv: list[str] | None = None) -> int:
             print()
         if "table2" not in skip:
             print(table2.format_rows(
-                table2.run(scale, n_workers=n_workers, log=log, backend=backend)
+                table2.run(scale, n_workers=n_workers, log=log)
             ))
             print()
         if "table3" not in skip:
             print(table3.format_rows(
-                table3.run(scale, n_workers=n_workers, log=log, backend=backend)
+                table3.run(scale, n_workers=n_workers, log=log)
             ))
             print()
         if "fig2" not in skip:
             print(fig2.format_rows(
-                fig2.run(scale, n_workers=n_workers, log=log, backend=backend)
+                fig2.run(scale, n_workers=n_workers, log=log)
             ))
             print()
         if "hunt" not in skip:
             steps = boom_hunt.run(
-                sandboxing(), scale, n_workers=n_workers, backend=backend,
-                log=log,
+                sandboxing(), scale, n_workers=n_workers, log=log,
             )
             print(boom_hunt.format_rows("sandboxing", steps))
             print()
         if "ablation" not in skip:
             print(ablation.format_rows(
-                ablation.run(scale, n_workers=n_workers, log=log, backend=backend)
+                ablation.run(scale, n_workers=n_workers, log=log)
             ))
             print()
     finally:

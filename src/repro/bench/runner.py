@@ -3,9 +3,9 @@
 The drivers in this package build their grids as lists of
 :class:`repro.campaign.CampaignUnit` and hand them to
 :func:`run_units`, which fans them over the campaign scheduler --
-``n_workers=1`` reproduces the historical serial path exactly, larger
-counts shard every cell across its secret-pair roots and run the whole
-grid concurrently.
+``n_workers=1`` runs every cell inline as one shard, larger counts
+shard every cell across its secret-pair roots and run the whole grid
+concurrently.
 """
 
 from __future__ import annotations
@@ -61,16 +61,14 @@ def run_units(
     budget_s: float | None = None,
     log: CampaignLog | None = None,
     experiment: str = "bench",
-    backend=None,
 ) -> dict[tuple[str, ...], Outcome]:
     """Run a driver's unit grid; returns ``outcome`` by unit ``key``.
 
-    Defaults to ``n_workers=1`` (the serial reproducibility path) so that
-    existing callers and committed benchmark numbers keep their meaning;
-    drivers surface the knob to their callers.  ``backend`` selects the
-    executor -- ``"serial"`` / ``"process"`` or a live instance (see
-    :func:`repro.campaign.scheduler.run_campaign`; results are
-    bit-identical across backends).
+    Defaults to ``n_workers=1`` (every cell inline, one shard each) so
+    that existing callers and committed benchmark numbers keep their
+    meaning; drivers surface the knob to their callers.  Results are
+    bit-identical across worker counts (see
+    :func:`repro.campaign.scheduler.run_campaign`).
     """
     results: list[CampaignResult] = run_campaign(
         units,
@@ -78,7 +76,6 @@ def run_units(
         budget_s=budget_s,
         log=log,
         experiment=experiment,
-        backend=backend,
     )
     return {result.key: result.outcome for result in results}
 

@@ -137,14 +137,13 @@ def run(
     n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
-    backend=None,
 ) -> dict[str, dict[str, Outcome]]:
     """Run the comparison matrix; returns ``results[scheme][design]``.
 
     Scheme coverage follows the paper's shaded cells: LEAVE only on the
     cores its in-order-oriented candidates target (plus our OoO extension),
     UPEC only on BOOM.  ``n_workers`` fans the shadow/baseline grid over
-    the campaign scheduler (``1`` = the historical serial path).
+    the campaign scheduler (``1`` = every cell inline).
     """
     results: dict[str, dict[str, Outcome]] = {
         "baseline": {},
@@ -159,7 +158,6 @@ def run(
         budget_s=budget_s,
         log=log,
         experiment=EXPERIMENT,
-        backend=backend,
     )
     for (scheme, design_name), outcome in by_key.items():
         results[scheme][design_name] = outcome

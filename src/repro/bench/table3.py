@@ -111,7 +111,6 @@ def run(
     n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
-    backend=None,
 ) -> dict[tuple[Defense, str], Outcome]:
     """Run the defense sweep; returns ``results[(defense, contract name)]``."""
     by_key = run_units(
@@ -120,7 +119,6 @@ def run(
         budget_s=budget_s,
         log=log,
         experiment=EXPERIMENT,
-        backend=backend,
     )
     return {
         (Defense(defense_value), contract_name): outcome

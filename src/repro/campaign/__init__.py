@@ -1,21 +1,22 @@
-"""Parallel verification campaigns (sharded search over pluggable backends).
+"""Parallel verification campaigns (root-batch sharded search).
 
 Public surface:
 
 - :class:`repro.campaign.registry.CoreSpec` / :func:`core_spec` --
   picklable named core factories (drop-in for the old lambdas),
 - :class:`CampaignUnit` + :func:`run_campaign` -- fan a grid of
-  verification tasks (one bench table) across an execution backend,
+  verification tasks (one bench table) across ``n_workers`` workers,
 - :func:`verify_sharded` -- shard a single task into contiguous batches
   of its secret-pair roots,
 - :mod:`repro.campaign.backends` -- the executors: ``SerialBackend``
-  (inline reference) and ``ProcessPoolBackend`` (worker processes),
+  (inline, for one worker) and ``ProcessPoolBackend`` (worker
+  processes, for more), picked by ``make_executor``,
 - :class:`repro.campaign.log.CampaignLog` -- JSONL result logs that
   ``python -m repro.bench.report --from-log`` re-renders without
   re-running.
 
 ``python -m repro.campaign`` runs a seconds-scale mini-campaign (used by
-CI to catch pickling / determinism / backend regressions early).
+CI to catch pickling / determinism / worker-count regressions early).
 """
 
 from repro.campaign.backends import (
@@ -40,7 +41,6 @@ from repro.campaign.registry import (
     register_core_factory,
 )
 from repro.campaign.scheduler import (
-    BACKEND_NAMES,
     BUDGET_NOTE,
     CampaignResult,
     CampaignUnit,
@@ -50,7 +50,6 @@ from repro.campaign.scheduler import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "BUDGET_NOTE",
     "CORE_FACTORIES",
     "CampaignLog",

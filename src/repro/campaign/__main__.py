@@ -12,14 +12,12 @@ grids are built in:
 
 The fuzz presets (``fuzz-mini``, ``fuzz-defended``, ``fuzz-boom``) are
 accepted too and delegate to the random-testing CLI
-(``python -m repro.fuzz``) with the backend/log/budget flags forwarded,
+(``python -m repro.fuzz``) with the workers/log/budget flags forwarded,
 so one entry point drives both verification modes.
-
-``--backend`` selects the executor (``serial`` / ``process``).
 
 CI runs each grid twice, with ``--workers 1`` and ``--workers 4``, and
 diffs the canonical JSONL logs: any pickling break, nondeterministic
-root-batch merge, backend divergence or scheme regression fails the
+root-batch merge, worker-count divergence or scheme regression fails the
 smoke job within minutes instead of surfacing in the ten-minute
 benchmark suite.
 """
@@ -31,7 +29,7 @@ import sys
 
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
-from repro.campaign.cli import add_backend_arguments, add_trace_argument, trace_to
+from repro.campaign.cli import add_trace_argument, trace_to
 from repro.campaign.log import CampaignLog
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import CampaignUnit, run_campaign
@@ -107,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default/0: one per CPU; 1 = serial path)",
+        help="worker processes (default/0: one per CPU; 1 = run inline)",
     )
     parser.add_argument(
         "--log", default=None, help="write a JSONL result log to this path"
@@ -116,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         "--budget", type=float, default=None,
         help="shared campaign wall-clock budget in seconds",
     )
-    add_backend_arguments(parser)
     add_trace_argument(parser)
     args = parser.parse_args(argv)
     if args.units in FUZZ_PRESETS:
@@ -131,8 +128,6 @@ def main(argv: list[str] | None = None) -> int:
             forwarded += ["--log", args.log]
         if args.budget is not None:
             forwarded += ["--budget", str(args.budget)]
-        if args.backend:
-            forwarded += ["--backend", args.backend]
         if args.trace:
             forwarded += ["--trace", args.trace]
         return fuzz_main(forwarded)
@@ -147,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
             budget_s=args.budget,
             log=log,
             experiment=args.units,
-            backend=args.backend,
         )
 
     with trace_to(args.trace):

@@ -1,25 +1,24 @@
-"""Pluggable campaign execution backends.
+"""Campaign execution backends.
 
 The scheduler plans shards; a backend runs them.  Two implementations
 share one contract (:class:`ExecutionBackend`):
 
-- :class:`SerialBackend` -- inline, lazy, deterministic reference,
-- :class:`ProcessPoolBackend` -- the process fan-out (historical
-  behavior).
+- :class:`SerialBackend` -- inline, lazy, in submission order,
+- :class:`ProcessPoolBackend` -- the process fan-out.
 
-Merged campaign results are bit-identical across both (the shards
-are deterministic pure functions and the merge replays serial order);
-the backend choice only moves wall-clock around.
+:func:`make_executor` is the one rule that picks between them: one
+worker runs inline, more run a pool.  Merged campaign results are
+bit-identical across both (the shards are deterministic pure functions
+and the merge replays serial order); the choice only moves wall-clock
+around.
 """
 
 from repro.campaign.backends.base import (
-    BACKEND_NAMES,
     BUDGET_NOTE,
     ExecutionBackend,
     ShardFailure,
     WorkItem,
     budget_outcome,
-    build_named_backend,
     collect_results,
     execute_item,
     resolve_workers,
@@ -27,8 +26,24 @@ from repro.campaign.backends.base import (
 from repro.campaign.backends.process import ProcessPoolBackend
 from repro.campaign.backends.serial import SerialBackend
 
+
+def make_executor(
+    n_workers: int | None, max_items: int | None = None
+) -> ExecutionBackend:
+    """The executor for ``n_workers`` (``None``: one per CPU).
+
+    One worker runs items inline; more run a process pool, never wider
+    than ``max_items`` when the caller knows how many it will submit.
+    """
+    width = resolve_workers(n_workers)
+    if width == 1:
+        return SerialBackend()
+    if max_items is not None:
+        width = max(1, min(width, max_items))
+    return ProcessPoolBackend(width)
+
+
 __all__ = [
-    "BACKEND_NAMES",
     "BUDGET_NOTE",
     "ExecutionBackend",
     "ProcessPoolBackend",
@@ -36,8 +51,8 @@ __all__ = [
     "ShardFailure",
     "WorkItem",
     "budget_outcome",
-    "build_named_backend",
     "collect_results",
     "execute_item",
+    "make_executor",
     "resolve_workers",
 ]

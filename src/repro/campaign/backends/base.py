@@ -6,10 +6,13 @@ The campaign scheduler (:mod:`repro.campaign.scheduler`) plans work as
 a unit's roots.  *Where* those items execute is the backend's business:
 
 - :class:`repro.campaign.backends.serial.SerialBackend` runs them inline
-  (the deterministic reference),
+  (the one-worker executor),
 - :class:`repro.campaign.backends.process.ProcessPoolBackend` fans them
   over a local ``ProcessPoolExecutor``, each item pickled whole into a
   pool child and run there by :func:`execute_item`.
+
+The worker count alone picks between them
+(:func:`repro.campaign.backends.make_executor`).
 
 Because a shard's outcome is a pure function of its item -- the search is
 deterministic and every input is in the pickle -- the scheduler's merged
@@ -47,10 +50,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep workers light
 #: expires before a shard could run.
 BUDGET_NOTE = "campaign budget exhausted"
 
-#: The names ``run_campaign``'s string ``backend`` argument accepts.
-BACKEND_NAMES = ("serial", "process")
-
-
 def budget_outcome() -> Outcome:
     """The outcome stood in for work the campaign budget cut off."""
     return Outcome(
@@ -69,12 +68,14 @@ class ShardFailure:
     path, which never fetched the result of an obsolete future.  A failure on a shard the merge still needs is
     re-raised by the scheduler: the error is deterministic and would
     fail identically anywhere, so crashing honestly beats retrying.
+    ``error`` is the raised exception, which the re-raise chains from.
     """
 
-    __slots__ = ("message",)
+    __slots__ = ("message", "error")
 
-    def __init__(self, message: str):
+    def __init__(self, message: str, error: BaseException | None = None):
         self.message = message
+        self.error = error
 
     def __repr__(self) -> str:
         return f"ShardFailure({self.message!r})"
@@ -87,22 +88,6 @@ def resolve_workers(n_workers: int | None) -> int:
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     return n_workers
-
-
-def build_named_backend(name: str, n_workers: int | None = None):
-    """Construct a backend from its CLI name."""
-    if name == "serial":
-        from repro.campaign.backends.serial import SerialBackend
-
-        return SerialBackend()
-    if name == "process":
-        from repro.campaign.backends.process import ProcessPoolBackend
-
-        return ProcessPoolBackend(resolve_workers(n_workers))
-    raise ValueError(
-        f"unknown backend {name!r}; expected an ExecutionBackend "
-        f"instance or one of {BACKEND_NAMES}"
-    )
 
 
 def collect_results(
@@ -124,7 +109,9 @@ def collect_results(
         if index is None:
             continue
         if isinstance(outcome, ShardFailure):
-            raise RuntimeError(f"{label} failed: {outcome.message}")
+            raise RuntimeError(
+                f"{label} failed: {outcome.message}"
+            ) from outcome.error
         results[index] = outcome
         pending -= 1
         if pending == 0:
@@ -170,7 +157,7 @@ class WorkItem:
 
         An item that starts after the campaign deadline has already
         passed reports the budget timeout without searching at all
-        (mirroring the serial path's pre-unit deadline check).
+        (the campaign budget's per-item check).
         """
         deadline = self.limits.deadline
         if deadline is not None and clock.monotonic() >= deadline:
@@ -207,7 +194,7 @@ class ExecutionBackend:
     """Abstract executor of :class:`WorkItem` shards (see module docs)."""
 
     #: Human-readable backend kind (``"serial"`` / ``"process"``);
-    #: logged into campaign headers.
+    #: reported as ``CampaignTelemetry.backend``.
     name: str = "abstract"
 
     # -- the four core operations --------------------------------------
@@ -228,7 +215,7 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release workers and transports; idempotent."""
+        """Release worker processes; idempotent."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self

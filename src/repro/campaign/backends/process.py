@@ -1,12 +1,11 @@
 """The process backend: a ``ProcessPoolExecutor`` fan-out.
 
-This is the historical campaign executor extracted verbatim from the
-scheduler: shards pickle into worker processes, results stream back as
-futures complete.  Every :class:`~repro.campaign.backends.base.WorkItem`
-crosses the pool whole -- task spec, roots and limits in one pickle --
-and runs in the child through
-:func:`~repro.campaign.backends.base.execute_item`, which also records
-the shard's spans when the campaign is tracing.
+The executor for more than one worker: shards pickle into worker
+processes, results stream back as futures complete.  Every
+:class:`~repro.campaign.backends.base.WorkItem` crosses the pool whole
+-- task spec, roots and limits in one pickle -- and runs in the child
+through :func:`~repro.campaign.backends.base.execute_item`, which also
+records the shard's spans when the campaign is tracing.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     # The scheduler decides relevance (see ShardFailure):
                     # a raising serially-dead shard must not abort runs
                     # the serial engine would have completed.
-                    outcome = ShardFailure(repr(exc))
+                    outcome = ShardFailure(repr(exc), exc)
                 if isinstance(outcome, TracedOutcome):
                     # Unwrap before any result inspection.  Pool children
                     # share this host's monotonic clock, so the batch

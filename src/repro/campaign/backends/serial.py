@@ -1,7 +1,7 @@
-"""The inline reference backend: one shard at a time, in this process.
+"""The inline backend: one shard at a time, in this process.
 
-``SerialBackend`` is the executable specification the process backend is
-tested against: no processes, no timing -- items run lazily
+``SerialBackend`` is the one-worker executor: no processes, no
+timing -- items run lazily
 inside :meth:`as_completed`, in submission order, which is exactly the
 serial engine's exploration order because the scheduler submits shards
 serially-first.  Laziness matters: the scheduler cancels serially-dead
@@ -47,5 +47,5 @@ class SerialBackend(ExecutionBackend):
             try:
                 outcome = item.run()
             except Exception as exc:
-                outcome = ShardFailure(repr(exc))
+                outcome = ShardFailure(repr(exc), exc)
             yield ticket, outcome

@@ -1,11 +1,6 @@
-"""Shared CLI plumbing for the campaign, fuzz and bench report CLIs.
+"""Shared CLI plumbing for the campaign and fuzz CLIs.
 
-Every campaign-running CLI grows the same ``--backend {serial,process}``
-flag (default: the historical behavior, serial for ``--workers 1``, a
-process pool otherwise); its value passes straight through as the
-``backend=`` argument of :func:`repro.campaign.scheduler.run_campaign`
-or :func:`repro.fuzz.campaign.run_fuzz`.  The campaign and fuzz CLIs
-also share ``--trace FILE`` (a :mod:`repro.obs` trace of the run).
+Both share ``--trace FILE`` (a :mod:`repro.obs` trace of the run).
 """
 
 from __future__ import annotations
@@ -13,17 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-
-from repro.campaign.backends import BACKEND_NAMES
-
-
-def add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the shared ``--backend`` flag."""
-    parser.add_argument(
-        "--backend", default=None, choices=BACKEND_NAMES,
-        help="execution backend (default: serial path for 1 worker, "
-        "process pool otherwise)",
-    )
 
 
 def add_trace_argument(parser: argparse.ArgumentParser) -> None:

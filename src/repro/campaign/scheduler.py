@@ -1,4 +1,4 @@
-"""Campaign scheduling: root-batch sharding over pluggable backends.
+"""Campaign scheduling: root-batch sharding, run inline or in a pool.
 
 The paper's evaluation (Tables 2/3, Fig. 2, the BOOM hunt) is a grid of
 *independent* verification tasks, and inside each task the secret-pair
@@ -10,25 +10,26 @@ states with another root's (visited-set keys embed the root index), so
   :class:`repro.mc.explorer.Explorer` -- which keeps the transition memo
   across the batch's roots and stops at the first attack exactly like
   the serial engine, so no shard explores a root the serial scan would
-  skip inside its batch.  Each unit gets ``min(roots, ceil(2 x capacity
-  / units))`` batches, so the campaign still has ~2x capacity shards
-  (the Table-2 grid runs as one shard per unit), and
+  skip inside its batch.  With more than one worker each unit gets
+  ``min(roots, ceil(2 x workers / units))`` batches, so the campaign
+  still has ~2x workers shards (the Table-2 grid runs as one shard per
+  unit); with one worker each unit is one whole-task batch, since extra
+  batches only balance workers and would split the memo, and
 - a whole campaign -- one bench table -- fans all shards of all units
-  across an execution backend.
+  across one executor.
 
 Root batches are the only shard shape: a single-root task runs as one
 shard, and a sweep of such tasks (Fig. 2) parallelizes across its
 points.
 
-**Backends.**  The scheduler plans shards; *where* they run is a
-pluggable :class:`repro.campaign.backends.ExecutionBackend`:
-``SerialBackend`` (inline, the deterministic reference) or
-``ProcessPoolBackend`` (the process fan-out, the default for
-``n_workers > 1``).  A shard's outcome is a pure function of its
-picklable :class:`repro.campaign.backends.WorkItem`, which crosses into
-a pool child whole (task spec, roots and limits in one pickle), so
-merged results are bit-identical across backends; only wall-clock
-moves.
+**Executors.**  The scheduler plans shards; the worker count alone
+picks where they run (:func:`repro.campaign.backends.make_executor`):
+one worker runs them inline (``SerialBackend``), more fan them over a
+``ProcessPoolBackend`` no wider than the shard count.  A shard's
+outcome is a pure function of its picklable
+:class:`repro.campaign.backends.WorkItem`, which crosses into a pool
+child whole (task spec, roots and limits in one pickle), so merged
+results are bit-identical across worker counts; only wall-clock moves.
 
 **Determinism.**  The serial engine's LIFO stack explores roots in
 *reversed* list order, finishing one root's subtree before touching the
@@ -40,14 +41,11 @@ roots (its ``Explorer`` pops them in the same LIFO order and stops at
 the same attack), so the unit merge scans batch outcomes exactly as it
 would scan their roots'.  Under budgets generous enough that no shard
 times out, the merged outcome -- verdict, counterexample *and*
-state/transition counts -- is bit-identical to the monolithic serial
-search, for every backend and worker count.  (When a budget *does*
-trip, verdicts may legitimately differ across capacities: each shard
-gets the task's full ``timeout_s``, so parallelism completes searches
-the serial engine would time out on.)
-``n_workers=1`` with no explicit backend does not shard at all: it runs
-the historical serial path unchanged, which is the reproducibility
-baseline the merged results are tested against.
+state/transition counts -- is bit-identical to
+:func:`repro.core.verifier.verify` on the whole task, for every worker
+count.  (When a budget *does* trip, verdicts may legitimately differ
+across capacities: each shard gets the task's full ``timeout_s``, so
+parallelism completes searches the serial engine would time out on.)
 
 **Short-circuiting.**  A unit is decided as soon as the serial-order scan
 hits a non-proof with every serially-earlier root proved; the remaining
@@ -72,23 +70,20 @@ from typing import Sequence
 from repro import obs
 from repro.obs import clock
 from repro.campaign.backends import (
-    BACKEND_NAMES,
     BUDGET_NOTE,
     ExecutionBackend,
-    ProcessPoolBackend,
     ShardFailure,
     WorkItem,
     budget_outcome as _budget_outcome,
-    build_named_backend,
+    make_executor,
     resolve_workers,
 )
 from repro.campaign.log import CampaignLog
-from repro.core.verifier import VerificationTask, verify
+from repro.core.verifier import VerificationTask
 from repro.isa.instruction import Opcode
 from repro.mc.result import PROVED, Outcome, SearchStats
 
 __all__ = [
-    "BACKEND_NAMES",
     "BUDGET_NOTE",
     "CampaignResult",
     "CampaignUnit",
@@ -233,19 +228,27 @@ def _merge_serial(outcomes: Sequence[Outcome | None]) -> Outcome | None:
 
 
 class _UnitState:
-    """Book-keeping for one in-flight sharded unit.
+    """Book-keeping for one planned unit.
 
     ``subtasks[i]`` is the unit's task narrowed to its ``i``-th root
     batch (deadline-stamped); ``outcomes[i]`` is that batch's outcome,
-    ``None`` while its shard is pending.
+    ``None`` while its shard is pending.  ``model`` is the unit's
+    (frontier width, depth bound) cost model over ``n_roots`` roots.
     """
 
     def __init__(
-        self, index: int, unit: CampaignUnit, subtasks: list[VerificationTask]
+        self,
+        index: int,
+        unit: CampaignUnit,
+        subtasks: list[VerificationTask],
+        model: tuple[int, int],
+        n_roots: int,
     ):
         self.index = index
         self.unit = unit
         self.subtasks = subtasks
+        self.model = model
+        self.n_roots = n_roots
         self.outcomes: list[Outcome | None] = [None] * len(subtasks)
         self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
@@ -279,25 +282,6 @@ class _ResultSink:
             self._next += 1
 
 
-def _resolve_backend(
-    backend, n_workers: int | None
-) -> tuple[ExecutionBackend | None, bool, int]:
-    """Map the ``backend`` argument onto (instance, owned-here, capacity).
-
-    ``None`` keeps the historical behavior -- the serial fast path for
-    one worker, an implicit process pool otherwise (instance ``None``
-    here; :func:`_run_sharded` constructs it after planning so the pool
-    can still be clamped to the shard count).
-    """
-    if backend is None:
-        workers = resolve_workers(n_workers)
-        return None, True, workers
-    if isinstance(backend, ExecutionBackend):
-        return backend, False, max(1, backend.capacity())
-    built = build_named_backend(backend, n_workers)
-    return built, True, built.capacity()
-
-
 def run_campaign(
     units: Sequence[CampaignUnit],
     *,
@@ -305,45 +289,45 @@ def run_campaign(
     budget_s: float | None = None,
     log: CampaignLog | None = None,
     experiment: str = "campaign",
-    backend=None,
 ) -> list[CampaignResult]:
     """Run a campaign; results align with ``units`` (deterministic order).
 
-    ``backend`` selects the executor: ``None`` (default) keeps the
-    historical behavior -- ``n_workers=1`` runs every unit through the
-    plain serial :func:`repro.core.verifier.verify`, larger counts fan
-    shards over an implicit process pool; ``"serial"`` / ``"process"``
-    name the corresponding :mod:`repro.campaign.backends` class; a
-    live :class:`repro.campaign.backends.ExecutionBackend` instance is
-    used as-is and left open for the caller to reuse.  Merged outcomes
-    are bit-identical across backends (see the module docstring).
+    ``n_workers`` (``None``: one per CPU) picks the executor: one worker
+    runs every shard inline, more fan shards over a process pool no
+    wider than the shard count, which needs picklable units.  Merged
+    outcomes are bit-identical across worker counts (see the module
+    docstring).  The log header records the executor's actual width.
 
     ``budget_s`` is a shared wall-clock budget; units it cuts off report
     timeout outcomes noted ``"campaign budget exhausted"``.
     """
+    global LAST_TELEMETRY
     units = list(units)
     deadline = None if budget_s is None else clock.monotonic() + budget_s
-    backend_obj, owned, capacity = _resolve_backend(backend, n_workers)
-    # One telemetry object per campaign, shared by every result of the
-    # run; the process-global alias is re-pointed (not mutated) so a
-    # previous campaign's counters can never bleed into this one.
-    global LAST_TELEMETRY
-    telemetry = CampaignTelemetry(capacity=capacity)
-    LAST_TELEMETRY = telemetry
-    if log is not None:
-        log.header(experiment, capacity, len(units))
-    # Results stream to the log in submission order as units finalize
-    # (each record is flushed), so an interrupted campaign keeps every
-    # completed prefix for --from-log re-rendering.
-    sink = _ResultSink(units, log)
+    capacity = resolve_workers(n_workers)
+    if capacity > 1:
+        for unit in units:
+            _check_picklable(unit)
     with obs.span("campaign", experiment=experiment, units=len(units)):
-        if backend is None and capacity == 1:
-            telemetry.backend = "serial"
-            outcomes = _run_serial(units, deadline, sink)
-        else:
-            outcomes = _run_sharded(
-                units, backend_obj, owned, capacity, deadline, sink, telemetry
-            )
+        states = _plan(units, capacity, deadline)
+        executor = make_executor(
+            capacity, sum(len(state.subtasks) for state in states)
+        )
+        # One telemetry object per campaign, shared by every result of
+        # the run; the process-global alias is re-pointed (not mutated)
+        # so a previous campaign's counters can never bleed into this one.
+        telemetry = CampaignTelemetry(
+            backend=executor.name, capacity=executor.capacity()
+        )
+        LAST_TELEMETRY = telemetry
+        if log is not None:
+            log.header(experiment, telemetry.capacity, len(units))
+        # Results stream to the log in submission order as units finalize
+        # (each record is flushed), so an interrupted campaign keeps every
+        # completed prefix for --from-log re-rendering.
+        sink = _ResultSink(units, log)
+        with executor:
+            outcomes = _run_sharded(states, executor, deadline, sink, telemetry)
     return [
         CampaignResult(unit.experiment, unit.key, outcome, telemetry)
         for unit, outcome in zip(units, outcomes)
@@ -357,27 +341,6 @@ def _stamp_deadline(task: VerificationTask, deadline: float | None):
     if limits.deadline is not None:
         deadline = min(limits.deadline, deadline)
     return replace(task, limits=replace(limits, deadline=deadline))
-
-
-def _run_serial(
-    units: list[CampaignUnit],
-    deadline: float | None,
-    sink: _ResultSink,
-) -> list[Outcome]:
-    outcomes: list[Outcome] = []
-    for index, unit in enumerate(units):
-        key = "/".join(unit.key)
-        if deadline is not None and clock.monotonic() >= deadline:
-            outcome = _budget_outcome()
-        else:
-            with obs.span("unit", unit=key):
-                outcome = verify(_stamp_deadline(unit.task, deadline))
-        obs.event(
-            "unit.done", unit=key, kind=outcome.kind, elapsed=outcome.elapsed
-        )
-        outcomes.append(outcome)
-        sink.offer(index, outcome)
-    return outcomes
 
 
 def _frontier_width(task: VerificationTask) -> int:
@@ -421,137 +384,128 @@ def _predicted_states(
     return max(1, n_roots) * width**depth
 
 
+def _plan(
+    units: list[CampaignUnit], capacity: int, deadline: float | None
+) -> list[_UnitState]:
+    """Cut every unit into contiguous, deadline-stamped root batches.
+
+    With more than one worker, enough batches per unit that the campaign
+    has >= ~2x ``capacity`` shards, never more than one per root.  With
+    one worker, one whole-task batch per unit: extra batches only
+    balance workers, and would split the memo an ``Explorer`` shares
+    across its roots.
+    """
+    per_unit = (
+        1 if capacity == 1 else math.ceil(2 * capacity / max(1, len(units)))
+    )
+    states: list[_UnitState] = []
+    for index, unit in enumerate(units):
+        model = _cost_model(unit.task)
+        roots = unit.task.build_roots()
+        subtasks = [
+            _stamp_deadline(replace(unit.task, roots=roots[a:b]), deadline)
+            for a, b in _plan_batches(len(roots), per_unit)
+        ]
+        states.append(_UnitState(index, unit, subtasks, model, len(roots)))
+    return states
+
+
 def _run_sharded(
-    units: list[CampaignUnit],
-    backend: ExecutionBackend | None,
-    owned: bool,
-    capacity: int,
+    states: list[_UnitState],
+    backend: ExecutionBackend,
     deadline: float | None,
     sink: _ResultSink,
     telemetry: CampaignTelemetry,
 ) -> list[Outcome]:
-    for unit in units:
-        _check_picklable(unit)
-    states: list[_UnitState] = []
-    models: list[tuple[int, int]] = []  # per-unit (width, depth) cost model
-    n_roots: list[int] = []
-    # Root batching: enough contiguous batches per unit that the campaign
-    # has >= ~2x capacity shards, never more than one per root.
-    batches_per_unit = math.ceil(2 * capacity / max(1, len(units)))
-    for index, unit in enumerate(units):
-        models.append(_cost_model(unit.task))
-        roots = unit.task.build_roots()
-        n_roots.append(len(roots))
-        subtasks = [
-            _stamp_deadline(replace(unit.task, roots=roots[a:b]), deadline)
-            for a, b in _plan_batches(len(roots), batches_per_unit)
-        ]
-        states.append(_UnitState(index, unit, subtasks))
-    if backend is None:
-        # Implicit process pool: never more processes than shards.
-        total = sum(len(state.subtasks) for state in states)
-        capacity = max(1, min(capacity, total))
-        backend = ProcessPoolBackend(capacity)
-        owned = True
-    telemetry.backend = backend.name
-    telemetry.capacity = capacity
     #: ticket -> (unit state, batch position)
     owner: dict[int, tuple[_UnitState, int]] = {}
 
-    def try_finalize(state: _UnitState) -> bool:
-        """Attempt the serial-order merge; cancel obsolete shards."""
-        if state.final is not None:
-            return True
-        merged = _merge_serial(state.outcomes)
-        if merged is None:
-            return False
-        state.final = merged
+    def finish(state: _UnitState, outcome: Outcome) -> None:
+        state.final = outcome
         obs.event(
             "unit.done",
             unit="/".join(state.unit.key),
-            kind=merged.kind,
-            elapsed=merged.elapsed,
+            kind=outcome.kind,
+            elapsed=outcome.elapsed,
         )
+        sink.offer(state.index, outcome)
+
+    def try_finalize(state: _UnitState) -> None:
+        """Attempt the serial-order merge; cancel obsolete shards."""
+        merged = _merge_serial(state.outcomes)
+        if merged is None:
+            return
+        finish(state, merged)
         for ticket in state.tickets:
             backend.cancel(ticket)
             owner.pop(ticket, None)
-        return True
 
-    try:
-        # Cost-model dispatch: submit units largest-first (by the roots x
-        # width^depth estimate), so the campaign's long pole starts
-        # executing before the queue fills with small cells.  Results,
-        # logs and merges still follow unit *submission list* order (the
-        # sink buffers), and shard outcomes are order-blind pure
-        # functions -- only wall-clock moves.  Ties keep list order
-        # (stable sort), so equal-cost grids behave historically.
-        plan_order = sorted(
-            states,
-            key=lambda s: _predicted_states(
-                s.unit.task, n_roots[s.index], models[s.index]
-            ),
-            reverse=True,
-        )
-        for state in plan_order:
-            if deadline is not None and clock.monotonic() >= deadline:
-                state.final = _budget_outcome()
-                sink.offer(state.index, state.final)
-                continue
-            key = "/".join(state.unit.key)
-            # Submit in *serial* order (last batch first, the LIFO
-            # exploration order), so a serial backend runs the batch that
-            # may decide the unit before its serially-later siblings.
-            for pos in reversed(range(len(state.subtasks))):
-                subtask = state.subtasks[pos]
-                ticket = backend.submit_unit(WorkItem(subtask))
-                telemetry.shards += 1
-                obs.event(
-                    "shard.submit",
-                    ticket=ticket,
-                    unit=key,
-                    predicted=_predicted_states(
-                        subtask, len(subtask.roots), models[state.index]
-                    ),
-                )
-                owner[ticket] = (state, pos)
-                state.tickets.append(ticket)
-            # Zero-root tasks finalize immediately.
-            if try_finalize(state):
-                sink.offer(state.index, state.final)
-        for ticket, outcome in backend.as_completed():
-            info = owner.pop(ticket, None)
-            if isinstance(outcome, Outcome):
-                obs.event(
-                    "shard.done",
-                    ticket=ticket,
-                    kind=outcome.kind,
-                    states=outcome.stats.states,
-                    elapsed=outcome.elapsed,
-                )
-            if info is None:
-                continue  # cancelled: a stale result
-            state, pos = info
-            if state.final is not None:
-                continue
-            if isinstance(outcome, ShardFailure):
-                raise RuntimeError(
-                    "campaign shard for unit "
-                    f"{state.unit.experiment}/{'/'.join(state.unit.key)} "
-                    f"failed: {outcome.message}"
-                )
-            state.outcomes[pos] = outcome
-            if try_finalize(state):
-                sink.offer(state.index, state.final)
-        for state in states:
-            if state.final is None:  # every shard cancelled under it
-                state.final = _merge_serial(
-                    [o or _budget_outcome() for o in state.outcomes]
-                )
-                sink.offer(state.index, state.final)
-        return [state.final for state in states]
-    finally:
-        if owned:
-            backend.close()
+    # Cost-model dispatch: submit units largest-first (by the roots x
+    # width^depth estimate), so the campaign's long pole starts
+    # executing before the queue fills with small cells.  Results,
+    # logs and merges still follow unit *submission list* order (the
+    # sink buffers), and shard outcomes are order-blind pure
+    # functions -- only wall-clock moves.  Ties keep list order
+    # (stable sort).
+    plan_order = sorted(
+        states,
+        key=lambda s: _predicted_states(s.unit.task, s.n_roots, s.model),
+        reverse=True,
+    )
+    for state in plan_order:
+        if deadline is not None and clock.monotonic() >= deadline:
+            finish(state, _budget_outcome())
+            continue
+        key = "/".join(state.unit.key)
+        # Submit in *serial* order (last batch first, the LIFO
+        # exploration order), so the inline executor runs the batch that
+        # may decide the unit before its serially-later siblings.
+        for pos in reversed(range(len(state.subtasks))):
+            subtask = state.subtasks[pos]
+            ticket = backend.submit_unit(WorkItem(subtask))
+            telemetry.shards += 1
+            obs.event(
+                "shard.submit",
+                ticket=ticket,
+                unit=key,
+                predicted=_predicted_states(
+                    subtask, len(subtask.roots), state.model
+                ),
+            )
+            owner[ticket] = (state, pos)
+            state.tickets.append(ticket)
+        # Zero-root tasks finalize immediately.
+        try_finalize(state)
+    for ticket, outcome in backend.as_completed():
+        info = owner.pop(ticket, None)
+        if isinstance(outcome, Outcome):
+            obs.event(
+                "shard.done",
+                ticket=ticket,
+                kind=outcome.kind,
+                states=outcome.stats.states,
+                elapsed=outcome.elapsed,
+            )
+        if info is None:
+            continue  # cancelled: a stale result
+        state, pos = info
+        if state.final is not None:
+            continue
+        if isinstance(outcome, ShardFailure):
+            raise RuntimeError(
+                "campaign shard for unit "
+                f"{state.unit.experiment}/{'/'.join(state.unit.key)} "
+                f"failed: {outcome.message}"
+            ) from outcome.error
+        state.outcomes[pos] = outcome
+        try_finalize(state)
+    for state in states:
+        if state.final is None:  # every shard cancelled under it
+            finish(
+                state,
+                _merge_serial([o or _budget_outcome() for o in state.outcomes]),
+            )
+    return [state.final for state in states]
 
 
 def verify_sharded(
@@ -559,17 +513,14 @@ def verify_sharded(
     *,
     n_workers: int | None = None,
     budget_s: float | None = None,
-    backend=None,
 ) -> Outcome:
     """Verify one task, its secret-pair roots sharded across workers.
 
     The one-task convenience wrapper over :func:`run_campaign`; the BOOM
     attack hunt uses it to parallelize each exclusion round.  A task
     gets at most one shard per root, so a single-root task runs as one
-    shard.  ``backend`` accepts the same values as :func:`run_campaign`.
+    shard, and one worker runs the whole task as one shard.
     """
     unit = CampaignUnit(experiment="task", key=("task",), task=task)
-    [result] = run_campaign(
-        [unit], n_workers=n_workers, budget_s=budget_s, backend=backend
-    )
+    [result] = run_campaign([unit], n_workers=n_workers, budget_s=budget_s)
     return result.outcome

@@ -10,11 +10,11 @@ report.  Three presets are built in (see :mod:`repro.fuzz.configs`):
   clean), and
 - ``fuzz-boom``: the BoomLike core's misalignment/illegal sources.
 
-``--backend`` selects the executor exactly like the verification
-campaign CLI (``serial`` / ``process``); reports are bit-identical
-across backends for a fixed ``--seed``, which the CI fuzz smoke job
-checks by diffing canonical ``--log`` JSONL between a serial and a
-process run.
+``--workers`` picks the executor exactly like the verification
+campaign CLI (one worker inline, more in a process pool); reports are
+bit-identical across worker counts for a fixed ``--seed``, which the CI
+fuzz smoke job checks by diffing canonical ``--log`` JSONL between a
+1-worker and a 4-worker run.
 
 Exit status: 0 when the preset's expectation holds (leak found and
 minimized for ``fuzz-mini``/``fuzz-boom``, no leak for
@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.campaign.cli import add_backend_arguments, add_trace_argument, trace_to
+from repro.campaign.cli import add_trace_argument, trace_to
 from repro.campaign.log import CampaignLog
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import FUZZ_PRESETS, preset_config
@@ -56,9 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         help="maximum coverage-feedback rounds (default: preset)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-backend worker count (0: one per CPU; default/1 "
-        "with no --backend: the serial reference)",
+        "--workers", type=int, default=1,
+        help="worker processes (0: one per CPU; default 1 = run inline)",
     )
     parser.add_argument(
         "--budget", type=float, default=None,
@@ -71,18 +70,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--log", default=None, help="write a JSONL result log to this path"
     )
-    add_backend_arguments(parser)
     add_trace_argument(parser)
     args = parser.parse_args(argv)
     preset = preset_config(args.units, args.seed)
     # ``--workers 0`` keeps the campaign CLI's meaning: one per CPU.
-    n_workers = None if args.workers == 0 else args.workers
-    backend = args.backend
-    if backend is None:
-        # The fuzz default is the deterministic serial reference; any
-        # explicit worker request (including 0 = per-CPU) fans batches
-        # over a process pool.
-        backend = "serial" if args.workers in (None, 1) else "process"
+    n_workers = args.workers or None
 
     def _run(log):
         return run_fuzz(
@@ -99,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.rounds if args.rounds is not None else preset.max_rounds
             ),
             minimize=not args.no_minimize,
-            backend=backend,
             n_workers=n_workers,
             budget_s=args.budget,
             log=log,

@@ -1,18 +1,19 @@
-"""The fuzz campaign driver: rounds of batches over execution backends.
+"""The fuzz campaign driver: rounds of batches over the campaign executor.
 
 One fuzz campaign is a sequence of *rounds*; each round fans
-``n_batches`` :class:`repro.fuzz.work.FuzzShard` units over an
-execution backend (serial / process -- the same
-:class:`repro.campaign.backends.ExecutionBackend` pair the verification
-campaigns use), then merges the batch results **in batch-index order**:
+``n_batches`` :class:`repro.fuzz.work.FuzzShard` units over the executor
+the worker count picks (:func:`repro.campaign.backends.make_executor`,
+the same rule the verification campaigns use: one worker inline, more
+in a process pool), then merges the batch results **in batch-index
+order**:
 
 - coverage keys union in order, the corpus extends in order (bounded),
 - the reported leak is the serially-first one (smallest
   ``(round, batch, trial)``),
 
 so the merged report is a pure function of the campaign seed -- the
-same on every backend and worker count, which the CI fuzz smoke job
-diffs bit-for-bit between serial and process runs.
+same for every worker count, which the CI fuzz smoke job diffs
+bit-for-bit between 1-worker and 4-worker runs.
 
 Coverage feedback crosses rounds, not batches: every round's shards
 ship the merged coverage snapshot and corpus of all *previous* rounds
@@ -21,7 +22,7 @@ parallel), and mutation rates target the corpus those snapshots built.
 
 When a round surfaces a leak the campaign stops (``stop_on_leak``) and
 hands the winner to distributed delta debugging
-(:func:`repro.fuzz.minimize.minimize_leak`) over the same backend.
+(:func:`repro.fuzz.minimize.minimize_leak`) over the same executor.
 
 Logs reuse the campaign JSONL machinery: one ``result`` record per
 round plus one for the minimized leak, all replayable / diffable via
@@ -34,13 +35,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs import clock
-from repro.campaign.backends import (
-    ExecutionBackend,
-    SerialBackend,
-    WorkItem,
-    build_named_backend,
-    collect_results,
-)
+from repro.campaign.backends import WorkItem, collect_results, make_executor
 from repro.campaign.log import CampaignLog
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.minimize import MinimizedLeak, minimize_leak
@@ -145,16 +140,6 @@ class FuzzReport:
         )
 
 
-def _resolve_backend(backend, n_workers):
-    """Fuzz flavor of backend resolution: the default is serial (the
-    deterministic reference; fuzzing has no implicit-pool history)."""
-    if backend is None:
-        return SerialBackend(), True
-    if isinstance(backend, ExecutionBackend):
-        return backend, False
-    return build_named_backend(backend, n_workers), True
-
-
 def run_fuzz(
     config: FuzzConfig,
     *,
@@ -164,17 +149,17 @@ def run_fuzz(
     mutate_ratio: float = 0.5,
     stop_on_leak: bool = True,
     minimize: bool = True,
-    backend=None,
-    n_workers: int | None = None,
+    # Ignored; kept only because the frozen perfbench/workloads.py passes it.
+    backend: object = None,
+    n_workers: int | None = 1,
     budget_s: float | None = None,
     log: CampaignLog | None = None,
     experiment: str = "fuzz",
 ) -> FuzzReport:
     """Run one fuzz campaign (see the module docstring).
 
-    ``backend`` accepts ``None``/``"serial"``/``"process"`` or a live
-    :class:`repro.campaign.backends.ExecutionBackend` instance (left
-    open for the caller, like verification campaigns).  ``budget_s``
+    ``n_workers`` (``None``: one per CPU) picks the executor: one worker
+    runs batches inline, more fan them over a process pool.  ``budget_s``
     stamps a shared absolute deadline on every shard; truncated rounds
     report ``timeout`` records (timing-dependent, like every budget).
     The log header's ``n_units`` is ``max_rounds``, the rounds planned.
@@ -182,23 +167,23 @@ def run_fuzz(
     started = clock.monotonic()
     deadline = None if budget_s is None else started + budget_s
     limits = SearchLimits(deadline=deadline)
-    backend_obj, owned = _resolve_backend(backend, n_workers)
+    executor = make_executor(n_workers)
     # Fuzz campaigns count themselves like verification campaigns: one
     # CampaignTelemetry per run, re-pointing the process-global alias.
     from repro.campaign import scheduler as _scheduler
 
     telemetry = _scheduler.CampaignTelemetry(
-        backend=backend_obj.name, capacity=max(1, backend_obj.capacity())
+        backend=executor.name, capacity=executor.capacity()
     )
     _scheduler.LAST_TELEMETRY = telemetry
     if log is not None:
-        log.header(experiment, max(1, backend_obj.capacity()), max_rounds)
+        log.header(experiment, telemetry.capacity, max_rounds)
     coverage = CoverageMap()
     corpus: list[tuple] = []
     rounds: list[FuzzRound] = []
     leak: FuzzLeak | None = None
     minimized: MinimizedLeak | None = None
-    try:
+    with executor:
         for round_index in range(max_rounds):
             if deadline is not None and clock.monotonic() >= deadline:
                 break
@@ -218,7 +203,7 @@ def run_fuzz(
                         stop_on_leak=stop_on_leak,
                         limits=limits,
                     )
-                    ticket = backend_obj.submit_unit(WorkItem(fuzz=shard))
+                    ticket = executor.submit_unit(WorkItem(fuzz=shard))
                     tickets[ticket] = batch_index
                     telemetry.shards += 1
                     obs.event(
@@ -228,7 +213,7 @@ def run_fuzz(
                         predicted=batch_size,
                     )
                 results = collect_results(
-                    backend_obj, tickets, n_batches, label="fuzz shard"
+                    executor, tickets, n_batches, label="fuzz shard"
                 )
                 merged = FuzzRound(index=round_index)
                 round_leaks: list[FuzzLeak] = []
@@ -293,12 +278,9 @@ def run_fuzz(
             if round_leak is not None and leak is None:
                 leak = round_leak
         if leak is not None and minimize:
-            minimized = minimize_leak(config, leak, backend_obj, limits=limits)
+            minimized = minimize_leak(config, leak, executor, limits=limits)
             if log is not None:
                 _log_minimized(log, experiment, leak, minimized)
-    finally:
-        if owned:
-            backend_obj.close()
     return FuzzReport(
         config=config,
         rounds=rounds,

@@ -1,12 +1,12 @@
-"""Backend equivalence: serial and process campaigns are bit-equal.
+"""Executor equivalence: inline and pool campaigns both equal ``verify``.
 
-The backend contract's central promise: a campaign's merged outcomes --
+The executor contract's central promise: a campaign's merged outcomes --
 verdicts, counterexamples *and* search statistics -- do not depend on
 *where* shards execute, because every shard is a deterministic pure
 function of its picklable :class:`WorkItem` and the merge replays serial
-LIFO order.  The matrix here runs the CI mini grids through both
-backends, plus the failure paths: campaign budgets, cancellation and
-shard failures.
+LIFO order.  The matrix here runs the CI mini grids inline (one worker)
+and on a pool (four), each against plain ``verify`` on every unit, plus
+the failure paths: campaign budgets, cancellation and shard failures.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
 from repro import obs
 from repro.campaign.backends import (
+    ProcessPoolBackend,
     SerialBackend,
     WorkItem,
-    build_named_backend,
     execute_item,
 )
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import BUDGET_NOTE, CampaignUnit, run_campaign
 from repro.core.contracts import sandboxing
-from repro.core.verifier import VerificationTask
+from repro.core.verifier import VerificationTask, verify
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
@@ -64,14 +64,13 @@ def _task(defense: Defense, **overrides) -> VerificationTask:
     return VerificationTask(**base)
 
 
-def _assert_bit_identical(serial, results, label):
-    assert [r.key for r in results] == [r.key for r in serial]
-    for ser, par in zip(serial, results):
-        assert par.outcome.kind == ser.outcome.kind, (label, ser.key)
-        assert par.outcome.stats == ser.outcome.stats, (label, ser.key)
+def _assert_bit_identical(references, results, label):
+    for reference, result in zip(references, results, strict=True):
+        assert result.outcome.kind == reference.kind, (label, result.key)
+        assert result.outcome.stats == reference.stats, (label, result.key)
         assert (
-            par.outcome.counterexample == ser.outcome.counterexample
-        ), (label, ser.key)
+            result.outcome.counterexample == reference.counterexample
+        ), (label, result.key)
 
 
 # ----------------------------------------------------------------------
@@ -79,14 +78,15 @@ def _assert_bit_identical(serial, results, label):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_backend_matrix_bit_identical(grid):
-    """serial / process x {fig2-mini, ablation-mini} both match the
-    historical serial path at root-batch granularity."""
+    """1 worker (inline) / 4 workers (pool) x {fig2-mini, ablation-mini}
+    both match ``verify`` on every unit at root-batch granularity."""
     units = GRIDS[grid]()
     assert units
-    serial_path = run_campaign(units, n_workers=1)
-    for backend in ("serial", "process"):
-        results = run_campaign(units, n_workers=4, backend=backend)
-        _assert_bit_identical(serial_path, results, backend)
+    references = [verify(unit.task) for unit in units]
+    for n_workers, name in ((1, "serial"), (4, "process")):
+        results = run_campaign(units, n_workers=n_workers)
+        assert results[0].telemetry.backend == name
+        _assert_bit_identical(references, results, name)
 
 
 def test_serial_backend_is_lazy_and_cancellable():
@@ -107,9 +107,9 @@ def test_budget_cuts_off_named_backends(backend):
         CampaignUnit("t", ("a",), _task(Defense.NONE)),
         CampaignUnit("t", ("b",), _task(Defense.DELAY_FUTURISTIC)),
     ]
-    results = run_campaign(
-        units, n_workers=2, budget_s=0.0, backend=backend
-    )
+    n_workers = {"serial": 1, "process": 2}[backend]
+    results = run_campaign(units, n_workers=n_workers, budget_s=0.0)
+    assert results[0].telemetry.backend == backend
     assert all(r.outcome.timed_out for r in results)
     assert all(r.outcome.note == BUDGET_NOTE for r in results)
 
@@ -130,12 +130,14 @@ def test_backends_deliver_shard_failures_instead_of_raising(name):
     ``future.result()``."""
     from repro.campaign.backends import ShardFailure
 
-    with build_named_backend(name, 1) as backend:
+    build = {"serial": SerialBackend, "process": lambda: ProcessPoolBackend(1)}
+    with build[name]() as backend:
         ticket = backend.submit_unit(_RaisingItem(_task(Defense.NONE)))
         [(done, outcome)] = list(backend.as_completed())
     assert done == ticket
     assert isinstance(outcome, ShardFailure)
     assert "boom" in outcome.message
+    assert isinstance(outcome.error, RuntimeError)
 
 
 def test_traced_execute_item_ships_spans_and_the_untraced_outcome():
@@ -153,7 +155,9 @@ def test_traced_execute_item_ships_spans_and_the_untraced_outcome():
 
 
 def test_relevant_shard_failure_aborts_the_campaign(monkeypatch):
-    """A failure on a shard the merge still needs raises with the unit id."""
+    """A failure on a shard the merge still needs raises with the unit
+    id, chained from the exception the unit raised (one worker keeps
+    the unit's own traceback)."""
     from repro.campaign import scheduler as sched
 
     monkeypatch.setattr(
@@ -161,8 +165,11 @@ def test_relevant_shard_failure_aborts_the_campaign(monkeypatch):
         "run",
         lambda self: (_ for _ in ()).throw(RuntimeError("boom")),
     )
-    with pytest.raises(RuntimeError, match="t/a.*boom"):
+    with pytest.raises(RuntimeError, match="t/a.*boom") as excinfo:
         run_campaign(
-            [CampaignUnit("t", ("a",), _task(Defense.NONE))],
-            backend="serial",
+            [CampaignUnit("t", ("a",), _task(Defense.NONE))], n_workers=1
         )
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, RuntimeError)
+    assert str(cause) == "boom"
+    assert cause.__traceback__ is not None

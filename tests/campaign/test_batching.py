@@ -4,7 +4,7 @@ The batching contract: a shard carrying a contiguous batch of a unit's
 roots is searched by one ``Explorer`` in serial LIFO order, so its
 outcome is the serial merge of those roots and batch boundaries can
 never perturb results.  Every shard crosses the pool whole, so a process
-backend runs exactly what the serial backend runs.
+pool runs exactly what the inline executor runs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import replace
 from repro import obs
 from repro.bench import table2
 from repro.bench.configs import QUICK
+from repro.campaign import scheduler
 from repro.campaign.__main__ import mini_units
 from repro.campaign.backends import ProcessPoolBackend, SerialBackend, WorkItem
 from repro.campaign.registry import core_spec
@@ -93,22 +94,35 @@ class _RecordingBackend(SerialBackend):
         return super().submit_unit(item)
 
 
-def test_root_batch_plan_one_shard_per_unit_when_units_fill_capacity():
+def _record(monkeypatch, width: int) -> _RecordingBackend:
+    """Make the scheduler's executor factory hand out a recorder."""
+    backend = _RecordingBackend(width)
+    monkeypatch.setattr(
+        scheduler, "make_executor", lambda n_workers, max_items=None: backend
+    )
+    return backend
+
+
+def test_root_batch_plan_one_shard_per_unit_when_units_fill_capacity(
+    monkeypatch,
+):
     units = [CampaignUnit("t", (str(i),), _task(2)) for i in range(10)]
-    backend = _RecordingBackend(2)
-    results = run_campaign(units, backend=backend)
+    backend = _record(monkeypatch, 2)
+    results = run_campaign(units, n_workers=2)
     assert len(backend.items) == 10
     n_roots = len(_task(2).build_roots())
     assert [len(item.task.roots) for item in backend.items] == [n_roots] * 10
     assert results[0].telemetry.shards == 10
 
 
-def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches():
+def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches(
+    monkeypatch,
+):
     task = _task(2)
     roots = task.build_roots()
     assert len(roots) == 6
-    backend = _RecordingBackend(2)
-    run_campaign([CampaignUnit("t", ("a",), task)], backend=backend)
+    backend = _record(monkeypatch, 2)
+    run_campaign([CampaignUnit("t", ("a",), task)], n_workers=2)
     # Submitted serial-first (last batch first); in list order the four
     # batches tile the roots contiguously: 2/2/1/1.
     batches = [list(item.task.roots) for item in reversed(backend.items)]
@@ -116,14 +130,13 @@ def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches():
     assert [root for batch in batches for root in batch] == roots
 
 
-def test_root_batch_prediction_scales_with_its_roots():
+def test_root_batch_prediction_scales_with_its_roots(monkeypatch):
     """Each submitted batch is predicted as roots x width ^ depth, so
     the cost model ranks batches by their share of the unit's roots."""
     task = _task(2)
+    _record(monkeypatch, 2)
     with obs.tracing() as recorder:
-        run_campaign(
-            [CampaignUnit("t", ("a",), task)], backend=_RecordingBackend(2)
-        )
+        run_campaign([CampaignUnit("t", ("a",), task)], n_workers=2)
     width, depth = _cost_model(task)
     predicted = [
         dict(event.attrs)["predicted"]
@@ -140,8 +153,8 @@ def _table2_pair() -> list[CampaignUnit]:
 
 
 def test_root_batches_match_verify_on_every_backend_and_capacity():
-    """Serial backend (one 6-root batch per unit), 2 workers (3+3) and 4
-    workers (2/2/1/1): attack and proof units all merge to ``verify``."""
+    """1 worker (one inline 6-root batch per unit), 2 workers (3+3) and
+    4 workers (2/2/1/1): attack and proof units all merge to ``verify``."""
     for units in (mini_units(), _table2_pair()):
         assert len(units) == 2
         kinds = set()
@@ -151,14 +164,10 @@ def test_root_batches_match_verify_on_every_backend_and_capacity():
             references.append(verify(unit.task))
             kinds.add(references[-1].kind)
         assert kinds == {"attack", "proved"}
-        for label, kwargs in (
-            ("serial", {"backend": "serial"}),
-            ("pool-2", {"n_workers": 2}),
-            ("pool-4", {"n_workers": 4}),
-        ):
-            results = run_campaign(units, **kwargs)
+        for n_workers in (1, 2, 4):
+            results = run_campaign(units, n_workers=n_workers)
             for result, reference in zip(results, references):
-                where = f"{label}:{'/'.join(result.key)}"
+                where = f"{n_workers}:{'/'.join(result.key)}"
                 assert result.outcome.kind == reference.kind, where
                 assert result.outcome.stats == reference.stats, where
                 assert (

@@ -16,7 +16,7 @@ from repro.campaign.scheduler import (
     run_campaign,
 )
 from repro.core.contracts import sandboxing
-from repro.core.verifier import VerificationTask
+from repro.core.verifier import VerificationTask, verify
 from repro.isa.encoding import EncodingSpace
 from repro.isa.params import MachineParams
 from repro.mc.explorer import SearchLimits
@@ -58,6 +58,15 @@ class _RecordingBackend(SerialBackend):
         return super().submit_unit(item)
 
 
+def _record(monkeypatch) -> _RecordingBackend:
+    """Make the scheduler's executor factory hand out a recorder."""
+    backend = _RecordingBackend()
+    monkeypatch.setattr(
+        scheduler, "make_executor", lambda n_workers, max_items=None: backend
+    )
+    return backend
+
+
 # ----------------------------------------------------------------------
 # Largest-first unit submission
 # ----------------------------------------------------------------------
@@ -67,15 +76,15 @@ def test_predicted_states_orders_by_the_cost_model():
     assert _predicted_states(small, 12) > _predicted_states(small, 6)
 
 
-def test_units_are_submitted_largest_first():
+def test_units_are_submitted_largest_first(monkeypatch):
     """The small unit is listed first but the big one's shards must hit
     the backend first (results still align with the unit list)."""
     units = [
         CampaignUnit("t", ("small",), _task(2)),
         CampaignUnit("t", ("big",), _task(3)),
     ]
-    backend = _RecordingBackend()
-    results = run_campaign(units, backend=backend)
+    backend = _record(monkeypatch)
+    results = run_campaign(units, n_workers=1)
     assert [r.key for r in results] == [("small",), ("big",)]
     assert backend.submitted_sizes, "nothing was submitted"
     split = backend.submitted_sizes.index(2)
@@ -83,19 +92,19 @@ def test_units_are_submitted_largest_first():
         "big-unit shards were not all submitted before the small unit's: "
         f"{backend.submitted_sizes}"
     )
-    # And ordering does not perturb outcomes vs the serial reference.
-    serial = run_campaign(units, n_workers=1)
-    for got, want in zip(results, serial):
-        assert got.outcome.kind == want.outcome.kind
-        assert got.outcome.stats == want.outcome.stats
+    # And ordering does not perturb outcomes vs plain ``verify``.
+    for got, unit in zip(results, units):
+        want = verify(unit.task)
+        assert got.outcome.kind == want.kind
+        assert got.outcome.stats == want.stats
 
 
-def test_equal_cost_units_keep_list_order():
+def test_equal_cost_units_keep_list_order(monkeypatch):
     units = [
         CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
     ]
-    backend = _RecordingBackend()
-    run_campaign(units, backend=backend)
+    backend = _record(monkeypatch)
+    run_campaign(units, n_workers=1)
     assert backend.submitted_sizes == [2] * len(backend.submitted_sizes)
 
 
@@ -104,7 +113,7 @@ def test_equal_cost_units_keep_list_order():
 # ----------------------------------------------------------------------
 def test_results_carry_the_campaign_telemetry():
     units = [CampaignUnit("t", ("a",), _task(2))]
-    results = run_campaign(units, backend="serial")
+    results = run_campaign(units, n_workers=1)
     assert results[0].telemetry is not None
     assert results[0].telemetry.backend == "serial"
     assert results[0].telemetry is scheduler.LAST_TELEMETRY
@@ -115,17 +124,17 @@ def test_telemetry_resets_between_campaigns():
     units = [
         CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
     ]
-    run_campaign(units, backend="serial")
+    run_campaign(units, n_workers=1)
     assert scheduler.LAST_TELEMETRY.shards == 3
-    # A lone unit on one slot still splits into two root batches.
-    results = run_campaign(units[:1], backend="serial")
-    assert scheduler.LAST_TELEMETRY.shards == 2
-    assert results[0].telemetry.shards == 2
+    # A lone unit on one slot runs as one whole-task batch.
+    results = run_campaign(units[:1], n_workers=1)
+    assert scheduler.LAST_TELEMETRY.shards == 1
+    assert results[0].telemetry.shards == 1
     assert results[0].telemetry.steals == 0
 
 
 def test_serial_path_resets_telemetry_too():
-    """Even the n_workers=1 historical path re-points the global."""
+    """The inline n_workers=1 executor re-points the global too."""
     stale = scheduler.LAST_TELEMETRY
     units = [CampaignUnit("t", ("a",), _task(2))]
     results = run_campaign(units, n_workers=1)
@@ -139,5 +148,5 @@ def test_shared_telemetry_instance_across_results():
         CampaignUnit("t", ("a",), _task(2)),
         CampaignUnit("t", ("b",), _task(2)),
     ]
-    results = run_campaign(units, backend="serial")
+    results = run_campaign(units, n_workers=1)
     assert results[0].telemetry is results[1].telemetry

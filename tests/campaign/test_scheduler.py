@@ -1,18 +1,23 @@
-"""Tests for the multiprocess campaign scheduler.
+"""Tests for the campaign scheduler.
 
 The central property: for every worker count, a campaign's merged
 outcomes -- verdicts, counterexamples *and* search statistics -- are
-identical to the serial engine's, because per-root subtrees are
-independent and the merge replays the serial (LIFO) root order.
+identical to plain ``verify`` on each unit, because per-root subtrees
+are independent and the merge replays the serial (LIFO) root order.
 """
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
+from repro import obs
 from repro.bench import ablation, fig2, table2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
+from repro.campaign.log import CampaignLog
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     BUDGET_NOTE,
@@ -81,16 +86,20 @@ def test_serial_campaign_matches_plain_verify():
         assert result.outcome.stats == direct.stats
 
 
+def _assert_matches_verify(units, results):
+    """Each result equals ``verify`` on its unit's task, bit for bit."""
+    for unit, result in zip(units, results, strict=True):
+        direct = verify(unit.task)
+        assert result.key == unit.key
+        assert result.outcome.kind == direct.kind, unit.key
+        assert result.outcome.stats == direct.stats, unit.key
+        assert result.outcome.counterexample == direct.counterexample, unit.key
+
+
 def test_parallel_campaign_is_bit_identical_to_serial():
     """Verdict, counterexample and stats match for any worker count."""
     units = _units()
-    serial = run_campaign(units, n_workers=1)
-    parallel = run_campaign(units, n_workers=4)
-    for ser, par in zip(serial, parallel):
-        assert par.key == ser.key
-        assert par.outcome.kind == ser.outcome.kind
-        assert par.outcome.stats == ser.outcome.stats
-        assert par.outcome.counterexample == ser.outcome.counterexample
+    _assert_matches_verify(units, run_campaign(units, n_workers=4))
 
 
 #: Seconds-scale slices of the three campaign-backed experiment grids.
@@ -111,17 +120,76 @@ GRIDS = {
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_grid_campaign_bit_identical_to_serial(grid):
-    """Benchmark grid slices on the implicit 4-worker pool match the
-    serial engine: verdict, counterexample and stats."""
+    """Benchmark grid slices, inline at one worker and on a 4-worker
+    pool, match ``verify``: verdict, counterexample and stats."""
     units = GRIDS[grid]()
     assert units
-    serial = run_campaign(units, n_workers=1)
-    parallel = run_campaign(units, n_workers=4)
-    for ser, par in zip(serial, parallel):
-        assert par.key == ser.key
-        assert par.outcome.kind == ser.outcome.kind, ser.key
-        assert par.outcome.stats == ser.outcome.stats, ser.key
-        assert par.outcome.counterexample == ser.outcome.counterexample, ser.key
+    for n_workers in (1, 4):
+        _assert_matches_verify(units, run_campaign(units, n_workers=n_workers))
+
+
+def test_one_worker_runs_one_all_roots_shard_per_unit(monkeypatch):
+    """One worker plans one whole-task shard per unit (a one-unit
+    ``verify_sharded`` included), and the trace's ``shard.done`` states
+    add up to the merged states."""
+    submitted = []
+    make_executor = scheduler.make_executor
+
+    def recording(n_workers, max_items=None):
+        executor = make_executor(n_workers, max_items)
+
+        def submit(item, _submit=executor.submit_unit):
+            submitted.append(item)
+            return _submit(item)
+
+        executor.submit_unit = submit
+        return executor
+
+    monkeypatch.setattr(scheduler, "make_executor", recording)
+    units = _units()
+    with obs.tracing() as recorder:
+        results = run_campaign(units, n_workers=1)
+    telemetry = results[0].telemetry
+    assert (telemetry.backend, telemetry.capacity) == ("serial", 1)
+    assert telemetry.shards == len(units)
+    assert len(submitted) == len(units)
+    assert {
+        item.task.core_factory: list(item.task.roots) for item in submitted
+    } == {unit.task.core_factory: unit.task.build_roots() for unit in units}
+    done = [
+        dict(event.attrs)["states"]
+        for event in recorder.events
+        if event.name == "shard.done"
+    ]
+    assert len(done) == len(units)
+    assert sum(done) == sum(result.outcome.stats.states for result in results)
+    _assert_matches_verify(units, results)
+
+    submitted.clear()
+    task = _task(Defense.NONE)
+    sharded = verify_sharded(task, n_workers=1)
+    assert scheduler.LAST_TELEMETRY.shards == 1
+    [item] = submitted
+    assert list(item.task.roots) == task.build_roots()
+    direct = verify(task)
+    assert sharded.kind == direct.kind == ATTACK
+    assert sharded.stats == direct.stats
+    assert sharded.counterexample == direct.counterexample
+
+
+def test_log_header_records_the_executor_width():
+    """Two workers asked for a one-shard campaign run a one-wide pool,
+    and the log header says so, in step with the telemetry."""
+    root = secret_memory_pairs(PARAMS, "single")[-1]
+    unit = CampaignUnit("t", ("a",), _task(Defense.NONE, roots=[root]))
+    handle = io.StringIO()
+    [result] = run_campaign([unit], n_workers=2, log=CampaignLog(handle))
+    header = json.loads(handle.getvalue().splitlines()[0])
+    assert header["type"] == "campaign"
+    assert header["n_workers"] == 1
+    telemetry = result.telemetry
+    assert (telemetry.backend, telemetry.capacity) == ("process", 1)
+    assert telemetry.shards == 1
 
 
 def test_single_root_task_runs_as_one_shard():
@@ -197,8 +265,12 @@ def test_campaign_budget_cuts_units_off():
 
 
 def test_parallel_campaign_budget_cuts_units_off():
-    results = run_campaign(_units(), n_workers=2, budget_s=0.0)
+    with obs.tracing() as recorder:
+        results = run_campaign(_units(), n_workers=2, budget_s=0.0)
     assert all(r.outcome.timed_out for r in results)
+    # Units the budget cut off still report ``unit.done`` to the trace.
+    done = [event for event in recorder.events if event.name == "unit.done"]
+    assert len(done) == len(results)
 
 
 def test_unpicklable_task_is_rejected_with_guidance():

@@ -1,8 +1,8 @@
-"""Fuzz campaigns over execution backends: determinism and integration.
+"""Fuzz campaigns over the campaign executor: determinism and integration.
 
 The merge contract under test: a fuzz report is a pure function of the
-campaign seed -- same leak, same coverage, same round accounting on
-every backend and worker count.  Plus the WorkItem integration surface:
+campaign seed -- same leak, same coverage, same round accounting at
+every worker count.  Plus the WorkItem integration surface:
 fuzz payloads ride the same pickles, deadlines and CLI as
 verification shards.
 """
@@ -44,28 +44,27 @@ def _report_fingerprint(report):
     )
 
 
-def _run(preset, backend, **kwargs):
+def _run(preset, **kwargs):
     return run_fuzz(
         preset.config,
         n_batches=preset.n_batches,
         batch_size=preset.batch_size,
         max_rounds=preset.max_rounds,
-        backend=backend,
         **kwargs,
     )
 
 
 def test_serial_and_process_reports_are_bit_identical():
     preset = preset_config("fuzz-mini")
-    serial = _run(preset, "serial")
-    parallel = _run(preset, "process", n_workers=4)
+    serial = _run(preset)
+    parallel = _run(preset, n_workers=4)
     assert serial.found_leak
     assert _report_fingerprint(serial) == _report_fingerprint(parallel)
 
 
 def test_defended_preset_stays_clean():
     preset = preset_config("fuzz-defended")
-    report = _run(preset, "serial")
+    report = _run(preset)
     assert not report.found_leak
     assert report.minimized is None
     assert preset.expectation_met(report.found_leak)
@@ -77,7 +76,7 @@ def test_defended_preset_stays_clean():
 
 def test_coverage_feedback_builds_a_corpus():
     preset = preset_config("fuzz-defended")  # runs full rounds
-    report = _run(preset, "serial")
+    report = _run(preset)
     assert len(report.coverage) > 0
     assert report.corpus_size > 0
 
@@ -85,8 +84,8 @@ def test_coverage_feedback_builds_a_corpus():
 def test_seed_changes_the_campaign():
     base = preset_config("fuzz-defended")
     other = preset_config("fuzz-defended", seed=1)
-    first = _run(base, "serial")
-    second = _run(other, "serial")
+    first = _run(base)
+    second = _run(other)
     assert first.coverage.sorted_keys() != second.coverage.sorted_keys() or (
         [r.verdicts for r in first.rounds]
         != [r.verdicts for r in second.rounds]
@@ -141,7 +140,7 @@ def test_deadline_truncates_a_running_shard():
 
 def test_budget_zero_reports_truncated_rounds():
     preset = preset_config("fuzz-defended")
-    report = _run(preset, "serial", budget_s=0.0)
+    report = _run(preset, budget_s=0.0)
     assert report.programs == 0
     assert all(r.truncated for r in report.rounds) or not report.rounds
 
@@ -158,8 +157,8 @@ def test_fuzz_cli_logs_are_backend_independent(tmp_path):
     assert (
         fuzz_main(
             [
-                "--units", "fuzz-mini", "--backend", "process",
-                "--workers", "2", "--log", str(process_log),
+                "--units", "fuzz-mini", "--workers", "2",
+                "--log", str(process_log),
             ]
         )
         == 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.campaign.backends import SerialBackend
 from repro.campaign.registry import core_spec
 from repro.fuzz.configs import preset_config
@@ -170,16 +168,7 @@ def test_mini_preset_leak_minimizes_within_the_acceptance_bound():
         n_batches=preset.n_batches,
         batch_size=preset.batch_size,
         max_rounds=preset.max_rounds,
-        backend="serial",
     )
     assert report.found_leak
     assert report.minimized is not None
     assert report.minimized.length <= 8
-
-
-@pytest.mark.parametrize("bad", ["unknown"])
-def test_unknown_backend_is_rejected(bad):
-    from repro.fuzz.campaign import _resolve_backend
-
-    with pytest.raises(ValueError):
-        _resolve_backend(bad, None)

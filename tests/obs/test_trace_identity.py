@@ -2,12 +2,13 @@
 
 The recorder must never touch verdict or merge paths: a traced campaign
 produces the same verdicts, the same :class:`SearchStats`, the same
-counterexamples and the same canonical JSONL log as an untraced one, on
-every backend.  The matrix here runs the fig2-mini grid through serial
-and process and the fuzz-mini preset through serial, each against its
-untraced twin -- and asserts the traced runs actually recorded what
-they promise (engine spans, merged worker batches, populated
-telemetry).
+counterexamples and the same canonical JSONL log as an untraced one, at
+every worker count.  The matrix here runs the fig2-mini grid at one
+worker (inline) and two (a process pool) and the fuzz-mini preset at one
+worker, each against its untraced twin and the grid also against plain
+``verify`` on every unit -- and asserts the traced runs actually
+recorded what they promise (engine spans, merged worker batches,
+populated telemetry).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.bench.configs import QUICK
 from repro.campaign import scheduler
 from repro.campaign.log import CampaignLog
 from repro.campaign.scheduler import run_campaign
+from repro.core.verifier import verify
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import preset_config
 
@@ -52,33 +54,34 @@ def _canonical(handle: io.StringIO) -> list[str]:
     return lines
 
 
-def _run_grid(backend, *, traced: bool, n_workers=1, **kwargs):
+def _run_grid(n_workers: int, *, traced: bool):
     handle = io.StringIO()
     units = _units()
     if traced:
         with obs.tracing() as recorder:
             results = run_campaign(
-                units, n_workers=n_workers, backend=backend,
-                log=CampaignLog(handle), **kwargs,
+                units, n_workers=n_workers, log=CampaignLog(handle)
             )
         return results, _canonical(handle), recorder
-    results = run_campaign(
-        units, n_workers=n_workers, backend=backend,
-        log=CampaignLog(handle), **kwargs,
-    )
+    results = run_campaign(units, n_workers=n_workers, log=CampaignLog(handle))
     return results, _canonical(handle), None
 
 
 def _assert_identical(baseline, candidate, label):
+    """Both runs equal ``verify`` on every unit; their logs agree."""
     base_results, base_lines, _ = baseline
     cand_results, cand_lines, _ = candidate
-    assert [r.key for r in cand_results] == [r.key for r in base_results]
-    for base, cand in zip(base_results, cand_results):
-        assert cand.outcome.kind == base.outcome.kind, (label, base.key)
-        assert cand.outcome.stats == base.outcome.stats, (label, base.key)
-        assert (
-            cand.outcome.counterexample == base.outcome.counterexample
-        ), (label, base.key)
+    for unit, base, cand in zip(
+        _units(), base_results, cand_results, strict=True
+    ):
+        reference = verify(unit.task)
+        for result in (base, cand):
+            assert result.key == unit.key, label
+            assert result.outcome.kind == reference.kind, (label, unit.key)
+            assert result.outcome.stats == reference.stats, (label, unit.key)
+            assert (
+                result.outcome.counterexample == reference.counterexample
+            ), (label, unit.key)
     assert cand_lines == base_lines, label
 
 
@@ -86,13 +89,12 @@ def _assert_identical(baseline, candidate, label):
 # Verification campaigns
 # ----------------------------------------------------------------------
 def test_serial_trace_is_bit_identical_and_records_engine_spans():
-    baseline = _run_grid("serial", traced=False)
-    traced = _run_grid("serial", traced=True)
+    baseline = _run_grid(1, traced=False)
+    traced = _run_grid(1, traced=True)
     _assert_identical(baseline, traced, "serial")
     recorder = traced[2]
     names = {span.name for span in recorder.spans}
-    # An explicit backend routes through the sharded path: shard spans,
-    # not per-unit spans (those belong to the historical serial path).
+    # One worker runs the same sharded path inline: shard spans.
     assert {"campaign", "shard.run", "engine.search"} <= names
     assert "unit.done" in {event.name for event in recorder.events}
     assert recorder.counters.get("engine.states", 0) > 0
@@ -101,8 +103,8 @@ def test_serial_trace_is_bit_identical_and_records_engine_spans():
 
 
 def test_process_trace_is_bit_identical_and_merges_pool_batches():
-    baseline = _run_grid("serial", traced=False)
-    traced = _run_grid("process", traced=True, n_workers=2)
+    baseline = _run_grid(1, traced=False)
+    traced = _run_grid(2, traced=True)
     _assert_identical(baseline, traced, "process")
     recorder = traced[2]
     # Engine spans came home in TracedOutcome batches from pool children.
@@ -140,7 +142,6 @@ def _run_fuzz_mini():
         n_batches=preset.n_batches,
         batch_size=preset.batch_size,
         max_rounds=preset.max_rounds,
-        backend="serial",
     )
 
 
