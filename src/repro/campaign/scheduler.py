@@ -440,18 +440,21 @@ def _run_sharded(
             backend.cancel(ticket)
             owner.pop(ticket, None)
 
-    # Cost-model dispatch: submit units largest-first (by the roots x
-    # width^depth estimate), so the campaign's long pole starts
-    # executing before the queue fills with small cells.  Results,
-    # logs and merges still follow unit *submission list* order (the
-    # sink buffers), and shard outcomes are order-blind pure
-    # functions -- only wall-clock moves.  Ties keep list order
-    # (stable sort).
-    plan_order = sorted(
-        states,
-        key=lambda s: _predicted_states(s.unit.task, s.n_roots, s.model),
-        reverse=True,
-    )
+    # Cost-model dispatch: with more than one worker, submit units
+    # largest-first (by the roots x width^depth estimate), so the
+    # campaign's long pole starts executing before the queue fills with
+    # small cells.  Results, logs and merges still follow unit
+    # *submission list* order (the sink buffers), and shard outcomes are
+    # order-blind pure functions -- only wall-clock moves.  Ties keep
+    # list order (stable sort).  One worker balances nothing, so it runs
+    # units in list order and the sink streams each one as it finishes.
+    plan_order = states
+    if backend.capacity() > 1:
+        plan_order = sorted(
+            states,
+            key=lambda s: _predicted_states(s.unit.task, s.n_roots, s.model),
+            reverse=True,
+        )
     for state in plan_order:
         if deadline is not None and clock.monotonic() >= deadline:
             finish(state, _budget_outcome())

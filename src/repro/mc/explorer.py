@@ -21,11 +21,10 @@ Hot-path engineering (the state engine)
 The DFS expands hundreds of thousands of states per proof, so it never
 steps the product directly: every product state is a tuple of dense ids
 interned by the memoized transition kernel
-(:class:`repro.mc.vector.VectorEngine`), visited keys are fixed-width
-integer rows in a numpy fingerprint table, and a node's whole choice
-expansion memoizes as one summary that later visits replay.  The live
-product only runs on memo misses.  numpy is imported when the first
-:class:`Explorer` is built, not with this module.
+(:class:`repro.mc.vector.VectorEngine`), visited keys are integer rows
+in a plain ``set``, and a node's whole choice expansion memoizes as one
+summary that later visits replay.  The live product only runs on memo
+misses.
 
 The frozen pre-overhaul object engine lives in :mod:`repro.mc.legacy`;
 the equivalence suite pins the two bit-equal: verdicts, counterexamples
@@ -163,8 +162,9 @@ class Explorer:
         self.roots = roots
         self.limits = limits
         self.universe = space.instructions()
-        # Lazy import: the kernel pulls in numpy, which code importing
-        # this module without searching (the fuzzer) must not pay for.
+        # Imported here, not at module level: the kernel imports
+        # repro.core.products, and the repro.core package imports the
+        # verifier, which imports this module.
         from repro.mc.vector import VectorEngine
 
         self._vector = VectorEngine(product)
@@ -222,9 +222,7 @@ class Explorer:
         name, the verdict kind and the state count, and the recorder's
         counters absorb the engine's memo/visited sizes -- the numbers
         :meth:`visited_footprint` would walk for, at ``len`` cost.
-        The visited-table load factor rides along as the
-        ``engine.visited_load_millis`` counter, which pool shards carry
-        home in their span batches like every other counter.
+        Pool shards carry these counters home in their span batches.
         """
         rec = obs.recorder()
         if rec is None:
@@ -237,13 +235,10 @@ class Explorer:
         rec.count("engine.states", outcome.stats.states)
         rec.count("engine.transitions", outcome.stats.transitions)
         vec = self._vector
-        visited = vec.visited
-        rec.count("engine.visited", len(visited))
+        rec.count("engine.visited", len(vec.visited))
         rec.count("engine.memo_entries", len(vec._expand_memo))
         rec.count("engine.machine_steps", len(vec._trans))
         rec.count("engine.cycle_memo_entries", len(vec._cycle_memo))
-        load = len(visited) / visited.capacity
-        rec.count("engine.visited_load_millis", int(load * 1000))
         return outcome
 
     def _search(self, stack: list[tuple]) -> Outcome:
@@ -252,19 +247,16 @@ class Explorer:
         Accounting is line-for-line the object loop of
         :mod:`repro.mc.legacy` -- same visited-before-budget order, same
         prune/attack bookkeeping, same ``SearchStats`` -- with three
-        representation swaps: stack nodes are ``(key row, fingerprint, env, depth, state)``, product
-        cycles replay through the engine's memo tables instead of
-        restore + ``step_cycle``, and a node's surviving children push
-        as one wave in the serial push order (see the engine
-        docstring).  A node's
-        expansion memoizes as a *summary*: the counter deltas fold once
-        at record time (a replay bumps ``transitions``/``pruned`` in one
-        add instead of re-walking pruned and quiescent records), and
-        only the surviving children and a possible terminal attack keep
-        their environment deltas.
+        representation swaps: stack nodes are ``(key row, env, depth,
+        state)``, product cycles replay through the engine's memo tables
+        instead of restore + ``step_cycle``, and a node's surviving
+        children push as one wave in the serial push order (see the
+        engine docstring).  A node's expansion memoizes as a *summary*:
+        the counter deltas fold once at record time (a replay bumps
+        ``transitions``/``pruned`` in one add instead of re-walking
+        pruned and quiescent records), and only the surviving children
+        and a possible terminal attack keep their environment deltas.
         """
-        from repro.mc.vector import _MASK64
-
         budget = _Budget(self.limits)
         vec = self._vector
         expansion_key = vec.expansion_key
@@ -274,7 +266,7 @@ class Explorer:
         push_wave = vec.push_wave
         choices = self._choices
         roots = self.roots
-        visited_add = vec.visited.add
+        visited = vec.visited
         env_ids = vec._env_ids
         env_setdefault = env_ids.setdefault
         stack_append = stack.append
@@ -293,16 +285,17 @@ class Explorer:
         # frees the finished root's visited rows and node expansions.
         active_root: int | None = None
         while stack:
-            row, fp, env, depth, state = stack.pop()
+            row, env, depth, state = stack.pop()
             root_index = row[0]
             if root_index != active_root:
                 if active_root is not None:
                     vec.release_root()
-                    visited_add = vec.visited.add
+                    visited = vec.visited
                 vec.select_root(roots[root_index])
                 active_root = root_index
-            if not visited_add(row, fp):
+            if row in visited:
                 continue
+            visited.add(row)
             states += 1
             if rec is not None and not states % _WAVE_STRIDE:
                 now = clock.monotonic()
@@ -425,9 +418,7 @@ class Explorer:
                 crow = (
                     root_index, env_setdefault(child_env, len(env_ids))
                 ) + child
-                # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
-                cfp = hash(crow) & _MASK64 or 1
-                stack_append((crow, cfp, child_env, depth1, child))
+                stack_append((crow, child_env, depth1, child))
         stats = SearchStats(
             states, transitions, pruned, max_depth, prune_reasons
         )

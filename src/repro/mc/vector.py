@@ -1,4 +1,4 @@
-"""The vector engine: memoized stepping over numpy structure-of-arrays.
+"""The vector engine: memoized stepping over interned product states.
 
 The search's only state engine.  Machines flatten their state to
 tagged-word rows (:mod:`repro.mc.packed`); this module interns those
@@ -57,20 +57,19 @@ Python pipeline model on every product cycle:
   (:mod:`repro.mc.packed`), and equal step outputs in ``_trans`` share
   one object.  :meth:`repro.mc.explorer.Explorer.run` also raises the
   collector's generation-2 threshold for the duration of the search.
-- **Structure-of-arrays storage.**  :class:`FrontierArena` stores word
-  rows (the visited keys) as 2-D ``int64`` numpy arrays bucketed by row
-  width.  :class:`VectorVisited` is the visited set: an open-addressed
-  ``uint64`` fingerprint table (zero-sentinel linear probing) over
-  *exact* key rows kept in an arena bucket -- a fingerprint hit is
-  confirmed against the stored row, so the search keeps its
-  exact-visited-set guarantee.
+- **The visited set is a plain ``set`` of key rows.**  A row is
+  ``(root_index, env_id, *sids, checker_id)``, all small ints, so
+  membership is exact and the cyclic GC stops tracking the rows.  A
+  hand-rolled numpy fingerprint table over the same rows probed ~5x
+  slower and cost every search process the numpy import
+  (EXPERIMENTS.md, "Visited set as a Python set").
 
 Waves and the LIFO contract
 ---------------------------
 The explorer expands a node by collecting *all* surviving
 children of the popped LIFO node first (a "wave"), then pushes them in
-choice order with their key rows and fingerprints.  This replays the
-serial merge exactly:
+choice order with their key rows.  This replays the serial merge
+exactly:
 
 - pushing in choice order preserves the serial pop order;
 - a child already in the visited set at push time is popped later and
@@ -82,10 +81,7 @@ serial merge exactly:
 Selection
 ---------
 There is nothing to select: every product in the package (shadow and
-baseline, over every core) runs on this engine, and numpy is a hard
-dependency.  :class:`repro.mc.explorer.Explorer` imports this module
-when it is first constructed, so importing the explorer alone never
-pays the numpy import.
+baseline, over every core) runs on this engine.
 Equivalence is pinned bit-for-bit (verdicts, ``SearchStats``,
 counterexamples) against the frozen object engine
 (:mod:`repro.mc.legacy`) by ``tests/mc/test_engine_equivalence.py``.
@@ -93,292 +89,16 @@ counterexamples) against the frozen object engine
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.products import FetchRequest
 from repro.events import CycleOutput
 from repro.isa.instruction import HALT, Opcode
 from repro.mc.intern import deep_sizeof
 from repro.mc.packed import AtomTable
 
-_MASK64 = (1 << 64) - 1
-
-#: Linear-probe bound for a saturated (max_capacity-pinned) table.
-#: Only reachable
-#: when ``max_capacity`` forbids resizing; the explorer never pins one.
-_MAX_PROBES = 32
-
-#: Pending-row buffer length at which :class:`VectorVisited` migrates
-#: buffered key rows into its arena bucket in one vectorized block
-#: (per-insert scalar numpy row writes are the alternative, and they
-#: cost more than the whole block assignment).
-_FLUSH_ROWS = 1024
-
 #: The output of a paused slot's cycle, one shared constant per halted
 #: flag (see :meth:`VectorEngine._cycle_miss`).
 _PAUSED_HALTED = CycleOutput(commits=(), membus=(), halted=True)
 _PAUSED_RUNNING = CycleOutput(commits=(), membus=(), halted=False)
-
-
-def fingerprint_row(row) -> int:
-    """Fingerprint of one key row: the row's tuple hash, masked.
-
-    One interpreter-level ``hash()`` call -- the hot path of every
-    visited probe -- instead of a per-lane Python mixing loop.  The
-    ``& _MASK64`` reinterprets CPython's signed ``Py_hash_t`` as the
-    ``uint64`` the probe table stores.
-    """
-    # repro: allow[determinism] int-only rows: CPython salts only str/bytes hashes, and fingerprints never cross process boundaries
-    return hash(row if type(row) is tuple else tuple(row)) & _MASK64
-
-
-class FrontierArena:
-    """Append-only structure-of-arrays store of integer word rows.
-
-    Rows of equal width share one growing 2-D ``int64`` array (ragged
-    word counts bucket by length);
-    an appended row is addressed by ``(width, index)``.  The arena backs
-    the visited set's exact key rows.
-    """
-
-    __slots__ = ("_buckets", "_counts")
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, np.ndarray] = {}
-        self._counts: dict[int, int] = {}
-
-    def append(self, row) -> tuple[int, int]:
-        """Store one row; returns its ``(width, index)`` address."""
-        width = len(row)
-        bucket = self._buckets.get(width)
-        count = self._counts.get(width, 0)
-        if bucket is None:
-            bucket = self._buckets[width] = np.empty((256, width), np.int64)
-        elif count == len(bucket):
-            grown = np.empty((2 * count, width), np.int64)
-            grown[:count] = bucket
-            bucket = self._buckets[width] = grown
-        bucket[count] = row
-        self._counts[width] = count + 1
-        return width, count
-
-    def extend(self, width: int, block) -> int:
-        """Bulk-append equal-width rows; returns the first row's index.
-
-        One vectorized block assignment replaces ``len(block)`` scalar
-        :meth:`append` calls -- the way :class:`VectorVisited` migrates
-        its pending-row buffer.
-        """
-        start = self._counts.get(width, 0)
-        need = start + len(block)
-        bucket = self._buckets.get(width)
-        if bucket is None or need > len(bucket):
-            capacity = 256 if bucket is None else len(bucket)
-            while capacity < need:
-                capacity *= 2
-            grown = np.empty((capacity, width), np.int64)
-            if bucket is not None:
-                grown[:start] = bucket[:start]
-            bucket = self._buckets[width] = grown
-        bucket[start:need] = block
-        self._counts[width] = need
-        return start
-
-    def row(self, width: int, index: int) -> np.ndarray:
-        """One stored row (a view into the bucket)."""
-        return self._buckets[width][index]
-
-    def rows(self, width: int) -> np.ndarray:
-        """All stored rows of one width, in append order (a view)."""
-        return self._buckets[width][: self._counts.get(width, 0)]
-
-    def count(self, width: int) -> int:
-        return self._counts.get(width, 0)
-
-    @property
-    def nbytes(self) -> int:
-        """Allocated backing bytes across all buckets."""
-        return sum(bucket.nbytes for bucket in self._buckets.values())
-
-class VectorVisited:
-    """Exact visited set over fixed-width key rows, numpy-backed.
-
-    Open-addressed ``uint64`` fingerprint table (zero = empty, linear
-    probing) with a payload index into an exact key-row arena: a
-    fingerprint hit is confirmed against the stored row before it
-    counts, so membership is exact -- no 2^-64 collision residual is
-    accepted.  The table resizes by doubling at 50% load; only a
-    ``max_capacity`` pin (tests) can make inserts lossy, and those are
-    counted in :attr:`dropped`.
-    """
-
-    __slots__ = (
-        "width", "_table", "_payload", "_table_mv", "_payload_mv",
-        "_mask", "_limit", "_arena", "_fps", "_pending", "count",
-        "dropped", "max_capacity",
-    )
-
-    def __init__(
-        self,
-        width: int,
-        capacity: int = 1 << 12,
-        max_capacity: int | None = None,
-        arena: FrontierArena | None = None,
-    ):
-        if capacity & (capacity - 1):
-            raise ValueError("capacity must be a power of two")
-        self.width = width
-        self._table = np.zeros(capacity, np.uint64)
-        self._payload = np.zeros(capacity, np.int64)
-        # Probes go through zero-copy memoryviews of the same
-        # buffers: element access returns plain Python ints without the
-        # ndarray scalar-boxing overhead.
-        self._table_mv = memoryview(self._table)
-        self._payload_mv = memoryview(self._payload)
-        self._mask = capacity - 1
-        # Grow at 50% load; the threshold is precomputed so the hot
-        # ``add`` pays one comparison, not arithmetic.
-        self._limit = capacity >> 1
-        self._arena = arena if arena is not None else FrontierArena()
-        self._fps: list[int] = []
-        # Inserted rows buffer here and migrate to the arena bucket in
-        # vectorized blocks (``_FLUSH_ROWS``); ``payload`` indexes the
-        # concatenation of the bucket and this buffer.  The visited set
-        # must own its width's bucket in the arena it was given.
-        self._pending: list[tuple] = []
-        self.count = 0
-        self.dropped = 0
-        self.max_capacity = max_capacity
-
-    def __len__(self) -> int:
-        return self.count
-
-    @property
-    def capacity(self) -> int:
-        """Current table slot count (load factor = ``len / capacity``).
-
-        The table doubles at 50% load, so an unpinned table reads below
-        0.5 here; a traced search records this ratio as the
-        ``engine.visited_load_millis`` counter (see ``Explorer``).
-        """
-        return self._mask + 1
-
-    # ------------------------------------------------------------------
-    # Fingerprints
-    # ------------------------------------------------------------------
-    def fingerprint(self, row) -> int:
-        """64-bit fingerprint of a row, zero-sentinel-adjusted."""
-        return fingerprint_row(row) or 1
-
-    # ------------------------------------------------------------------
-    # Probes (the per-pop hot path)
-    # ------------------------------------------------------------------
-    def _row_equal(self, key_index: int, row) -> bool:
-        width = self.width
-        migrated = self._arena.count(width)
-        stored = (
-            self._arena.row(width, key_index)
-            if key_index < migrated
-            else self._pending[key_index - migrated]
-        )
-        for column, value in enumerate(row):
-            if stored[column] != value:
-                return False
-        return True
-
-    def _flush(self) -> None:
-        """Migrate the pending-row buffer into the arena bucket."""
-        pending = self._pending
-        if pending:
-            self._arena.extend(self.width, pending)
-            pending.clear()
-
-    def add(self, row, fp: int) -> bool:
-        """Insert a row; ``True`` if it was absent (= now first visit)."""
-        if self.count >= self._limit:
-            self._grow()
-        table = self._table_mv
-        payload = self._payload_mv
-        mask = self._mask
-        index = fp & mask
-        probes = 0
-        while True:
-            slot = table[index]
-            if slot == 0:
-                break
-            if slot == fp and self._row_equal(payload[index], row):
-                return False
-            index = (index + 1) & mask
-            probes += 1
-            if probes >= _MAX_PROBES and self.max_capacity is not None:
-                # Saturated pinned table: degrade to lossy and count
-                # the drop.
-                self.dropped += 1
-                return True
-        table[index] = fp
-        # ``count`` doubles as the next global row index: rows are only
-        # ever stored on insert, in insert order.
-        payload[index] = self.count
-        pending = self._pending
-        pending.append(row if type(row) is tuple else tuple(row))
-        self._fps.append(fp)
-        self.count += 1
-        if len(pending) >= _FLUSH_ROWS:
-            self._flush()
-        return True
-
-    def contains(self, row, fp: int) -> bool:
-        table = self._table_mv
-        payload = self._payload_mv
-        mask = self._mask
-        index = fp & mask
-        probes = 0
-        while True:
-            slot = table[index]
-            if slot == 0:
-                return False
-            if slot == fp and self._row_equal(payload[index], row):
-                return True
-            index = (index + 1) & mask
-            probes += 1
-            if probes >= _MAX_PROBES and self.max_capacity is not None:
-                return False
-
-    # ------------------------------------------------------------------
-    # Growth / accounting
-    # ------------------------------------------------------------------
-    def _grow(self) -> None:
-        capacity = 2 * (self._mask + 1)
-        if self.max_capacity is not None and capacity > self.max_capacity:
-            return  # pinned: stay at max_capacity, inserts may drop
-        table = np.zeros(capacity, np.uint64)
-        payload = np.zeros(capacity, np.int64)
-        table_mv = memoryview(table)
-        payload_mv = memoryview(payload)
-        mask = capacity - 1
-        for key_index, fp in enumerate(self._fps):
-            index = fp & mask
-            while table_mv[index]:
-                index = (index + 1) & mask
-            table_mv[index] = fp
-            payload_mv[index] = key_index
-        self._table = table
-        self._payload = payload
-        self._table_mv = table_mv
-        self._payload_mv = payload_mv
-        self._mask = mask
-        self._limit = capacity >> 1
-
-    @property
-    def nbytes(self) -> int:
-        """Backing bytes: probe table, payloads, and exact key rows."""
-        return (
-            self._table.nbytes
-            + self._payload.nbytes
-            + self._arena.nbytes
-            + 8 * len(self._fps)
-            + 8 * self.width * len(self._pending)
-        )
 
 
 class VectorEngine:
@@ -400,10 +120,8 @@ class VectorEngine:
         self._predictors = product.predictors
         self._sides = product.dmem_sides
         self.atoms = AtomTable()
-        self.arena = FrontierArena()
-        #: Visited row width: (root_index, env_id, *sids, checker_id).
-        self.width = len(machines) + 3
-        self.visited = VectorVisited(width=self.width, arena=self.arena)
+        #: Visited key rows: (root_index, env_id, *sids, checker_id).
+        self.visited: set[tuple] = set()
         # Machine-state interning: canonical packed words -> dense sid.
         # Slots of one machine class share a dict and other classes get
         # their own, so an ISA row and a core row with equal words never
@@ -497,8 +215,7 @@ class VectorEngine:
         intern tables on interned ids, so none of them is tied to a
         root.
         """
-        self.arena = FrontierArena()
-        self.visited = VectorVisited(width=self.width, arena=self.arena)
+        self.visited = set()
         self._expand_memo.clear()
 
     def capture(self) -> tuple[int, ...]:
@@ -513,10 +230,10 @@ class VectorEngine:
         return tuple(state)
 
     def seed_node(self, root_index: int, env, state, depth: int) -> tuple:
-        """Build one stack node (row, fingerprint, env, depth, state)."""
+        """Build one stack node (row, env, depth, state)."""
         env_ids = self._env_ids
         row = (root_index, env_ids.setdefault(env, len(env_ids))) + state
-        return (row, self.visited.fingerprint(row), env, depth, state)
+        return (row, env, depth, state)
 
     # ------------------------------------------------------------------
     # Interning
@@ -741,21 +458,18 @@ class VectorEngine:
         """Push a node's surviving children in choice order.
 
         ``children`` is ``[(env, child_state), ...]``; each is appended
-        to ``stack`` with its key row and fingerprint, replaying the
-        serial LIFO merge exactly (see the module docstring).  There is
-        no visited prefilter: an already-visited child is a silent skip
-        at pop time either way, and a probe per child costs more than
-        the dead push it saves.  The fingerprint is inlined
-        (= ``visited.fingerprint``).
+        to ``stack`` with its key row, replaying the serial LIFO merge
+        exactly (see the module docstring).  There is no visited
+        prefilter: an already-visited child is a silent skip at pop time
+        either way, and a probe per child costs more than the dead push
+        it saves.
         """
         env_ids = self._env_ids
         append = stack.append
         setdefault = env_ids.setdefault
-        mask = _MASK64
         for env, state in children:
             row = (root_index, setdefault(env, len(env_ids))) + state
-            # repro: allow[determinism] int-only row (see fingerprint_row); within-process fingerprint
-            append((row, hash(row) & mask or 1, env, depth, state))
+            append((row, env, depth, state))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -763,7 +477,7 @@ class VectorEngine:
     def footprint(self) -> tuple[int, int]:
         """(visited key count, approx deep bytes of the search state).
 
-        Counts the visited table and exact key rows plus everything
+        Counts the visited set and its key rows plus everything
         backing them -- interned machine words and their per-sid facts,
         checker states and their clock gates, atom values and the
         environment intern dict -- and every memo: the per-memory step
@@ -773,12 +487,12 @@ class VectorEngine:
         visited set.
         """
         seen: set[int] = set()
-        total = self.visited.nbytes
+        total = 0
         for part in (
-            self._sid_words, self._sid_info, self._checker_states,
-            self._gates, self.atoms.values, self._env_ids,
+            self.visited, self._sid_words, self._sid_info,
+            self._checker_states, self._gates, self.atoms.values, self._env_ids,
             self._mach_tables, self._read_index, self._trans, self._outputs,
             self._req_memo, self._expand_memo, self._cycle_memo,
         ):
             total += deep_sizeof(part, seen)
-        return self.visited.count, total
+        return len(self.visited), total

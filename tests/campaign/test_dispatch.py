@@ -1,12 +1,16 @@
 """Cost-model dispatch and per-campaign telemetry.
 
-Covers the scheduling policy -- largest-first unit submission -- and
-the telemetry lifecycle: counters reset per campaign and ride on
-``CampaignResult`` instead of only a process global.
+Covers the scheduling policy -- largest-first unit submission with more
+than one worker, list order with one -- and the telemetry lifecycle:
+counters reset per campaign and ride on ``CampaignResult`` instead of
+only a process global.
 """
 
 from __future__ import annotations
 
+from repro import obs
+from repro.bench import fig2
+from repro.bench.configs import QUICK
 from repro.campaign import scheduler
 from repro.campaign.backends import SerialBackend
 from repro.campaign.registry import core_spec
@@ -45,11 +49,15 @@ def _task(imem_size: int, defense: Defense = Defense.NONE) -> VerificationTask:
 
 
 class _RecordingBackend(SerialBackend):
-    """SerialBackend that records the imem size of every submitted item."""
+    """Inline backend posing as a two-slot pool, recording the imem size
+    of every submitted item."""
 
     def __init__(self):
         super().__init__()
         self.submitted_sizes: list[int] = []
+
+    def capacity(self) -> int:
+        return 2
 
     def submit_unit(self, item):
         self.submitted_sizes.append(
@@ -77,14 +85,15 @@ def test_predicted_states_orders_by_the_cost_model():
 
 
 def test_units_are_submitted_largest_first(monkeypatch):
-    """The small unit is listed first but the big one's shards must hit
-    the backend first (results still align with the unit list)."""
+    """The small unit is listed first but, with two workers, the big
+    one's shards must hit the backend first (results still align with
+    the unit list)."""
     units = [
         CampaignUnit("t", ("small",), _task(2)),
         CampaignUnit("t", ("big",), _task(3)),
     ]
     backend = _record(monkeypatch)
-    results = run_campaign(units, n_workers=1)
+    results = run_campaign(units, n_workers=2)
     assert [r.key for r in results] == [("small",), ("big",)]
     assert backend.submitted_sizes, "nothing was submitted"
     split = backend.submitted_sizes.index(2)
@@ -104,8 +113,46 @@ def test_equal_cost_units_keep_list_order(monkeypatch):
         CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
     ]
     backend = _record(monkeypatch)
-    run_campaign(units, n_workers=1)
+    run_campaign(units, n_workers=2)
     assert backend.submitted_sizes == [2] * len(backend.submitted_sizes)
+
+
+def _traced_order(units, n_workers: int, event: str):
+    """Run a campaign traced; return it and the units named by ``event``."""
+    with obs.tracing() as recorder:
+        results = run_campaign(units, n_workers=n_workers)
+    named = []
+    for record in recorder.events:
+        unit = dict(record.attrs).get("unit")
+        if record.name == event and unit not in named:
+            named.append(unit)
+    return results, named
+
+
+def test_one_worker_runs_units_in_list_order(monkeypatch):
+    """The inline executor balances nothing, so it runs the fig2-mini
+    grid with ROB sizes (2, 3) in list order and each unit finishes
+    (and reaches the log) in turn; two workers still submit largest
+    first.  Outcomes are the same either way."""
+    units = fig2.units(
+        QUICK, regfile_sizes=(2,), dmem_sizes=(2,), rob_sizes=(2, 3)
+    )
+    keys = ["/".join(unit.key) for unit in units]
+    inline, done = _traced_order(units, 1, "unit.done")
+    assert done == keys
+    _record(monkeypatch)
+    pooled, submitted = _traced_order(units, 2, "shard.submit")
+    predicted = {
+        "/".join(unit.key): _predicted_states(
+            unit.task, len(unit.task.build_roots())
+        )
+        for unit in units
+    }
+    assert submitted == sorted(keys, key=predicted.get, reverse=True)
+    assert submitted != keys
+    for got, want in zip(pooled, inline):
+        assert got.outcome.kind == want.outcome.kind
+        assert got.outcome.stats == want.outcome.stats
 
 
 # ----------------------------------------------------------------------

@@ -56,10 +56,13 @@ def test_visited_holds_only_the_last_explored_root():
     assert outcome.stats == legacy.stats
     # Roots pop in reversed list order, so root 0 is explored last.
     last = _explorer(task, roots[:1]).run()
-    keys, _ = explorer.visited_footprint()
+    keys, footprint_bytes = explorer.visited_footprint()
     assert keys == last.stats.states < outcome.stats.states
+    assert footprint_bytes > 0
     vec = explorer._vector
+    assert type(vec.visited) is set
     assert len(vec.visited) == last.stats.states
+    assert {row[0] for row in vec.visited} == {0}
     assert {key[0] for key in vec._expand_memo} == {
         vec._pair_ids[roots[0].dmem_pair]
     }
