@@ -45,9 +45,10 @@ statistics bit-identical to the serial engine::
     results = run_campaign([CampaignUnit("demo", ("shadow", "SimpleOoO"),
                                          task)], n_workers=4)
 
-``core_spec`` replaces ``lambda`` core factories with picklable registry
-references (see ``repro.campaign.registry``); ``n_workers=1`` is the
-serial reproducibility path, ``None`` means one worker per CPU.  The
+``core_spec`` replaces ``lambda`` core factories with picklable names
+of the four evaluated cores (see ``repro.campaign.registry``);
+``n_workers=1`` is the serial reproducibility path, ``None`` means one
+worker per CPU.  The
 bench drivers (``repro.bench.table2`` / ``table3`` / ``boom_hunt``) and
 ``python -m repro.bench.report --workers N --log out.jsonl`` ride the
 same scheduler; ``--from-log out.jsonl`` re-renders tables without
@@ -55,8 +56,8 @@ re-running.  CI (``.github/workflows/ci.yml``) runs the tier-1 suite on
 Python 3.10-3.12 plus a 1-worker vs 4-worker mini-campaign
 (``python -m repro.campaign``) whose canonical JSONL logs must match.
 
-See README.md for the architecture overview, DESIGN.md for the system
-inventory and EXPERIMENTS.md for paper-vs-measured results.
+See README.md for the architecture overview and EXPERIMENTS.md for
+paper-vs-measured results.
 """
 
 from repro.campaign import (
@@ -65,7 +66,6 @@ from repro.campaign import (
     CampaignUnit,
     CoreSpec,
     core_spec,
-    register_core_factory,
     run_campaign,
     verify_sharded,
 )
@@ -130,7 +130,6 @@ __all__ = [
     "constant_time",
     "core_spec",
     "format_trace",
-    "register_core_factory",
     "replay",
     "ridecore",
     "run_campaign",

@@ -16,25 +16,21 @@ Usage::
 
     python -m repro.analysis                  # lint src/repro
     python -m repro.analysis path/to/file.py  # lint specific files
-    python -m repro.analysis --json           # machine-readable findings
-    python -m repro.analysis --write-baseline # grandfather current findings
 
-Findings are suppressed three ways, in order of preference:
+Exit status 0 on a clean tree, 1 on any finding, 2 for a missing path.
+A finding goes away one of two ways, in order of preference:
 
 1. fix the code;
-2. an inline waiver comment carrying a reason::
+2. waive it inline with a comment carrying a reason::
 
        ident = id(obj)  # repro: allow[determinism] identity memo, process-local
 
    (``# repro: allow-file[checker-id] reason`` anywhere in a file waives
-   the whole file for that checker);
-3. an entry in the committed baseline file (``analysis-baseline.json``),
-   for grandfathered findings awaiting a fix.
+   the whole file for that checker).
 
-Checkers are plugins: subclass :class:`repro.analysis.framework.Checker`
-and decorate with :func:`repro.analysis.framework.register`.  The four
-built-ins (:mod:`repro.analysis.checkers`) are ``determinism``,
-``wire-safety``, ``snapshot-purity`` and ``packed-caps``.
+The checker set is fixed: :data:`repro.analysis.checkers.CHECKERS`
+holds ``determinism``, ``packed-caps``, ``snapshot-purity`` and
+``wire-safety``.  :func:`analyze` runs all four unless given a subset.
 """
 
 from repro.analysis.framework import (
@@ -44,9 +40,8 @@ from repro.analysis.framework import (
     Report,
     SourceFile,
     analyze,
-    built_in_checkers,
-    register,
 )
+from repro.analysis.checkers import built_in_checkers
 
 __all__ = [
     "Checker",
@@ -56,5 +51,4 @@ __all__ = [
     "SourceFile",
     "analyze",
     "built_in_checkers",
-    "register",
 ]

@@ -1,30 +1,16 @@
-"""CLI for shadowlint: ``python -m repro.analysis``.
+"""CLI for shadowlint: ``python -m repro.analysis [PATH ...]``.
 
-Exit status 0 when every finding is fixed, waived or baselined; 1 when
-new findings exist; 2 on usage errors.  ``--json`` emits a
-machine-readable report, ``--write-baseline`` grandfathers the current
-findings into the baseline file, and ``--select`` narrows the run to a
-comma-separated checker subset (waiver syntax is always checked).
+Exit status 0 when every finding is fixed or waived inline, 1 on any
+finding, 2 when a path does not exist.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    save_baseline,
-)
-from repro.analysis.framework import (
-    analyze,
-    built_in_checkers,
-    collect_files,
-    default_roots,
-)
+from repro.analysis.framework import analyze, default_roots
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,45 +22,7 @@ def main(argv: list[str] | None = None) -> int:
         "paths", nargs="*", type=Path,
         help="files or directories to lint (default: the repro package)",
     )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="grandfather current findings into the baseline and exit 0",
-    )
-    parser.add_argument(
-        "--select", default=None, metavar="ID[,ID...]",
-        help="run only the named checkers",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    parser.add_argument(
-        "--list-checkers", action="store_true",
-        help="list available checkers and exit",
-    )
     args = parser.parse_args(argv)
-
-    checkers = built_in_checkers()
-    if args.list_checkers:
-        for checker in checkers:
-            print(f"{checker.id}: {checker.description}")
-        return 0
-    if args.select:
-        wanted = {part.strip() for part in args.select.split(",") if part.strip()}
-        unknown = sorted(wanted - {c.id for c in checkers})
-        if unknown:
-            print(
-                f"unknown checker id(s): {', '.join(unknown)}", file=sys.stderr
-            )
-            return 2
-        checkers = [c for c in checkers if c.id in wanted]
 
     paths = args.paths or default_roots()
     for path in paths:
@@ -82,59 +30,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"no such path: {path}", file=sys.stderr)
             return 2
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        candidate = Path(DEFAULT_BASELINE)
-        if candidate.exists():
-            baseline_path = candidate
-    baseline = []
-    if baseline_path is not None and not args.no_baseline:
-        if baseline_path.exists():
-            try:
-                baseline = load_baseline(baseline_path)
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-        elif not args.write_baseline:
-            print(f"baseline file not found: {baseline_path}", file=sys.stderr)
-            return 2
-
-    if args.write_baseline:
-        report = analyze(paths, checkers=checkers, baseline=[])
-        files = {file.display: file for file in collect_files(paths)}
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        save_baseline(target, report.findings, files)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {target} "
-            f"({report.waived} waived inline)"
-        )
-        return 0
-
-    report = analyze(paths, checkers=checkers, baseline=baseline)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "findings": [f.to_json() for f in report.findings],
-                    "counts": {
-                        "new": len(report.findings),
-                        "waived": report.waived,
-                        "baselined": report.baselined,
-                        "files": report.files,
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        for finding in report.findings:
-            print(finding.format())
-        print(
-            f"{len(report.findings)} finding(s) "
-            f"({report.waived} waived, {report.baselined} baselined, "
-            f"{report.files} files)"
-        )
+    report = analyze(paths)
+    for finding in report.findings:
+        print(finding.format())
+    print(
+        f"{len(report.findings)} finding(s) "
+        f"({report.waived} waived, {report.files} files)"
+    )
     return 1 if report.findings else 0
 
 

@@ -58,7 +58,6 @@ from repro.analysis.framework import (
     Finding,
     Project,
     SourceFile,
-    register,
 )
 
 #: Functions of the ``random`` module that consume the *global* stream.
@@ -241,13 +240,11 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register
 class DeterminismChecker(Checker):
+    """Salted hash()/id() values, set-order iteration, import-time
+    environment reads, global random stream."""
+
     id = "determinism"
-    description = (
-        "salted hash()/id() values, set-order iteration, import-time "
-        "environment reads, global random stream"
-    )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
         visitor = _Visitor(file)

@@ -48,7 +48,6 @@ from repro.analysis.framework import (
     Finding,
     Project,
     SourceFile,
-    register,
 )
 
 _MACHINE_METHODS = frozenset({"snapshot", "restore", "step"})
@@ -110,14 +109,12 @@ def _self_attr(fn: ast.AST, attr: str, ctx: type) -> bool:
     )
 
 
-@register
 class PackedCapsChecker(Checker):
+    """Every machine implements the snapshot_words/restore_words
+    protocol in step with snapshot/restore and reports its data-memory
+    reads."""
+
     id = "packed-caps"
-    description = (
-        "every machine implements the snapshot_words/restore_words "
-        "protocol in step with snapshot/restore and reports its "
-        "data-memory reads"
-    )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
         findings: list[Finding] = []

@@ -1,15 +1,18 @@
 """The ``snapshot-purity`` checker: hash-consed values must stay frozen.
 
-The state engine keys its visited set on canonical objects: the
-transition kernel's :class:`repro.mc.packed.AtomTable` maps equal
-snapshot substructures onto one shared object, and its machine-state
-and checker-state tables do the same for whole word rows and checker
-snapshots.  These tables alias their inputs -- interning does not
-copy -- so mutating a value after (or before re-)interning silently
-corrupts every state that shares it: the table's key no longer matches
-its stored hash, lookups miss, and the search either re-explores or,
-worse, *skips* states.  No dynamic test catches this reliably, because
-the corruption only shows where a colliding probe happens to land.
+The state engine's visited set is a plain ``set`` of int rows
+``(root_index, env_id, *sids, checker_id)``, and every id in a row
+comes from an interning table: the transition kernel's
+:class:`repro.mc.packed.AtomTable` maps equal snapshot substructures
+onto one shared object and id, and its machine-state and checker-state
+tables do the same for whole word rows and checker snapshots.  These
+tables alias their inputs -- interning does not copy -- so mutating a
+value after (or before re-)interning silently corrupts every state
+that shares it: the table's key no longer matches its stored hash,
+lookups miss or an id names the wrong state, and the search either
+re-explores or, worse, *skips* states.  No dynamic test catches this
+reliably, because the corruption only shows when a later lookup happens
+to reach the mutated entry.
 
 The rule (``interned-mutation``): within a function, any value that
 flows into or out of an interning call --
@@ -35,7 +38,6 @@ from repro.analysis.framework import (
     Finding,
     Project,
     SourceFile,
-    register,
 )
 
 #: Method names the checker treats as interning entry points.
@@ -126,13 +128,11 @@ def _base_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-@register
 class SnapshotPurityChecker(Checker):
+    """No in-place mutation of values flowing through AtomTable
+    hash-consing."""
+
     id = "snapshot-purity"
-    description = (
-        "no in-place mutation of values flowing through AtomTable "
-        "hash-consing"
-    )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
         findings: list[Finding] = []

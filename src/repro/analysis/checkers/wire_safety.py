@@ -46,7 +46,6 @@ from repro.analysis.framework import (
     Finding,
     Project,
     SourceFile,
-    register,
 )
 
 #: Classes pickled into pool workers or back out of them (the work
@@ -103,13 +102,11 @@ def reachable_classes(project: Project) -> dict[str, ClassInfo]:
     return reached
 
 
-@register
 class WireSafetyChecker(Checker):
+    """Classes reachable from pool payloads must be module-level,
+    layout-declared, lambda- and closure-free."""
+
     id = "wire-safety"
-    description = (
-        "classes reachable from pool payloads must be module-level, "
-        "layout-declared, lambda- and closure-free"
-    )
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
         findings: list[Finding] = []

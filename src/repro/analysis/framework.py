@@ -1,12 +1,12 @@
-"""The shadowlint core: findings, waivers, the checker plugin registry.
+"""The shadowlint core: findings, waivers, the checker base class.
 
 One :class:`SourceFile` per analyzed module (text + AST + parsed
 waivers), one :class:`Project` per run (the cross-file class index the
-wire-safety and words-protocol checkers traverse), and a registry of
-:class:`Checker` plugins.  :func:`analyze` ties them together and
-applies the two suppression layers -- inline waivers and the committed
-baseline -- returning a :class:`Report` whose ``findings`` are exactly
-the violations a CI gate should fail on.
+wire-safety and words-protocol checkers traverse), and the
+:class:`Checker` base class of the four checkers in
+:mod:`repro.analysis.checkers`.  :func:`analyze` ties them together and
+applies the inline waivers, returning a :class:`Report` whose
+``findings`` are exactly the violations a CI gate should fail on.
 
 Waiver grammar (checked; malformed waivers are themselves findings)::
 
@@ -59,15 +59,6 @@ class Finding:
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.checker}[{self.rule}] {self.message}"
 
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "checker": self.checker,
-            "rule": self.rule,
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class Waiver:
@@ -83,8 +74,8 @@ class SourceFile:
     """One analyzed module: source text, AST, waivers.
 
     ``display`` is the path findings carry -- relative to the current
-    directory when possible, so baselines written at the repo root stay
-    stable across checkouts.
+    directory when possible, so findings reported at the repo root read
+    the same in every checkout.
     """
 
     def __init__(self, path: Path, text: str):
@@ -192,12 +183,6 @@ class SourceFile:
             return True
         ids = self._line_waivers.get(finding.line)
         return ids is not None and finding.checker in ids
-
-    def context(self, line: int) -> str:
-        """The stripped source line a finding anchors to (baseline key)."""
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def finding(self, node_or_line, checker: str, rule: str, message: str) -> Finding:
         line = getattr(node_or_line, "lineno", node_or_line)
@@ -345,42 +330,16 @@ def _iter_classes(file: SourceFile) -> Iterable[ClassInfo]:
 
 
 # ----------------------------------------------------------------------
-# Checker plugins
+# Checkers
 # ----------------------------------------------------------------------
 class Checker:
-    """One analysis plugin: a checker id plus a per-file ``check``."""
+    """One analysis pass: a checker id plus a per-file ``check``."""
 
-    #: Stable identifier used by waivers and ``--select``.
+    #: Stable identifier used by waivers and findings.
     id: str = ""
-    #: One-line description for ``--list-checkers``.
-    description: str = ""
 
     def check(self, file: SourceFile, project: Project) -> list[Finding]:
         raise NotImplementedError
-
-
-_REGISTRY: dict[str, type[Checker]] = {}
-
-
-def register(cls: type[Checker]) -> type[Checker]:
-    """Class decorator adding a checker to the built-in registry."""
-    if not cls.id:
-        raise ValueError(f"checker {cls.__name__} has no id")
-    _REGISTRY[cls.id] = cls
-    return cls
-
-
-def built_in_checkers() -> list[Checker]:
-    """Fresh instances of every registered checker, id-sorted."""
-    import repro.analysis.checkers  # noqa: F401  (populates the registry)
-
-    return [_REGISTRY[cid]() for cid in sorted(_REGISTRY)]
-
-
-def known_checker_ids() -> frozenset[str]:
-    import repro.analysis.checkers  # noqa: F401
-
-    return frozenset(_REGISTRY) | {WAIVER_CHECKER, PARSE_CHECKER}
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +351,6 @@ class Report:
 
     findings: list[Finding]
     waived: int
-    baselined: int
     files: int
 
     @property
@@ -419,16 +377,15 @@ def collect_files(paths: Iterable[Path]) -> list[SourceFile]:
 
 
 def analyze(
-    paths: Iterable[Path],
-    checkers: list[Checker] | None = None,
-    baseline: list[dict] | None = None,
+    paths: Iterable[Path], checkers: list[Checker] | None = None
 ) -> Report:
-    """Run ``checkers`` over ``paths``; apply waivers, then the baseline."""
-    from repro.analysis.baseline import match_baseline
-
+    """Run ``checkers`` (default: all four) over ``paths``; apply waivers."""
     files = collect_files(paths)
     project = Project(files)
     if checkers is None:
+        # The checker modules import this one, so not at module level.
+        from repro.analysis.checkers import built_in_checkers
+
         checkers = built_in_checkers()
     known = frozenset(c.id for c in checkers) | {WAIVER_CHECKER, PARSE_CHECKER}
 
@@ -457,7 +414,7 @@ def analyze(
             raw.extend(checker.check(file, project))
 
     by_display = {file.display: file for file in files}
-    unwaived: list[Finding] = []
+    active: list[Finding] = []
     waived = 0
     for finding in raw:
         file = by_display.get(finding.path)
@@ -469,13 +426,10 @@ def analyze(
         ):
             waived += 1
         else:
-            unwaived.append(finding)
+            active.append(finding)
 
-    active, baselined = match_baseline(unwaived, baseline or [], by_display)
     active.sort(key=Finding.sort_key)
-    return Report(
-        findings=active, waived=waived, baselined=baselined, files=len(files)
-    )
+    return Report(findings=active, waived=waived, files=len(files))
 
 
 def default_roots() -> list[Path]:

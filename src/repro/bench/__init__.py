@@ -13,6 +13,6 @@ The pytest-benchmark wrappers in ``benchmarks/`` call these modules and
 assert the qualitative outcome (who proves, who attacks, who times out).
 """
 
-from repro.bench.runner import BudgetedResult, format_table, run_task
+from repro.bench.runner import format_table
 
-__all__ = ["BudgetedResult", "format_table", "run_task"]
+__all__ = ["format_table"]

@@ -1,7 +1,7 @@
 """Ablation: the shadow logic's phase-2 fetch gate.
 
-DESIGN.md calls out one deliberate design choice inside our shadow-logic
-implementation: once a microarchitectural deviation has been recorded
+One deliberate design choice inside our shadow-logic implementation:
+once a microarchitectural deviation has been recorded
 (phase 2), instruction fetch is gated.  This is behaviour-preserving --
 post-deviation instructions are younger than the recorded drain tails, so
 they can neither change committed values nor stall the drain -- but it

@@ -26,26 +26,23 @@ Gating policy, metric by metric:
   are skipped: at that scale timer noise swamps any real regression.
 
 Tolerance is a relative fraction (default 0.2, i.e. a metric may be up
-to 20% worse than baseline), settable per run via ``--tolerance`` or the
-``REPRO_PERF_TOLERANCE`` environment variable.  Records present only in
-the baseline (a benchmark that did not run) or only in the fresh set (a
-new benchmark, no baseline yet) are reported and skipped -- the gate
-never fails on coverage, only on measured regressions.
+to 20% worse than baseline), settable per run via ``--tolerance``.
+Records present only in the baseline (a benchmark that did not run) or
+only in the fresh set (a new benchmark, no baseline yet) are reported
+and skipped -- the gate never fails on coverage, only on measured
+regressions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.bench.records import DEFAULT_FILES
 
-#: Environment override for the relative tolerance.
-TOLERANCE_ENV = "REPRO_PERF_TOLERANCE"
 DEFAULT_TOLERANCE = 0.2
 
 
@@ -207,11 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         help="directory holding the freshly measured BENCH_*.json files",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=None,
-        help=(
-            "allowed relative regression "
-            f"(default ${TOLERANCE_ENV} or {DEFAULT_TOLERANCE})"
-        ),
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help=f"allowed relative regression (default {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
         "--files", nargs="*", default=list(DEFAULT_FILES),
@@ -219,8 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = float(os.environ.get(TOLERANCE_ENV, DEFAULT_TOLERANCE))
     if not 0 <= tolerance < 1:
         parser.error(f"--tolerance must be in [0, 1), got {tolerance}")
 

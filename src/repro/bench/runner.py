@@ -1,4 +1,4 @@
-"""Shared benchmark plumbing: timed runs and paper-style table rendering.
+"""Shared benchmark plumbing: grid runs and paper-style table rendering.
 
 The drivers in this package build their grids as lists of
 :class:`repro.campaign.CampaignUnit` and hand them to
@@ -10,11 +10,8 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.campaign.log import CampaignLog
 from repro.campaign.scheduler import CampaignResult, CampaignUnit, run_campaign
-from repro.core.verifier import VerificationTask, verify
 from repro.mc.result import Outcome
 
 #: Table-2 style glyphs (the paper uses emoji; we keep them ASCII).
@@ -24,34 +21,6 @@ GLYPHS = {
     "timeout": "t/o",
     "unknown": "unknown",
 }
-
-
-@dataclass(frozen=True)
-class BudgetedResult:
-    """One table cell: an outcome plus its identifying labels."""
-
-    experiment: str
-    design: str
-    contract: str
-    outcome: Outcome
-
-    @property
-    def cell(self) -> str:
-        """Short cell text, e.g. ``ATTACK 0.3s`` or ``proof 2.5s``."""
-        return f"{GLYPHS[self.outcome.kind]} {self.outcome.elapsed:.1f}s"
-
-
-def run_task(
-    experiment: str, design: str, task: VerificationTask
-) -> BudgetedResult:
-    """Run one verification task and wrap it as a table cell."""
-    outcome = verify(task)
-    return BudgetedResult(
-        experiment=experiment,
-        design=design,
-        contract=task.contract.name,
-        outcome=outcome,
-    )
 
 
 def run_units(

@@ -36,9 +36,7 @@ from repro.campaign.log import (
 from repro.campaign.registry import (
     CORE_FACTORIES,
     CoreSpec,
-    core_factory_names,
     core_spec,
-    register_core_factory,
 )
 from repro.campaign.scheduler import (
     BUDGET_NOTE,
@@ -61,12 +59,10 @@ __all__ = [
     "SerialBackend",
     "WorkItem",
     "canonical_lines",
-    "core_factory_names",
     "core_spec",
     "outcome_from_json",
     "outcome_to_json",
     "read_records",
-    "register_core_factory",
     "resolve_workers",
     "run_campaign",
     "result_records",

@@ -1,20 +1,18 @@
-"""Registry of named core factories -- the picklable face of a design.
+"""The named core factories -- the picklable face of a design.
 
 Multiprocess campaigns ship :class:`repro.core.verifier.VerificationTask`
 objects to worker processes, so every task field must survive ``pickle``.
 The one field that historically did not is ``core_factory``: the drivers
 built cores with closures (``lambda: simple_ooo(...)``), which the pickle
 protocol rejects.  A :class:`CoreSpec` replaces the closure with data --
-the *name* of a registered factory plus its keyword arguments -- while
+the *name* of a core factory plus its keyword arguments -- while
 staying a zero-argument callable, so every existing consumer
 (``Product`` machine construction, ``task.build_roots()``, the LEAVE and
 UPEC comparison verifiers) keeps working unchanged.
 
-The four evaluated cores are pre-registered under the names used by the
-paper's tables; projects embedding the framework can add their own with
-:func:`register_core_factory` (the registration must run in the worker
-process too -- do it at import time of a module the spec's consumers
-import, exactly like the built-ins below).
+:data:`CORE_FACTORIES` is a constant: the four evaluated cores under
+the names the paper's tables use.  A name therefore means the same
+design in every worker process, with nothing to register at import time.
 """
 
 from __future__ import annotations
@@ -28,33 +26,25 @@ from repro.uarch.inorder import InOrderCore
 from repro.uarch.simple_ooo import simple_ooo
 from repro.uarch.superscalar import ridecore
 
+
+def _build_inorder(params: MachineParams | None = None) -> InOrderCore:
+    """The Sodor-like in-order core (positional-arg shim)."""
+    return InOrderCore(params if params is not None else MachineParams())
+
+
 #: Name -> factory.  Values are ordinary (picklable-by-reference)
 #: module-level callables; specs store only the name.
-CORE_FACTORIES: dict[str, Callable[..., object]] = {}
-
-
-def register_core_factory(
-    name: str, factory: Callable[..., object], *, replace: bool = False
-) -> None:
-    """Register a named core factory for use in :class:`CoreSpec`.
-
-    ``replace=False`` (the default) refuses to silently shadow an existing
-    registration -- campaigns rely on a name meaning the same design in
-    every process.
-    """
-    if not replace and name in CORE_FACTORIES:
-        raise ValueError(f"core factory {name!r} is already registered")
-    CORE_FACTORIES[name] = factory
-
-
-def core_factory_names() -> tuple[str, ...]:
-    """The registered factory names, sorted."""
-    return tuple(sorted(CORE_FACTORIES))
+CORE_FACTORIES: dict[str, Callable[..., object]] = {
+    "inorder": _build_inorder,
+    "simple_ooo": simple_ooo,
+    "ridecore": ridecore,
+    "boom": boom,
+}
 
 
 @dataclass(frozen=True)
 class CoreSpec:
-    """A picklable zero-argument core factory: registry name + kwargs.
+    """A picklable zero-argument core factory: factory name + kwargs.
 
     Drop-in replacement for the ``lambda: <core>(...)`` closures in
     verification tasks; building the core is just calling the spec.
@@ -69,7 +59,7 @@ class CoreSpec:
         if self.factory not in CORE_FACTORIES:
             raise ValueError(
                 f"unknown core factory {self.factory!r}; "
-                f"known: {', '.join(core_factory_names())}"
+                f"known: {', '.join(sorted(CORE_FACTORIES))}"
             )
         object.__setattr__(self, "kwargs", tuple(sorted(self.kwargs)))
 
@@ -91,13 +81,3 @@ def core_spec(factory: str, **kwargs: Any) -> CoreSpec:
     """Convenience constructor: ``core_spec("simple_ooo", rob_size=8)``."""
     return CoreSpec(factory=factory, kwargs=tuple(kwargs.items()))
 
-
-def _build_inorder(params: MachineParams | None = None) -> InOrderCore:
-    """The Sodor-like in-order core (positional-arg shim)."""
-    return InOrderCore(params if params is not None else MachineParams())
-
-
-register_core_factory("inorder", _build_inorder)
-register_core_factory("simple_ooo", simple_ooo)
-register_core_factory("ridecore", ridecore)
-register_core_factory("boom", boom)

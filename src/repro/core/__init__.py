@@ -6,28 +6,14 @@
 - :mod:`repro.core.products` -- the designs under verification: the
   two-machine shadow product (Fig. 1b) and the four-machine baseline
   product (Fig. 1a).
-- :mod:`repro.core.verifier` -- user-facing entry points (`verify`,
-  `find_attack`) over the model checker.
+- :mod:`repro.core.verifier` -- the user-facing entry point (`verify`)
+  over the model checker.
 - :mod:`repro.core.leave` -- the LEAVE-style invariant-search comparison.
 - :mod:`repro.core.upec` -- the UPEC-style source-restricted comparison.
 - :mod:`repro.core.assumptions` -- attack-exclusion assumptions (§7.1.4).
+
+The package imports none of its modules: import the submodule you need.
+The model checker (:mod:`repro.mc`) imports :mod:`repro.core.products`
+and the verifier imports the model checker, so an eager package init
+would close an import cycle.
 """
-
-from repro.core.contracts import (
-    CONTRACTS,
-    Contract,
-    constant_time,
-    sandboxing,
-)
-from repro.core.shadow import ContractShadowLogic
-from repro.core.verifier import VerificationTask, verify
-
-__all__ = [
-    "CONTRACTS",
-    "Contract",
-    "ContractShadowLogic",
-    "VerificationTask",
-    "constant_time",
-    "sandboxing",
-    "verify",
-]

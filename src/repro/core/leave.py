@@ -32,8 +32,8 @@ UNKNOWN (invariants exhausted, or false counterexamples) on out-of-order
 cores -- for both the secure and the insecure variants.
 
 This is a faithful *behavioural* reproduction of the comparison, not of
-LEAVE's implementation: the substitution (SMT queries -> sampled explicit
-induction) is recorded in DESIGN.md.
+LEAVE's implementation: it substitutes sampled explicit induction for
+LEAVE's SMT queries.
 """
 
 from __future__ import annotations

@@ -187,7 +187,7 @@ def space_fig2(extra_reg: bool = False) -> EncodingSpace:
     """Minimal space for the Fig. 2 structure-size sweeps.
 
     Kept very small because the ROB sweep couples instruction-memory depth
-    to ROB capacity (see DESIGN.md §5, divergence 3).
+    to ROB capacity (see EXPERIMENTS.md, divergence D3).
     """
     load_rd = (1, 2) if extra_reg else (1,)
     return EncodingSpace(

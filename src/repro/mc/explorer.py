@@ -51,6 +51,7 @@ from repro.mc.result import (
     Outcome,
     SearchStats,
 )
+from repro.mc.vector import VectorEngine
 
 #: How many expansions between wall-clock checks.
 _CLOCK_STRIDE = 128
@@ -162,11 +163,6 @@ class Explorer:
         self.roots = roots
         self.limits = limits
         self.universe = space.instructions()
-        # Imported here, not at module level: the kernel imports
-        # repro.core.products, and the repro.core package imports the
-        # verifier, which imports this module.
-        from repro.mc.vector import VectorEngine
-
         self._vector = VectorEngine(product)
 
     # ------------------------------------------------------------------
@@ -324,9 +320,7 @@ class Explorer:
                 reasons: dict[str, int] = {}
                 pushes: list[tuple] = []
                 children: list[tuple] = []
-                for child_env, bundles, slots, preds in choices(
-                    env, requests, deltas=True
-                ):
+                for child_env, bundles, slots, preds in choices(env, requests):
                     was_pruned, failed, reason, child, quiescent = transition(
                         state, bundles
                     )
@@ -427,8 +421,8 @@ class Explorer:
     # ------------------------------------------------------------------
     # Nondeterministic-choice enumeration
     # ------------------------------------------------------------------
-    def _choices(self, env: Environment, requests, deltas: bool = False):
-        """Yield (extended environment, fetch bundles) for one cycle.
+    def _choices(self, env: Environment, requests):
+        """Yield ``(env, bundles, slot map, prediction map)`` per choice.
 
         Branches over (a) instructions for symbolic slots fetched this
         cycle and (b) predictor-oracle bits for newly predicted branches.
@@ -437,12 +431,11 @@ class Explorer:
         the restore discipline.  Yield order is bit-identical to the
         legacy engine's (the equivalence contract).
 
-        With ``deltas`` the yield grows to ``(env, bundles, slot map,
-        prediction map)`` -- the exact extension dicts applied to the
-        node environment (``None`` where nothing was concretized).  The
-        vector engine records these on a node-memo miss so a later hit
-        can rebuild every child environment without re-enumerating
-        choices (:meth:`_search`).
+        The slot and prediction maps are the exact extension dicts
+        applied to the node environment (``None`` where nothing was
+        concretized).  The search records them on a node-memo miss so a
+        later hit can rebuild every child environment without
+        re-enumerating choices (:meth:`_search`).
         """
         n_slots = len(self.product.machines)
         imem = env.imem
@@ -518,7 +511,4 @@ class Explorer:
                     else:
                         taken = pred_map[(pc, req.occurrence)]
                     bundles[req.slot] = FetchBundle(pc, inst, taken)
-                if deltas:
-                    yield env_ip, bundles, slot_map, pred_map_delta
-                else:
-                    yield env_ip, bundles
+                yield env_ip, bundles, slot_map, pred_map_delta

@@ -157,3 +157,20 @@ def test_full_run_flags_every_bad_fixture(name):
 def test_full_run_passes_every_ok_fixture(name):
     report = analyze([FIXTURES / name])
     assert report.clean, [f.format() for f in report.findings]
+
+
+def test_full_run_finding_count_of_det_bad():
+    # All four checkers together: the seven determinism findings, and
+    # nothing from the other three.
+    report = analyze([FIXTURES / "det_bad.py"])
+    assert len(report.findings) == 7
+    assert report.files == 1
+
+
+def test_built_in_checkers_are_the_four():
+    assert {c.id for c in built_in_checkers()} == {
+        "determinism",
+        "packed-caps",
+        "snapshot-purity",
+        "wire-safety",
+    }

@@ -1,12 +1,11 @@
-"""The ``python -m repro.analysis`` gate: exit codes, JSON, selection,
-baseline workflow -- and the repo itself staying clean.
+"""The ``python -m repro.analysis`` gate: exit codes and output -- and
+the repo itself staying clean.
 
-These encode the CI contract: 0 on a clean tree, 1 on any new finding,
-2 on usage errors; every golden-violation fixture must fail the gate
+These encode the CI contract: 0 on a clean tree, 1 on any finding, 2
+for a missing path; every golden-violation fixture must fail the gate
 and every near-miss fixture must pass it.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -24,79 +23,37 @@ OK_FIXTURES = ["det_ok.py", "wire_ok.py", "snap_ok.py", "packed_ok.py"]
 
 @pytest.mark.parametrize("name", BAD_FIXTURES)
 def test_gate_fails_each_golden_fixture(name):
-    assert main([str(FIXTURES / name), "--no-baseline"]) == 1
+    assert main([str(FIXTURES / name)]) == 1
 
 
 @pytest.mark.parametrize("name", OK_FIXTURES)
 def test_gate_passes_each_near_miss_fixture(name):
-    assert main([str(FIXTURES / name), "--no-baseline"]) == 0
+    assert main([str(FIXTURES / name)]) == 0
 
 
 def test_repo_package_is_clean():
     # The acceptance bar for the whole suite: the shipped repro package
-    # has zero unwaived findings, without leaning on the baseline.
-    assert main(["--no-baseline"]) == 0
+    # has zero unwaived findings.
+    assert main([]) == 0
 
 
 def test_human_output_summarizes(capsys):
-    main([str(FIXTURES / "det_ok.py"), "--no-baseline"])
+    main([str(FIXTURES / "det_ok.py")])
     out = capsys.readouterr().out
     assert "0 finding(s)" in out
 
 
-def test_json_output_parses(capsys):
-    rc = main([str(FIXTURES / "det_bad.py"), "--no-baseline", "--json"])
-    assert rc == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["counts"]["new"] == 7
-    assert document["counts"]["files"] == 1
-    for finding in document["findings"]:
-        assert set(finding) == {"path", "line", "checker", "rule", "message"}
-
-
-def test_select_narrows_the_run(capsys):
-    # wire_bad.py is clean under the determinism checker alone ...
-    assert main(
-        [str(FIXTURES / "wire_bad.py"), "--select", "determinism",
-         "--no-baseline"]
-    ) == 0
-    # ... and fails once wire-safety is selected.
-    assert main(
-        [str(FIXTURES / "wire_bad.py"), "--select", "wire-safety",
-         "--no-baseline"]
-    ) == 1
-
-
 def test_usage_errors_exit_2(capsys):
-    assert main(["--select", "nonsense"]) == 2
     assert main(["/no/such/path.py"]) == 2
-    assert main([str(FIXTURES / "det_ok.py"), "--baseline",
-                 "/no/such/baseline.json"]) == 2
-
-
-def test_write_baseline_then_gate(tmp_path, capsys):
-    fixture = str(FIXTURES / "det_bad.py")
-    baseline = tmp_path / "baseline.json"
-
-    assert main([fixture, "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert baseline.exists()
-    # Grandfathered: the gate passes against the written baseline ...
-    assert main([fixture, "--baseline", str(baseline)]) == 0
-    # ... and still fails without it.
-    assert main([fixture, "--no-baseline"]) == 1
-
-
-def test_list_checkers_names_all_four(capsys):
-    assert main(["--list-checkers"]) == 0
-    out = capsys.readouterr().out
-    for checker_id in ("determinism", "wire-safety", "snapshot-purity",
-                       "packed-caps"):
-        assert checker_id in out
+    # The CLI takes paths only; any flag is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["--json"])
+    assert exc.value.code == 2
 
 
 def test_module_entry_point_exit_codes(tmp_path):
     # The real CI invocation: ``python -m repro.analysis`` in a fresh
-    # interpreter, non-zero on a planted violation.
+    # interpreter, exit 1 on a planted violation, 2 on a missing path.
     src_root = Path(repro.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src_root) + (
@@ -105,9 +62,13 @@ def test_module_entry_point_exit_codes(tmp_path):
     planted = tmp_path / "planted.py"
     planted.write_text("KEY = hash('planted')\n", encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", str(planted),
-         "--no-baseline"],
+        [sys.executable, "-m", "repro.analysis", str(planted)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1, proc.stderr
     assert "salted-hash" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", str(tmp_path / "missing.py")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr

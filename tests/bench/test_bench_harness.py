@@ -13,15 +13,10 @@ import pytest
 
 from repro.bench import boom_hunt, fig2, table1, table3
 from repro.bench.configs import QUICK, SCALES, scale_by_name
-from repro.bench.runner import BudgetedResult, format_table, run_task
+from repro.bench.runner import format_table
 from repro.bench.table2 import designs
 from repro.core.contracts import sandboxing
-from repro.core.verifier import VerificationTask
-from repro.isa.encoding import space_tiny
-from repro.isa.params import MachineParams
-from repro.mc.explorer import SearchLimits
 from repro.uarch.config import Defense
-from repro.uarch.simple_ooo import simple_ooo
 
 TINY_SCALE = replace(
     QUICK,
@@ -38,20 +33,6 @@ def test_scales_registry():
     assert set(SCALES) == {"quick", "paper"}
     with pytest.raises(KeyError):
         scale_by_name("galactic")
-
-
-def test_run_task_wraps_outcomes():
-    task = VerificationTask(
-        core_factory=lambda: simple_ooo(
-            Defense.NONE, params=MachineParams(imem_size=3)
-        ),
-        contract=sandboxing(),
-        space=space_tiny(),
-        limits=SearchLimits(timeout_s=30),
-    )
-    result = run_task("t", "SimpleOoO", task)
-    assert isinstance(result, BudgetedResult)
-    assert "ATTACK" in result.cell
 
 
 def test_format_table_alignment():

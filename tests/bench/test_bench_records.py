@@ -224,7 +224,7 @@ def test_gate_reports_unrefreshed_and_new_records_as_notes():
     assert any("no baseline" in n for n in notes)
 
 
-def test_gate_cli_end_to_end(tmp_path, capsys, monkeypatch):
+def test_gate_cli_end_to_end(tmp_path, capsys):
     baseline_dir, fresh_dir = tmp_path / "base", tmp_path / "fresh"
     baseline_dir.mkdir()
     fresh_dir.mkdir()
@@ -241,6 +241,5 @@ def test_gate_cli_end_to_end(tmp_path, capsys, monkeypatch):
     ]
     assert perf_gate.main([*argv, "--tolerance", "0.2"]) == 0
     assert perf_gate.main([*argv, "--tolerance", "0.01"]) == 1
-    monkeypatch.setenv(perf_gate.TOLERANCE_ENV, "0.01")
-    assert perf_gate.main(argv) == 1  # env tolerance honored
+    assert perf_gate.main(argv) == 0  # default tolerance, 20%
     capsys.readouterr()
