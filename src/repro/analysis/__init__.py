@@ -1,7 +1,7 @@
 """shadowlint: static determinism & soundness checks for this repo.
 
 The test matrix enforces the repository's core invariants *dynamically*
--- bit-identical serial-order merges across backends, hash-consed
+-- bit-identical serial-order merges at every worker count, hash-consed
 snapshot immutability, pickle-safe pool payloads, machines that speak
 the ``snapshot_words`` protocol -- which means a violation only surfaces
 when a test happens to hit it, often probabilistically (a salted

@@ -1,7 +1,7 @@
 """The ``determinism`` checker: cross-process reproducibility hazards.
 
 Everything merged into a campaign result must be a pure function of the
-work item -- that is the bit-identity contract every backend is pinned
+work item -- that is the bit-identity contract every worker count is pinned
 against.  Python offers several innocuous-looking ways to break it that
 only misbehave under an unlucky ``PYTHONHASHSEED`` or process layout,
 which is exactly the class of bug a dynamic test matrix hits

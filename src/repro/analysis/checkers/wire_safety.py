@@ -3,7 +3,7 @@
 Everything a campaign pickles into pool workers, and every result they
 pickle back, must pickle by reference to module-level, layout-stable
 classes.  A lambda default or a function-local helper class smuggled
-into a :class:`~repro.campaign.backends.base.WorkItem` field only
+into a :class:`~repro.campaign.executor.WorkItem` field only
 explodes when a process-pool campaign first ships it.  This checker
 walks the static type graph instead: starting from the root classes
 that cross the pool boundary, it follows dataclass field annotations to

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from repro.bench.configs import SIMPLE_PARAMS, SPACE_SIMPLE, Scale
 from repro.bench.runner import run_units
-from repro.campaign.log import CampaignLog, outcome_from_json
+from repro.campaign.log import CampaignLog, outcomes_from_records
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import CampaignUnit
 from repro.core.contracts import constant_time, sandboxing
@@ -158,12 +158,7 @@ def run(
 
 def results_from_records(records: list[dict]) -> list[AblationResult]:
     """Rebuild the paired comparison from JSONL result records."""
-    by_key: dict[tuple[str, ...], Outcome] = {}
-    for record in records:
-        if record.get("experiment") != EXPERIMENT:
-            continue
-        by_key[tuple(record["key"])] = outcome_from_json(record["outcome"])
-    return _assemble(by_key)
+    return _assemble(outcomes_from_records(records, EXPERIMENT))
 
 
 def format_rows(results: list[AblationResult]) -> str:

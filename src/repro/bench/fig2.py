@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.configs import Scale
 from repro.bench.runner import run_units
-from repro.campaign.log import CampaignLog, outcome_from_json
+from repro.campaign.log import CampaignLog, outcomes_from_records
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import CampaignUnit
 from repro.core.contracts import constant_time, sandboxing
@@ -162,10 +162,16 @@ def units(
     return grid
 
 
-def _empty_results() -> dict[str, dict[str, SweepResult]]:
-    return {
+def _assemble(
+    by_key: dict[tuple[str, ...], Outcome],
+) -> dict[str, dict[str, SweepResult]]:
+    """Sweep series ``results[panel][structure]`` in ``by_key`` order."""
+    results = {
         panel.key: {s: SweepResult(s) for s in STRUCTURES} for panel in PANELS
     }
+    for (panel_key, structure, size), outcome in by_key.items():
+        results[panel_key][structure].points.append((int(size), outcome))
+    return results
 
 
 def run(
@@ -191,30 +197,20 @@ def run(
         dmem_sizes=dmem_sizes,
         rob_sizes=rob_sizes,
     )
-    by_key = run_units(
-        grid,
-        n_workers=n_workers,
-        budget_s=budget_s,
-        log=log,
-        experiment=EXPERIMENT,
+    return _assemble(
+        run_units(
+            grid,
+            n_workers=n_workers,
+            budget_s=budget_s,
+            log=log,
+            experiment=EXPERIMENT,
+        )
     )
-    results = _empty_results()
-    for (panel_key, structure, size), outcome in by_key.items():
-        results[panel_key][structure].points.append((int(size), outcome))
-    return results
 
 
 def results_from_records(records: list[dict]) -> dict[str, dict[str, SweepResult]]:
     """Rebuild the sweep series from JSONL result records."""
-    results = _empty_results()
-    for record in records:
-        if record.get("experiment") != EXPERIMENT:
-            continue
-        panel_key, structure, size = record["key"]
-        results[panel_key][structure].points.append(
-            (int(size), outcome_from_json(record["outcome"]))
-        )
-    return results
+    return _assemble(outcomes_from_records(records, EXPERIMENT))
 
 
 def format_rows(results: dict[str, dict[str, SweepResult]]) -> str:

@@ -36,7 +36,7 @@ from repro.bench.configs import (
     Scale,
 )
 from repro.bench.runner import GLYPHS, format_table, run_units
-from repro.campaign.log import CampaignLog, outcome_from_json
+from repro.campaign.log import CampaignLog, outcomes_from_records
 from repro.campaign.registry import CoreSpec, core_spec
 from repro.campaign.scheduler import CampaignUnit
 from repro.core.contracts import sandboxing
@@ -145,22 +145,16 @@ def run(
     UPEC only on BOOM.  ``n_workers`` fans the shadow/baseline grid over
     the campaign scheduler (``1`` = every cell inline).
     """
-    results: dict[str, dict[str, Outcome]] = {
-        "baseline": {},
-        "leave": {},
-        "upec": {},
-        "shadow": {},
-    }
     contract = sandboxing()
-    by_key = run_units(
-        units(scale),
-        n_workers=n_workers,
-        budget_s=budget_s,
-        log=log,
-        experiment=EXPERIMENT,
+    results = _assemble(
+        run_units(
+            units(scale),
+            n_workers=n_workers,
+            budget_s=budget_s,
+            log=log,
+            experiment=EXPERIMENT,
+        )
     )
-    for (scheme, design_name), outcome in by_key.items():
-        results[scheme][design_name] = outcome
     for design in designs():
         if design.name in ("Sodor", "SimpleOoO-S", "SimpleOoO"):
             params = design.core_factory().params
@@ -179,20 +173,24 @@ def run(
     return results
 
 
-def results_from_records(records: list[dict]) -> dict[str, dict[str, Outcome]]:
-    """Rebuild the (campaign-covered) matrix from JSONL result records."""
+def _assemble(
+    by_key: dict[tuple[str, ...], Outcome],
+) -> dict[str, dict[str, Outcome]]:
+    """The matrix's campaign-covered cells, ``results[scheme][design]``."""
     results: dict[str, dict[str, Outcome]] = {
         "baseline": {},
         "leave": {},
         "upec": {},
         "shadow": {},
     }
-    for record in records:
-        if record.get("experiment") != EXPERIMENT:
-            continue
-        scheme, design_name = record["key"]
-        results[scheme][design_name] = outcome_from_json(record["outcome"])
+    for (scheme, design_name), outcome in by_key.items():
+        results[scheme][design_name] = outcome
     return results
+
+
+def results_from_records(records: list[dict]) -> dict[str, dict[str, Outcome]]:
+    """Rebuild the (campaign-covered) matrix from JSONL result records."""
+    return _assemble(outcomes_from_records(records, EXPERIMENT))
 
 
 def format_rows(results: dict[str, dict[str, Outcome]]) -> str:

@@ -31,7 +31,7 @@ from repro.bench.configs import (
     Scale,
 )
 from repro.bench.runner import GLYPHS, format_table, run_units
-from repro.campaign.log import CampaignLog, outcome_from_json
+from repro.campaign.log import CampaignLog, outcomes_from_records
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import CampaignUnit
 from repro.core.contracts import constant_time, sandboxing
@@ -113,13 +113,20 @@ def run(
     log: CampaignLog | None = None,
 ) -> dict[tuple[Defense, str], Outcome]:
     """Run the defense sweep; returns ``results[(defense, contract name)]``."""
-    by_key = run_units(
-        units(scale, defenses),
-        n_workers=n_workers,
-        budget_s=budget_s,
-        log=log,
-        experiment=EXPERIMENT,
+    return _assemble(
+        run_units(
+            units(scale, defenses),
+            n_workers=n_workers,
+            budget_s=budget_s,
+            log=log,
+            experiment=EXPERIMENT,
+        )
     )
+
+
+def _assemble(
+    by_key: dict[tuple[str, ...], Outcome],
+) -> dict[tuple[Defense, str], Outcome]:
     return {
         (Defense(defense_value), contract_name): outcome
         for (defense_value, contract_name), outcome in by_key.items()
@@ -128,15 +135,7 @@ def run(
 
 def results_from_records(records: list[dict]) -> dict[tuple[Defense, str], Outcome]:
     """Rebuild the sweep results from JSONL result records."""
-    results: dict[tuple[Defense, str], Outcome] = {}
-    for record in records:
-        if record.get("experiment") != EXPERIMENT:
-            continue
-        defense_value, contract_name = record["key"]
-        results[(Defense(defense_value), contract_name)] = outcome_from_json(
-            record["outcome"]
-        )
-    return results
+    return _assemble(outcomes_from_records(records, EXPERIMENT))
 
 
 def format_rows(results: dict[tuple[Defense, str], Outcome]) -> str:

@@ -8,9 +8,9 @@ Public surface:
   verification tasks (one bench table) across ``n_workers`` workers,
 - :func:`verify_sharded` -- shard a single task into contiguous batches
   of its secret-pair roots,
-- :mod:`repro.campaign.backends` -- the executors: ``SerialBackend``
-  (inline, for one worker) and ``ProcessPoolBackend`` (worker
-  processes, for more), picked by ``make_executor``,
+- :class:`repro.campaign.executor.Executor` -- runs a list of
+  :class:`WorkItem` shards inline (one worker) or in a process pool
+  (more), yielding ``(index, outcome)``,
 - :class:`repro.campaign.log.CampaignLog` -- JSONL result logs that
   ``python -m repro.bench.report --from-log`` re-renders without
   re-running.
@@ -19,12 +19,7 @@ Public surface:
 CI to catch pickling / determinism / worker-count regressions early).
 """
 
-from repro.campaign.backends import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    WorkItem,
-)
+from repro.campaign.executor import Executor, WorkItem
 from repro.campaign.log import (
     CampaignLog,
     canonical_lines,
@@ -54,9 +49,7 @@ __all__ = [
     "CampaignResult",
     "CampaignUnit",
     "CoreSpec",
-    "ExecutionBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
+    "Executor",
     "WorkItem",
     "canonical_lines",
     "core_spec",

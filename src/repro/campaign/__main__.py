@@ -10,10 +10,7 @@ grids are built in:
 - ``ablation-mini``: the fetch-gate ablation's attack and plain-proof
   workloads, gated and ungated.
 
-The fuzz presets (``fuzz-mini``, ``fuzz-defended``, ``fuzz-boom``) are
-accepted too and delegate to the random-testing CLI
-(``python -m repro.fuzz``) with the workers/log/budget flags forwarded,
-so one entry point drives both verification modes.
+Random-testing campaigns have their own CLI, ``python -m repro.fuzz``.
 
 CI runs each grid twice, with ``--workers 1`` and ``--workers 4``, and
 diffs the canonical JSONL logs: any pickling break, nondeterministic
@@ -94,14 +91,10 @@ GRIDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.fuzz.configs import FUZZ_PRESETS
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--units", default="mini",
-        choices=sorted(GRIDS) + sorted(FUZZ_PRESETS),
-        help="which built-in unit grid to run (default: mini); fuzz-* "
-        "presets delegate to python -m repro.fuzz",
+        "--units", default="mini", choices=sorted(GRIDS),
+        help="which built-in unit grid to run (default: mini)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -116,21 +109,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_trace_argument(parser)
     args = parser.parse_args(argv)
-    if args.units in FUZZ_PRESETS:
-        # Random-testing grids run through the fuzz driver: forward the
-        # shared flags (the fuzz CLI owns its own campaign knobs).
-        from repro.fuzz.__main__ import main as fuzz_main
-
-        forwarded = ["--units", args.units]
-        if args.workers is not None:
-            forwarded += ["--workers", str(args.workers)]
-        if args.log:
-            forwarded += ["--log", args.log]
-        if args.budget is not None:
-            forwarded += ["--budget", str(args.budget)]
-        if args.trace:
-            forwarded += ["--trace", args.trace]
-        return fuzz_main(forwarded)
     build_units, expected = GRIDS[args.units]
     units = build_units()
     n_workers = None if args.workers == 0 else args.workers

@@ -130,6 +130,21 @@ def outcome_from_json(data: dict[str, Any]) -> Outcome:
     )
 
 
+def outcomes_from_records(
+    records: Iterable[dict[str, Any]], experiment: str
+) -> dict[tuple[str, ...], Outcome]:
+    """``experiment``'s outcomes by unit key, in log order.
+
+    The logged counterpart of :func:`repro.bench.runner.run_units`, so a
+    bench driver assembles a run and a re-render from the same mapping.
+    """
+    return {
+        tuple(record["key"]): outcome_from_json(record["outcome"])
+        for record in result_records(records)
+        if record["experiment"] == experiment
+    }
+
+
 # ----------------------------------------------------------------------
 # The writer
 # ----------------------------------------------------------------------

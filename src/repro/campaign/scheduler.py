@@ -22,12 +22,12 @@ Root batches are the only shard shape: a single-root task runs as one
 shard, and a sweep of such tasks (Fig. 2) parallelizes across its
 points.
 
-**Executors.**  The scheduler plans shards; the worker count alone
-picks where they run (:func:`repro.campaign.backends.make_executor`):
-one worker runs them inline (``SerialBackend``), more fan them over a
-``ProcessPoolBackend`` no wider than the shard count.  A shard's
-outcome is a pure function of its picklable
-:class:`repro.campaign.backends.WorkItem`, which crosses into a pool
+**Executor.**  The scheduler plans every shard up front and hands the
+list to one :class:`repro.campaign.executor.Executor`; the worker count
+alone picks where they run: one worker runs them inline, more fan them
+over a process pool no wider than the shard count.  A shard's outcome
+is a pure function of its picklable
+:class:`repro.campaign.executor.WorkItem`, which crosses into a pool
 child whole (task spec, roots and limits in one pickle), so merged
 results are bit-identical across worker counts; only wall-clock moves.
 
@@ -69,13 +69,12 @@ from typing import Sequence
 
 from repro import obs
 from repro.obs import clock
-from repro.campaign.backends import (
+from repro.campaign.executor import (
     BUDGET_NOTE,
-    ExecutionBackend,
+    Executor,
     ShardFailure,
     WorkItem,
     budget_outcome as _budget_outcome,
-    make_executor,
     resolve_workers,
 )
 from repro.campaign.log import CampaignLog
@@ -119,7 +118,7 @@ class CampaignTelemetry:
     capacity: int = 0
     steals: int = 0
     steal_won: int = 0
-    #: Work items actually submitted to the backend (root batches) --
+    #: Work items actually submitted to the executor (root batches) --
     #: the dispatch-overhead denominator.
     shards: int = 0
 
@@ -250,7 +249,6 @@ class _UnitState:
         self.model = model
         self.n_roots = n_roots
         self.outcomes: list[Outcome | None] = [None] * len(subtasks)
-        self.tickets: list[int] = []  # every ticket under this unit
         self.final: Outcome | None = None
 
 
@@ -310,14 +308,14 @@ def run_campaign(
             _check_picklable(unit)
     with obs.span("campaign", experiment=experiment, units=len(units)):
         states = _plan(units, capacity, deadline)
-        executor = make_executor(
+        executor = Executor(
             capacity, sum(len(state.subtasks) for state in states)
         )
         # One telemetry object per campaign, shared by every result of
         # the run; the process-global alias is re-pointed (not mutated)
         # so a previous campaign's counters can never bleed into this one.
         telemetry = CampaignTelemetry(
-            backend=executor.name, capacity=executor.capacity()
+            backend=executor.name, capacity=executor.width
         )
         LAST_TELEMETRY = telemetry
         if log is not None:
@@ -412,13 +410,14 @@ def _plan(
 
 def _run_sharded(
     states: list[_UnitState],
-    backend: ExecutionBackend,
+    executor: Executor,
     deadline: float | None,
     sink: _ResultSink,
     telemetry: CampaignTelemetry,
 ) -> list[Outcome]:
-    #: ticket -> (unit state, batch position)
-    owner: dict[int, tuple[_UnitState, int]] = {}
+    items: list[WorkItem] = []
+    #: item index -> (unit state, batch position)
+    owner: list[tuple[_UnitState, int]] = []
 
     def finish(state: _UnitState, outcome: Outcome) -> None:
         state.final = outcome
@@ -431,14 +430,10 @@ def _run_sharded(
         sink.offer(state.index, outcome)
 
     def try_finalize(state: _UnitState) -> None:
-        """Attempt the serial-order merge; cancel obsolete shards."""
+        """Attempt the serial-order merge; its unit's shards go stale."""
         merged = _merge_serial(state.outcomes)
-        if merged is None:
-            return
-        finish(state, merged)
-        for ticket in state.tickets:
-            backend.cancel(ticket)
-            owner.pop(ticket, None)
+        if merged is not None:
+            finish(state, merged)
 
     # Cost-model dispatch: with more than one worker, submit units
     # largest-first (by the roots x width^depth estimate), so the
@@ -449,7 +444,7 @@ def _run_sharded(
     # list order (stable sort).  One worker balances nothing, so it runs
     # units in list order and the sink streams each one as it finishes.
     plan_order = states
-    if backend.capacity() > 1:
+    if executor.width > 1:
         plan_order = sorted(
             states,
             key=lambda s: _predicted_states(s.unit.task, s.n_roots, s.model),
@@ -465,35 +460,36 @@ def _run_sharded(
         # may decide the unit before its serially-later siblings.
         for pos in reversed(range(len(state.subtasks))):
             subtask = state.subtasks[pos]
-            ticket = backend.submit_unit(WorkItem(subtask))
-            telemetry.shards += 1
             obs.event(
                 "shard.submit",
-                ticket=ticket,
+                ticket=len(items),
                 unit=key,
                 predicted=_predicted_states(
                     subtask, len(subtask.roots), state.model
                 ),
             )
-            owner[ticket] = (state, pos)
-            state.tickets.append(ticket)
+            items.append(WorkItem(subtask))
+            owner.append((state, pos))
         # Zero-root tasks finalize immediately.
         try_finalize(state)
-    for ticket, outcome in backend.as_completed():
-        info = owner.pop(ticket, None)
+    telemetry.shards += len(items)
+
+    def decided(index: int) -> bool:
+        """The item's unit is final: its shard is serially dead."""
+        return owner[index][0].final is not None
+
+    for index, outcome in executor.run(items, skip=decided):
         if isinstance(outcome, Outcome):
             obs.event(
                 "shard.done",
-                ticket=ticket,
+                ticket=index,
                 kind=outcome.kind,
                 states=outcome.stats.states,
                 elapsed=outcome.elapsed,
             )
-        if info is None:
-            continue  # cancelled: a stale result
-        state, pos = info
+        state, pos = owner[index]
         if state.final is not None:
-            continue
+            continue  # a stale result
         if isinstance(outcome, ShardFailure):
             raise RuntimeError(
                 "campaign shard for unit "
@@ -502,12 +498,7 @@ def _run_sharded(
             ) from outcome.error
         state.outcomes[pos] = outcome
         try_finalize(state)
-    for state in states:
-        if state.final is None:  # every shard cancelled under it
-            finish(
-                state,
-                _merge_serial([o or _budget_outcome() for o in state.outcomes]),
-            )
+    # Only a decided unit's shards are skipped, so every unit is final.
     return [state.final for state in states]
 
 

@@ -27,18 +27,17 @@ The pieces, and how they reuse the existing machinery:
   keys seed the mutation corpus.
 - **Campaign integration** (:mod:`repro.fuzz.work`,
   :mod:`repro.fuzz.campaign`): fuzz batches are picklable payloads of
-  the campaign :class:`repro.campaign.backends.WorkItem`, schedulable
-  on both execution backends (serial / process) with a deterministic
-  batch-order merge -- same seed, same report, either backend.
+  the campaign :class:`repro.campaign.executor.WorkItem`, run inline
+  or in a process pool with a deterministic batch-order merge -- same
+  seed, same report, at every worker count.
 - **Minimization** (:mod:`repro.fuzz.minimize`): delta debugging over
   the leaking program, each reduction re-validated by the oracle,
-  candidate probes fanned over the backend; the result is a 1-minimal
+  candidate probes fanned over the executor; the result is a 1-minimal
   Spectre-style snippet with a replayable
   :class:`repro.mc.result.Counterexample`.
 
 ``python -m repro.fuzz --units fuzz-mini`` runs the planted-leak smoke
-campaign (also reachable as ``python -m repro.campaign --units
-fuzz-mini``); see README.md for the quickstart and EXPERIMENTS.md for
+campaign; see README.md for the quickstart and EXPERIMENTS.md for
 the methodology (seeds, oracle soundness, minimization invariants).
 """
 

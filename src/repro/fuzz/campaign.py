@@ -1,11 +1,10 @@
 """The fuzz campaign driver: rounds of batches over the campaign executor.
 
 One fuzz campaign is a sequence of *rounds*; each round fans
-``n_batches`` :class:`repro.fuzz.work.FuzzShard` units over the executor
-the worker count picks (:func:`repro.campaign.backends.make_executor`,
-the same rule the verification campaigns use: one worker inline, more
-in a process pool), then merges the batch results **in batch-index
-order**:
+``n_batches`` :class:`repro.fuzz.work.FuzzShard` units over one
+:class:`repro.campaign.executor.Executor` (the same rule the
+verification campaigns use: one worker inline, more in a process pool),
+then merges the batch results **in batch-index order**:
 
 - coverage keys union in order, the corpus extends in order (bounded),
 - the reported leak is the serially-first one (smallest
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.obs import clock
-from repro.campaign.backends import WorkItem, collect_results, make_executor
+from repro.campaign.executor import Executor, WorkItem
 from repro.campaign.log import CampaignLog
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.minimize import MinimizedLeak, minimize_leak
@@ -167,13 +166,13 @@ def run_fuzz(
     started = clock.monotonic()
     deadline = None if budget_s is None else started + budget_s
     limits = SearchLimits(deadline=deadline)
-    executor = make_executor(n_workers)
+    executor = Executor(n_workers)
     # Fuzz campaigns count themselves like verification campaigns: one
     # CampaignTelemetry per run, re-pointing the process-global alias.
     from repro.campaign import scheduler as _scheduler
 
     telemetry = _scheduler.CampaignTelemetry(
-        backend=executor.name, capacity=executor.capacity()
+        backend=executor.name, capacity=executor.width
     )
     _scheduler.LAST_TELEMETRY = telemetry
     if log is not None:
@@ -190,7 +189,7 @@ def run_fuzz(
             with obs.span(
                 "fuzz.round", round=round_index, batches=n_batches
             ):
-                tickets: dict[int, int] = {}
+                items: list[WorkItem] = []
                 for batch_index in range(n_batches):
                     shard = FuzzShard(
                         config=config,
@@ -203,18 +202,15 @@ def run_fuzz(
                         stop_on_leak=stop_on_leak,
                         limits=limits,
                     )
-                    ticket = executor.submit_unit(WorkItem(fuzz=shard))
-                    tickets[ticket] = batch_index
-                    telemetry.shards += 1
+                    items.append(WorkItem(fuzz=shard))
                     obs.event(
                         "shard.submit",
-                        ticket=ticket,
+                        ticket=batch_index,
                         unit=f"round-{round_index}/batch-{batch_index}",
                         predicted=batch_size,
                     )
-                results = collect_results(
-                    executor, tickets, n_batches, label="fuzz shard"
-                )
+                telemetry.shards += len(items)
+                results = executor.gather(items, label="fuzz shard")
                 merged = FuzzRound(index=round_index)
                 round_leaks: list[FuzzLeak] = []
                 for result in results:  # batch-index order: the merge contract

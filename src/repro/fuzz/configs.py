@@ -4,7 +4,7 @@
 on the mini geometry -- the same planted Spectre-v1-style leak the
 ``mini`` verification grid's ``insecure`` cell finds by exhaustive
 search -- which the fuzzer must find and minimize from a fixed seed,
-bit-identically on every backend.  ``fuzz-defended`` is the control:
+bit-identically at every worker count.  ``fuzz-defended`` is the control:
 the Delay-spectre defended core, where the same budget must find
 nothing.  ``fuzz-boom`` aims the generator at the BoomLike core's
 misalignment/illegal-access speculation sources (§7.1.4).

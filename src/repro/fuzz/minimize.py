@@ -21,9 +21,9 @@ EXPERIMENTS.md and relied on by the tests):
    flagged ``MinimizedLeak.truncated`` and claims no minimality.
 
 Distribution: each ddmin wave's candidates are independent probes, so
-they fan out over the campaign execution backend as
-:class:`repro.campaign.backends.WorkItem` payloads.  Determinism does
-not depend on completion order -- the wave collects *all* probe results
+they fan out over the campaign executor as
+:class:`repro.campaign.executor.WorkItem` payloads.  Determinism does
+not depend on completion order -- the wave gathers *all* probe results
 and accepts the leaking candidate with the smallest index.
 """
 
@@ -31,11 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.campaign.backends import (
-    ExecutionBackend,
-    WorkItem,
-    collect_results,
-)
+from repro.campaign.executor import Executor, WorkItem
 from repro.fuzz.work import FuzzConfig, FuzzLeak, MinimizeProbe, ProbeResult
 from repro.isa.instruction import HALT, Instruction
 from repro.mc.explorer import SearchLimits
@@ -65,7 +61,7 @@ class MinimizedLeak:
 
 
 def _run_wave(
-    backend: ExecutionBackend,
+    executor: Executor,
     config: FuzzConfig,
     leak: FuzzLeak,
     candidates: list[tuple[Instruction, ...]],
@@ -80,21 +76,21 @@ def _run_wave(
     counts the probes that actually executed, so accounting never
     includes synthesized placeholders.
     """
-    tickets: dict[int, int] = {}
-    for index, program in enumerate(candidates):
-        probe = MinimizeProbe(
-            config=config,
-            index=index,
-            program=program,
-            dmem_pair=leak.dmem_pair,
-            root_label=leak.root_label,
-            pred_seed=leak.pred_seed,
-            limits=limits,
+    items = [
+        WorkItem(
+            fuzz=MinimizeProbe(
+                config=config,
+                index=index,
+                program=program,
+                dmem_pair=leak.dmem_pair,
+                root_label=leak.root_label,
+                pred_seed=leak.pred_seed,
+                limits=limits,
+            )
         )
-        tickets[backend.submit_unit(WorkItem(fuzz=probe))] = index
-    outcomes = collect_results(
-        backend, tickets, len(candidates), label="minimization probe"
-    )
+        for index, program in enumerate(candidates)
+    ]
+    outcomes = executor.gather(items, label="minimization probe")
     results: list[ProbeResult] = []
     ran = 0
     truncated = False
@@ -123,7 +119,7 @@ def _deletions(
 def minimize_leak(
     config: FuzzConfig,
     leak: FuzzLeak,
-    backend: ExecutionBackend,
+    executor: Executor,
     *,
     limits: SearchLimits | None = None,
 ) -> MinimizedLeak:
@@ -154,7 +150,7 @@ def minimize_leak(
                 break
             chunk = max(1, chunk // 2)
             continue
-        results, cut, ran = _run_wave(backend, config, leak, candidates, limits)
+        results, cut, ran = _run_wave(executor, config, leak, candidates, limits)
         probes += ran  # only oracle executions that actually happened
         if cut:
             # The budget expired mid-wave: the current program is still

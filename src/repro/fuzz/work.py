@@ -1,10 +1,10 @@
 """Picklable fuzz work units: batches and minimization probes.
 
-These are the payloads :class:`repro.campaign.backends.WorkItem` carries
+These are the payloads :class:`repro.campaign.executor.WorkItem` carries
 when the campaign infrastructure schedules *fuzzing* instead of
 exhaustive search.  Both unit kinds are pure functions of their pickled
-fields -- the property both execution backends (serial / process)
-rely on for deterministic merges:
+fields -- the property both executor paths (inline / pool) rely on
+for deterministic merges:
 
 - :class:`FuzzShard` -- one batch of random-testing trials.  The trial
   stream is fully determined by ``(config.seed, round, batch, trial)``

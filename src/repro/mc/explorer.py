@@ -115,7 +115,7 @@ class _Budget:
         # (one comparison): shards share it across worker processes, and a
         # strided check would let each shard overrun it by an unbounded
         # amount of work per tick window.  The ``>=`` boundary matches the
-        # scheduler's pre-run check (``scheduler._run_shard``).
+        # pre-run check in ``repro.campaign.executor.WorkItem.run``.
         if limits.deadline is not None and clock.monotonic() >= limits.deadline:
             return True
         if limits.timeout_s is None:

@@ -34,14 +34,6 @@ The kernel is pinned bit-identical to :mod:`repro.mc.legacy` by
 
 from __future__ import annotations
 
-#: 2-bit word tags (low bits).
-TAG_SCALAR = 0
-TAG_NONE = 1
-TAG_ATOM = 2
-
-#: The unique encoding of ``None``.
-NONE_WORD = TAG_NONE
-
 
 class AtomTable:
     """Equality-keyed dense interning of snapshot substructures.

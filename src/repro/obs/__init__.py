@@ -1,6 +1,6 @@
 """``repro.obs``: tracing and profiling for the campaign stack.
 
-Every layer below this one -- scheduler, execution backends, the
+Every layer below this one -- scheduler, executor, the
 search engines, the fuzz loop -- answers "what happened"
 through this package:
 
@@ -8,8 +8,8 @@ through this package:
   ``count()`` record onto a process-wide recorder.  Off by default: with
   no recorder installed every call is one ``is None`` branch (spans
   return a shared no-op context manager), and *nothing* reads a clock.
-  Pool workers record onto their own scoped recorder (the process
-  backend passes each shard a tracing flag) and ship the finished
+  Pool workers record onto their own scoped recorder (the executor's
+  pool path passes each shard a tracing flag) and ship the finished
   batch home in a :class:`~repro.obs.recorder.TracedOutcome` wrapper;
   the coordinator merges the batches into one trace.
 - **Clock** (:mod:`repro.obs.clock`): the one sanctioned place the
@@ -29,7 +29,7 @@ everything finer-grained is a trace event.
 
 The tracing layer never touches verdict or merge paths: the bit-identity
 contract extends to "tracing on vs off is bit-identical", and the test
-suite enforces it on both backends.
+suite enforces it inline and in the pool.
 """
 
 from __future__ import annotations

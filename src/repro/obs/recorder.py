@@ -9,7 +9,7 @@ allocation beyond a shared no-op context manager -- which is what makes
 always-on instrumentation affordable on the engines' hot paths.
 
 Worker processes record onto their own scoped recorder (installed by
-``repro.campaign.backends.base.execute_item`` when the dispatching
+``repro.campaign.executor.execute_item`` when the dispatching
 campaign is tracing) and return the finished :class:`SpanBatch`
 alongside the outcome (:class:`TracedOutcome`).
 The coordinator merges batches via :meth:`Recorder.absorb`, which
@@ -82,8 +82,8 @@ class SpanBatch:
 class TracedOutcome:
     """A shard outcome piggybacking the spans its execution recorded.
 
-    Pool backends get worker spans back through the future's return
-    value wrapped in this; they unwrap *before* any outcome inspection
+    The executor's pool path gets worker spans back through the future's
+    return value wrapped in this; it unwraps *before* any outcome inspection
     so tracing never touches result paths.
     """
 

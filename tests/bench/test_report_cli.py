@@ -115,3 +115,42 @@ def test_report_cli_rerenders_the_hunt_narrative_from_a_jsonl_log(
     assert "BOOM attack enumeration -- sandboxing contract" in out
     assert "ATTACK via misaligned" in out
     assert "excluded [misaligned] -> proved" in out
+
+
+def _as_json(value):
+    """Driver results with every outcome in its logged (rounded) form."""
+    from dataclasses import is_dataclass
+
+    from repro.campaign.log import outcome_to_json
+    from repro.mc.result import Outcome
+
+    if isinstance(value, Outcome):
+        return outcome_to_json(value)
+    if is_dataclass(value):
+        return {k: _as_json(v) for k, v in vars(value).items()}
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def test_results_from_records_equal_the_logged_runs_own_results(tmp_path):
+    """A driver's ``results_from_records`` on its run's log rebuilds
+    exactly the results ``run`` returned (fig2-mini, one ablation row)."""
+    from repro.bench import ablation, fig2
+    from repro.campaign.log import read_records
+
+    path = tmp_path / "run.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        log = CampaignLog(handle)
+        swept = fig2.run(
+            QUICK, regfile_sizes=(2,), dmem_sizes=(2,), rob_sizes=(2,), log=log
+        )
+        ablated = ablation.run(QUICK, workloads=ablation.WORKLOADS[:1], log=log)
+    records = read_records(str(path))
+    assert _as_json(fig2.results_from_records(records)) == _as_json(swept)
+    assert _as_json(ablation.results_from_records(records)) == _as_json(ablated)
+    assert ablated and any(
+        series.points for panel in swept.values() for series in panel.values()
+    )

@@ -6,7 +6,7 @@ verdicts, counterexamples *and* search statistics -- do not depend on
 function of its picklable :class:`WorkItem` and the merge replays serial
 LIFO order.  The matrix here runs the CI mini grids inline (one worker)
 and on a pool (four), each against plain ``verify`` on every unit, plus
-the failure paths: campaign budgets, cancellation and shard failures.
+the failure paths: campaign budgets, skipped items and shard failures.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import pytest
 from repro.bench import ablation, fig2
 from repro.bench.configs import QUICK
 from repro import obs
-from repro.campaign.backends import (
-    ProcessPoolBackend,
-    SerialBackend,
+from repro.campaign.executor import (
+    Executor,
+    ShardFailure,
     WorkItem,
     execute_item,
 )
@@ -42,7 +42,7 @@ TINY = EncodingSpace(
     branch_off=(2,),
 )
 
-#: The CI mini grids (the acceptance workloads for backend equivalence).
+#: The CI mini grids (the acceptance workloads for executor equivalence).
 GRIDS = {
     "fig2-mini": lambda: fig2.units(
         QUICK, regfile_sizes=(2,), dmem_sizes=(2,), rob_sizes=(2,)
@@ -90,14 +90,19 @@ def test_backend_matrix_bit_identical(grid):
 
 
 def test_serial_backend_is_lazy_and_cancellable():
-    """Cancelled items never run; completion order is submission order."""
-    backend = SerialBackend()
+    """Inline, items run lazily in list order, and an item whose
+    ``skip`` turns true before its turn never runs: the raising item
+    below would otherwise yield a ShardFailure."""
     item = WorkItem(_task(Defense.NONE))
-    first = backend.submit_unit(item)
-    second = backend.submit_unit(item)
-    assert backend.cancel(first)
-    done = list(backend.as_completed())
-    assert [ticket for ticket, _ in done] == [second]
+    raising = _RaisingItem(_task(Defense.NONE))
+    skipped = {0}
+    done = []
+    for index, outcome in Executor(1).run(
+        [item, item, raising], skip=skipped.__contains__
+    ):
+        done.append((index, outcome))
+        skipped.add(2)  # decided after item 1: item 2 must never run
+    assert [index for index, _ in done] == [1]
     assert done[0][1].attacked
 
 
@@ -124,17 +129,17 @@ class _RaisingItem(WorkItem):
 
 @pytest.mark.parametrize("name", ["serial", "process"])
 def test_backends_deliver_shard_failures_instead_of_raising(name):
-    """A raising shard surfaces as a ShardFailure completion, so the
-    scheduler (not the backend) decides whether it was serially dead.
+    """A raising shard surfaces as a ShardFailure outcome, so the
+    scheduler (not the executor) decides whether it was serially dead.
     In a pool child the raise reaches the coordinator through
     ``future.result()``."""
-    from repro.campaign.backends import ShardFailure
-
-    build = {"serial": SerialBackend, "process": lambda: ProcessPoolBackend(1)}
-    with build[name]() as backend:
-        ticket = backend.submit_unit(_RaisingItem(_task(Defense.NONE)))
-        [(done, outcome)] = list(backend.as_completed())
-    assert done == ticket
+    n_workers = {"serial": 1, "process": 2}[name]
+    with Executor(n_workers, max_items=1) as executor:
+        assert executor.name == name
+        [(done, outcome)] = list(
+            executor.run([_RaisingItem(_task(Defense.NONE))])
+        )
+    assert done == 0
     assert isinstance(outcome, ShardFailure)
     assert "boom" in outcome.message
     assert isinstance(outcome.error, RuntimeError)
@@ -152,6 +157,22 @@ def test_traced_execute_item_ships_spans_and_the_untraced_outcome():
     names = {span.name for span in traced.batch.spans}
     assert {"shard.run", "engine.search"} <= names
     assert obs.recorder() is None  # the scoped recorder was uninstalled
+
+
+def test_traced_pool_items_ship_spans_home():
+    """Run traced in the pool, an item yields the plain outcome while
+    the spans it recorded in its child merge into the caller's trace."""
+    item = WorkItem(_task(Defense.NONE))
+    plain = item.run()
+    with obs.tracing() as recorder, Executor(2, max_items=1) as executor:
+        [(index, outcome)] = list(executor.run([item]))
+    assert index == 0
+    assert outcome.stats == plain.stats
+    assert outcome.counterexample == plain.counterexample
+    workers = {
+        span.worker for span in recorder.spans if span.name == "shard.run"
+    }
+    assert workers and recorder.worker not in workers
 
 
 def test_relevant_shard_failure_aborts_the_campaign(monkeypatch):

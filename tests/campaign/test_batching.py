@@ -16,7 +16,7 @@ from repro.bench import table2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
 from repro.campaign.__main__ import mini_units
-from repro.campaign.backends import ProcessPoolBackend, SerialBackend, WorkItem
+from repro.campaign.executor import Executor, WorkItem
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
@@ -78,40 +78,37 @@ def test_plan_batches_covers_weights_contiguously():
 # ----------------------------------------------------------------------
 # Root batches: the plan rule and bit-identity
 # ----------------------------------------------------------------------
-class _RecordingBackend(SerialBackend):
-    """Inline backend posing as ``width`` slots, recording every item."""
+class _RecordingExecutor(Executor):
+    """Inline executor posing as ``width`` slots, recording every item."""
 
     def __init__(self, width: int):
-        super().__init__()
+        super().__init__(1)
         self.width = width
         self.items: list[WorkItem] = []
 
-    def capacity(self) -> int:
-        return self.width
-
-    def submit_unit(self, item):
-        self.items.append(item)
-        return super().submit_unit(item)
+    def run(self, items, skip=None):
+        self.items.extend(items)
+        return super().run(items, skip)
 
 
-def _record(monkeypatch, width: int) -> _RecordingBackend:
-    """Make the scheduler's executor factory hand out a recorder."""
-    backend = _RecordingBackend(width)
+def _record(monkeypatch, width: int) -> _RecordingExecutor:
+    """Make the scheduler build a recorder as its executor."""
+    executor = _RecordingExecutor(width)
     monkeypatch.setattr(
-        scheduler, "make_executor", lambda n_workers, max_items=None: backend
+        scheduler, "Executor", lambda n_workers, max_items=None: executor
     )
-    return backend
+    return executor
 
 
 def test_root_batch_plan_one_shard_per_unit_when_units_fill_capacity(
     monkeypatch,
 ):
     units = [CampaignUnit("t", (str(i),), _task(2)) for i in range(10)]
-    backend = _record(monkeypatch, 2)
+    executor = _record(monkeypatch, 2)
     results = run_campaign(units, n_workers=2)
-    assert len(backend.items) == 10
+    assert len(executor.items) == 10
     n_roots = len(_task(2).build_roots())
-    assert [len(item.task.roots) for item in backend.items] == [n_roots] * 10
+    assert [len(item.task.roots) for item in executor.items] == [n_roots] * 10
     assert results[0].telemetry.shards == 10
 
 
@@ -121,11 +118,11 @@ def test_root_batch_plan_splits_a_lone_unit_into_contiguous_batches(
     task = _task(2)
     roots = task.build_roots()
     assert len(roots) == 6
-    backend = _record(monkeypatch, 2)
+    executor = _record(monkeypatch, 2)
     run_campaign([CampaignUnit("t", ("a",), task)], n_workers=2)
     # Submitted serial-first (last batch first); in list order the four
     # batches tile the roots contiguously: 2/2/1/1.
-    batches = [list(item.task.roots) for item in reversed(backend.items)]
+    batches = [list(item.task.roots) for item in reversed(executor.items)]
     assert [len(batch) for batch in batches] == [2, 2, 1, 1]
     assert [root for batch in batches for root in batch] == roots
 
@@ -185,18 +182,12 @@ def test_process_backend_dispatch_is_bit_identical():
     roots = task.build_roots()
     items = [WorkItem(replace(task, roots=[root])) for root in roots[:4]]
     references = [item.run() for item in items]
-    backend = ProcessPoolBackend(max_workers=2)
-    try:
-        tickets = [backend.submit_unit(item) for item in items]
-        got: dict[int, object] = {}
-        while len(got) < len(items):
-            for ticket, outcome in backend.as_completed():
-                got[ticket] = outcome
-        for ticket, reference in zip(tickets, references):
-            outcome = got[ticket]
-            assert outcome.kind == reference.kind
-            assert outcome.stats == reference.stats
-            assert outcome.counterexample == reference.counterexample
-    finally:
-        backend.close()
+    with Executor(2) as executor:
+        got = dict(executor.run(items))
+    assert sorted(got) == list(range(len(items)))
+    for index, reference in enumerate(references):
+        outcome = got[index]
+        assert outcome.kind == reference.kind
+        assert outcome.stats == reference.stats
+        assert outcome.counterexample == reference.counterexample
 

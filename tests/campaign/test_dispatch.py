@@ -12,7 +12,7 @@ from repro import obs
 from repro.bench import fig2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
-from repro.campaign.backends import SerialBackend
+from repro.campaign.executor import Executor
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
     CampaignUnit,
@@ -48,31 +48,29 @@ def _task(imem_size: int, defense: Defense = Defense.NONE) -> VerificationTask:
     )
 
 
-class _RecordingBackend(SerialBackend):
-    """Inline backend posing as a two-slot pool, recording the imem size
-    of every submitted item."""
+class _RecordingExecutor(Executor):
+    """Inline executor posing as a two-slot pool, recording the imem
+    size of every submitted item."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(1)
+        self.width = 2
         self.submitted_sizes: list[int] = []
 
-    def capacity(self) -> int:
-        return 2
-
-    def submit_unit(self, item):
-        self.submitted_sizes.append(
-            item.task.core_factory().params.imem_size
+    def run(self, items, skip=None):
+        self.submitted_sizes.extend(
+            item.task.core_factory().params.imem_size for item in items
         )
-        return super().submit_unit(item)
+        return super().run(items, skip)
 
 
-def _record(monkeypatch) -> _RecordingBackend:
-    """Make the scheduler's executor factory hand out a recorder."""
-    backend = _RecordingBackend()
+def _record(monkeypatch) -> _RecordingExecutor:
+    """Make the scheduler build a recorder as its executor."""
+    executor = _RecordingExecutor()
     monkeypatch.setattr(
-        scheduler, "make_executor", lambda n_workers, max_items=None: backend
+        scheduler, "Executor", lambda n_workers, max_items=None: executor
     )
-    return backend
+    return executor
 
 
 # ----------------------------------------------------------------------
@@ -86,20 +84,20 @@ def test_predicted_states_orders_by_the_cost_model():
 
 def test_units_are_submitted_largest_first(monkeypatch):
     """The small unit is listed first but, with two workers, the big
-    one's shards must hit the backend first (results still align with
-    the unit list)."""
+    one's shards must reach the executor first (results still align
+    with the unit list)."""
     units = [
         CampaignUnit("t", ("small",), _task(2)),
         CampaignUnit("t", ("big",), _task(3)),
     ]
-    backend = _record(monkeypatch)
+    executor = _record(monkeypatch)
     results = run_campaign(units, n_workers=2)
     assert [r.key for r in results] == [("small",), ("big",)]
-    assert backend.submitted_sizes, "nothing was submitted"
-    split = backend.submitted_sizes.index(2)
-    assert set(backend.submitted_sizes[:split]) == {3}, (
+    assert executor.submitted_sizes, "nothing was submitted"
+    split = executor.submitted_sizes.index(2)
+    assert set(executor.submitted_sizes[:split]) == {3}, (
         "big-unit shards were not all submitted before the small unit's: "
-        f"{backend.submitted_sizes}"
+        f"{executor.submitted_sizes}"
     )
     # And ordering does not perturb outcomes vs plain ``verify``.
     for got, unit in zip(results, units):
@@ -112,9 +110,9 @@ def test_equal_cost_units_keep_list_order(monkeypatch):
     units = [
         CampaignUnit("t", (label,), _task(2)) for label in ("a", "b", "c")
     ]
-    backend = _record(monkeypatch)
+    executor = _record(monkeypatch)
     run_campaign(units, n_workers=2)
-    assert backend.submitted_sizes == [2] * len(backend.submitted_sizes)
+    assert executor.submitted_sizes == [2] * len(executor.submitted_sizes)
 
 
 def _traced_order(units, n_workers: int, event: str):

@@ -17,6 +17,7 @@ from repro import obs
 from repro.bench import ablation, fig2, table2
 from repro.bench.configs import QUICK
 from repro.campaign import scheduler
+from repro.campaign.executor import Executor
 from repro.campaign.log import CampaignLog
 from repro.campaign.registry import core_spec
 from repro.campaign.scheduler import (
@@ -133,19 +134,13 @@ def test_one_worker_runs_one_all_roots_shard_per_unit(monkeypatch):
     ``verify_sharded`` included), and the trace's ``shard.done`` states
     add up to the merged states."""
     submitted = []
-    make_executor = scheduler.make_executor
 
-    def recording(n_workers, max_items=None):
-        executor = make_executor(n_workers, max_items)
+    class Recording(Executor):
+        def run(self, items, skip=None):
+            submitted.extend(items)
+            return super().run(items, skip)
 
-        def submit(item, _submit=executor.submit_unit):
-            submitted.append(item)
-            return _submit(item)
-
-        executor.submit_unit = submit
-        return executor
-
-    monkeypatch.setattr(scheduler, "make_executor", recording)
+    monkeypatch.setattr(scheduler, "Executor", Recording)
     units = _units()
     with obs.tracing() as recorder:
         results = run_campaign(units, n_workers=1)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.campaign.backends import SerialBackend, WorkItem
+from repro.campaign.executor import Executor, WorkItem
 from repro.campaign.log import canonical_lines
 from repro.fuzz.campaign import run_fuzz
 from repro.fuzz.configs import FUZZ_PRESETS, preset_config
@@ -109,16 +109,29 @@ def _mini_shard(**overrides) -> FuzzShard:
 
 
 def test_fuzz_workitems_run_through_the_backend_contract():
-    backend = SerialBackend()
-    ticket = backend.submit_unit(WorkItem(fuzz=_mini_shard()))
-    [(done, result)] = list(backend.as_completed())
-    assert done == ticket
+    [(index, result)] = list(Executor(1).run([WorkItem(fuzz=_mini_shard())]))
+    assert index == 0
     assert isinstance(result, FuzzShardResult)
     assert result.programs == 8
 
 
+def test_a_raising_fuzz_shard_fails_the_round(monkeypatch):
+    """A shard that raises is never merged as an empty batch: the
+    round's gather raises, chained from the shard's own error."""
+    preset = preset_config("fuzz-mini")
+
+    def explode(self):
+        raise ValueError("shard bug")
+
+    monkeypatch.setattr(FuzzShard, "run", explode)
+    with pytest.raises(RuntimeError, match="fuzz shard failed") as info:
+        _run(preset)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "shard bug"
+
+
 def test_expired_deadline_synthesizes_a_budget_outcome():
-    from repro.campaign.backends import BUDGET_NOTE
+    from repro.campaign.executor import BUDGET_NOTE
 
     shard = _mini_shard(
         limits=SearchLimits(deadline=time.monotonic() - 1.0)
@@ -169,15 +182,6 @@ def test_fuzz_cli_logs_are_backend_independent(tmp_path):
     # The final record is the minimized leak, replay-complete.
     assert '"key": ["leak"]' in serial_lines[-1]
     assert '"minimized_length": 3' in serial_lines[-1]
-
-
-def test_campaign_cli_delegates_fuzz_presets(tmp_path, capsys):
-    from repro.campaign.__main__ import main as campaign_main
-
-    log = tmp_path / "fuzz.jsonl"
-    assert campaign_main(["--units", "fuzz-mini", "--log", str(log)]) == 0
-    assert canonical_lines(str(log))
-    assert "LEAK" in capsys.readouterr().out
 
 
 def test_fuzz_cli_log_header_records_the_resolved_capacity(tmp_path, monkeypatch):

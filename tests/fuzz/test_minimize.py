@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.campaign.backends import SerialBackend
+import pytest
+
+from repro.campaign.executor import Executor
 from repro.campaign.registry import core_spec
 from repro.fuzz.configs import preset_config
 from repro.fuzz.minimize import minimize_leak, minimized_env
@@ -67,7 +69,7 @@ PADDED = (
 def test_minimizes_to_the_three_instruction_gadget():
     config = _config()
     leak = _leak(config, PADDED)
-    minimized = minimize_leak(config, leak, SerialBackend())
+    minimized = minimize_leak(config, leak, Executor(1))
     assert minimized.original_length == 6
     assert minimized.length == 3
     assert minimized.program == PADDED[:3]
@@ -76,7 +78,7 @@ def test_minimizes_to_the_three_instruction_gadget():
 
 def test_minimized_program_still_leaks_and_replays():
     config = _config()
-    minimized = minimize_leak(config, _leak(config, PADDED), SerialBackend())
+    minimized = minimize_leak(config, _leak(config, PADDED), Executor(1))
     trace = run_trace(
         config.build_product(), minimized.program, PAIR, NT_SEED
     )
@@ -91,7 +93,7 @@ def test_minimized_program_still_leaks_and_replays():
 def test_result_is_one_minimal():
     """Removing any single instruction from the snippet kills the leak."""
     config = _config()
-    minimized = minimize_leak(config, _leak(config, PADDED), SerialBackend())
+    minimized = minimize_leak(config, _leak(config, PADDED), Executor(1))
     for drop in range(minimized.length):
         candidate = (
             minimized.program[:drop] + minimized.program[drop + 1 :]
@@ -108,12 +110,10 @@ def test_result_is_one_minimal():
 
 
 def test_minimization_is_deterministic_across_backends():
-    from repro.campaign.backends import ProcessPoolBackend
-
     config = _config()
     leak = _leak(config, PADDED)
-    serial = minimize_leak(config, leak, SerialBackend())
-    with ProcessPoolBackend(2) as pool:
+    serial = minimize_leak(config, leak, Executor(1))
+    with Executor(2) as pool:
         parallel = minimize_leak(config, leak, pool)
     assert serial.program == parallel.program
     assert serial.counterexample == parallel.counterexample
@@ -124,7 +124,7 @@ def test_trailing_halts_are_trimmed_without_probes():
     """Padding HALTs never execute; they fall off before ddmin starts."""
     config = _config()
     program = (branch(0, 2), load(1, 0, 3), load(2, 1, 0), HALT, HALT, HALT)
-    minimized = minimize_leak(config, _leak(config, program), SerialBackend())
+    minimized = minimize_leak(config, _leak(config, program), Executor(1))
     assert minimized.length == 3
 
 
@@ -141,7 +141,7 @@ def test_budget_expiry_marks_the_result_truncated_not_minimal():
     minimized = minimize_leak(
         config,
         leak,
-        SerialBackend(),
+        Executor(1),
         limits=SearchLimits(deadline=time.monotonic() - 1.0),
     )
     assert minimized.truncated
@@ -152,9 +152,25 @@ def test_budget_expiry_marks_the_result_truncated_not_minimal():
     assert trace.verdict == TRACE_LEAK
 
 
+def test_a_raising_probe_fails_the_minimization(monkeypatch):
+    """A probe that raises is never taken for "no leak": the wave's
+    gather raises, chained from the probe's own error."""
+    config = _config()
+    leak = _leak(config, PADDED)
+
+    def explode(self):
+        raise ValueError("probe bug")
+
+    monkeypatch.setattr(MinimizeProbe, "run", explode)
+    with pytest.raises(RuntimeError, match="minimization probe failed") as info:
+        minimize_leak(config, leak, Executor(1))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "probe bug"
+
+
 def test_completed_minimization_is_not_truncated():
     config = _config()
-    minimized = minimize_leak(config, _leak(config, PADDED), SerialBackend())
+    minimized = minimize_leak(config, _leak(config, PADDED), Executor(1))
     assert not minimized.truncated
 
 
