@@ -7,8 +7,9 @@ characterizes the explorer:
   :class:`repro.fuzz.work.FuzzShard` on the *defended* mini config
   (nothing leaks, so every trial runs to completion -- the honest
   denominator); ``cycles_per_s`` divides every trial's cycles, and
-  ``oracle_runs``/``oracle_cycles`` add the traces and cycles the
-  oracle stepped (the shard's trace memo answers repeats), and
+  ``oracle_runs``/``oracle_cycles``/``oracle_steps`` add the traces,
+  cycles and machine steps the oracle ran (the shard's trace memo
+  answers repeats), and
 - **time-to-first-leak**: the committed-seed ``fuzz-mini`` campaign on
   the planted-leak config, wall-clock and trial count until the
   Spectre-v1 snippet is found and minimized.
@@ -66,10 +67,12 @@ def test_fuzz_oracle_throughput():
         "config": preset.config.describe(),
         "programs": result.programs,
         "product_cycles": result.cycles,
-        # The traces and cycles the oracle stepped: the shard's trace
-        # memo answers repeated traces without stepping the product.
+        # The traces, cycles and machine steps the oracle ran: the
+        # shard's trace memo answers repeated traces without stepping
+        # the product.
         "oracle_runs": result.oracle_runs,
         "oracle_cycles": result.oracle_cycles,
+        "oracle_steps": result.oracle_steps,
         "elapsed_s": round(elapsed, 3),
         "programs_per_s": round(programs_per_s, 1),
         "cycles_per_s": round(result.cycles / elapsed, 1),

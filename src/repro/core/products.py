@@ -79,6 +79,9 @@ class Product(Protocol):
     def restore(self, snap: tuple) -> None: ...
 
 
+_STEP_OK = StepResult(pruned=False, failed=False, reason=None)
+
+
 def _check_assumptions(
     assumptions: Iterable[Assumption], outputs: Iterable[CycleOutput]
 ) -> str | None:
@@ -97,7 +100,19 @@ class ShadowProduct:
     The memoizing vector engine (``repro.mc.vector``) drives this
     product through its machines and checker protocol (``dmem_sides``,
     ``clock_control``, ``fold_cycle``,
-    ``checker_snapshot``/``checker_restore``, ``settled``).
+    ``checker_snapshot``/``checker_restore``, ``settled``).  None of
+    those consults twin mode.
+
+    Twin mode: the copies differ only in their data memories, so until
+    one of them reads a word on which the memories differ they step
+    identically (the ``dmem_read`` contract,
+    ``tests/mc/test_dmem_read.py``).  :meth:`reset` enters twin mode,
+    in which :meth:`step_cycle` steps copy 0 alone and copy 1 records
+    the bundles it owes; the first cycle on which the copies could
+    differ replays them onto copy 1 and leaves twin mode for good, and
+    :meth:`restore` leaves it too.  So ``machines[1]`` lags behind in
+    twin mode: read the pair through the product (``fetch_requests``,
+    ``quiescent``, ``snapshot``), never through ``machines[1]``.
     """
 
     #: Which data memory of a root's pair each machine slot runs on.
@@ -115,12 +130,28 @@ class ShadowProduct:
         self.predictors = [m.config.predictor for m in self.machines]
         #: Cycle outputs of the most recent ``step_cycle`` (replay/debug).
         self.last_outputs: tuple[CycleOutput, ...] = ()
+        #: Machine steps run by ``step_cycle`` and twin catch-up so far.
+        self.steps = 0
+        # Twin mode: the bundles copy 1 owes, or ``None`` outside it.
+        self._owed: list | None = None
+        self._secret_words: set[int] = set()
 
     def reset(self, dmem_pair) -> None:
         """Start both copies on the given (secret-differing) memories."""
         self.machines[0].reset(dmem_pair[0])
         self.machines[1].reset(dmem_pair[1])
         self.shadow = ContractShadowLogic(self.contract, gate_fetch=self.gate_fetch)
+        self._owed = []
+        self._secret_words = {w for w, (a, b) in enumerate(zip(*dmem_pair)) if a != b}
+
+    def _catch_up(self) -> None:
+        """Step copy 1 through the bundles it owes (twin mode only)."""
+        owed = self._owed
+        machine1 = self.machines[1]
+        for bundle in owed:
+            machine1.step(bundle)
+        self.steps += len(owed)
+        owed.clear()
 
     def clock_control(self) -> tuple[bool, tuple[bool, bool]]:
         """(fetch gated, per-machine pauses) for the coming cycle."""
@@ -132,7 +163,11 @@ class ShadowProduct:
         if gated:
             return []
         requests = []
-        for index, machine in enumerate(self.machines):
+        machines = self.machines
+        if self._owed is not None:
+            # Twin mode: copy 1 would ask exactly what copy 0 asks.
+            machines = (machines[0], machines[0])
+        for index, machine in enumerate(machines):
             if pauses[index]:
                 continue
             pc = machine.poll_fetch()
@@ -151,9 +186,31 @@ class ShadowProduct:
     def step_cycle(self, bundles: Sequence[FetchBundle | None]) -> StepResult:
         """Clock the product one cycle and evaluate assume/assert."""
         machine0, machine1 = self.machines
+        out0 = None
+        if self._owed is not None:
+            if bundles[0] == bundles[1]:
+                machine0.dmem_read = None
+                out0 = machine0.step(bundles[0])
+                self.steps += 1
+                word = machine0.dmem_read
+                if word is None or word not in self._secret_words:
+                    # Copy 1 would step identically, and on equal outputs
+                    # the lockstep shadow logic's queues pop equal and
+                    # stay empty: only the assumptions act on this cycle.
+                    self._owed.append(bundles[0])
+                    self.last_outputs = outputs = (out0, out0)
+                    if self.assumptions:
+                        reason = _check_assumptions(self.assumptions, outputs)
+                        if reason is not None:
+                            return StepResult(pruned=True, failed=False, reason=reason)
+                    return _STEP_OK
+            # The copies could differ from this cycle on.
+            self._catch_up()
+            self._owed = None
         pauses = self.shadow.pauses()
         # Hot path: in phase 1 (and phase 2 with realigned queues) nothing
         # pauses, so skip the per-machine gating scaffolding entirely.
+        # Twin mode ends in phase 1, so an ``out0`` stepped above lands here.
         if pauses[0] or pauses[1]:
             outputs = (
                 CycleOutput(commits=(), membus=(), halted=machine0.halted)
@@ -164,9 +221,14 @@ class ShadowProduct:
                 else machine1.step(bundles[1]),
             )
             stepped = (not pauses[0], not pauses[1])
+            self.steps += stepped[0] + stepped[1]
         else:
-            outputs = (machine0.step(bundles[0]), machine1.step(bundles[1]))
+            if out0 is None:
+                out0 = machine0.step(bundles[0])
+                self.steps += 1
+            outputs = (out0, machine1.step(bundles[1]))
             stepped = (True, True)
+            self.steps += 1
         self.last_outputs = outputs
         return self.fold_cycle(
             outputs,
@@ -211,7 +273,9 @@ class ShadowProduct:
 
     def quiescent(self) -> bool:
         """Terminal OK state: both copies halted, no deviation recorded."""
-        return self.machines[0].halted and self.machines[1].halted and self.settled()
+        machine0, machine1 = self.machines
+        twin = self._owed is not None  # copy 1 lags; copy 0 speaks for both
+        return machine0.halted and (twin or machine1.halted) and self.settled()
 
     def checker_snapshot(self, bases: tuple[int, int]) -> tuple:
         """Canonical shadow-logic state, rebased per copy."""
@@ -225,6 +289,8 @@ class ShadowProduct:
 
     def snapshot(self) -> tuple:
         """Canonical product state (machine snapshots rebase internally)."""
+        if self._owed:
+            self._catch_up()
         machine0, machine1 = self.machines
         return (
             machine0.snapshot(),
@@ -233,7 +299,8 @@ class ShadowProduct:
         )
 
     def restore(self, snap: tuple) -> None:
-        """Restore a state produced by :meth:`snapshot`."""
+        """Restore a state produced by :meth:`snapshot` (leaves twin mode)."""
+        self._owed = None
         self.machines[0].restore(snap[0])
         self.machines[1].restore(snap[1])
         self.checker_restore(snap[2])

@@ -51,8 +51,9 @@ class FuzzRound:
     """Merged accounting of one round (deterministic given the seed).
 
     ``oracle_runs``/``oracle_cycles`` are the traces and product cycles
-    the round's shards actually stepped; ``programs``/``cycles`` count
-    every trial, including those a shard's trace memo answered.
+    the round's shards actually stepped, and ``oracle_steps`` the
+    machine steps the product ran for them; ``programs``/``cycles``
+    count every trial, including those a shard's trace memo answered.
     """
 
     index: int
@@ -60,6 +61,7 @@ class FuzzRound:
     cycles: int = 0
     oracle_runs: int = 0
     oracle_cycles: int = 0
+    oracle_steps: int = 0
     verdicts: dict = field(default_factory=dict)
     new_coverage: int = 0
     truncated: bool = False
@@ -222,6 +224,7 @@ def run_fuzz(
                     merged.cycles += result.cycles
                     merged.oracle_runs += result.oracle_runs
                     merged.oracle_cycles += result.oracle_cycles
+                    merged.oracle_steps += result.oracle_steps
                     for name, count in result.verdicts:
                         merged.verdicts[name] = (
                             merged.verdicts.get(name, 0) + count
@@ -242,6 +245,7 @@ def run_fuzz(
                 programs=merged.programs,
                 oracle_runs=merged.oracle_runs,
                 oracle_cycles=merged.oracle_cycles,
+                oracle_steps=merged.oracle_steps,
                 new_coverage=merged.new_coverage,
                 leaks=merged.leaks,
             )
@@ -261,6 +265,7 @@ def run_fuzz(
                             "programs": merged.programs,
                             "oracle_runs": merged.oracle_runs,
                             "oracle_cycles": merged.oracle_cycles,
+                            "oracle_steps": merged.oracle_steps,
                             "new_coverage": merged.new_coverage,
                             "coverage_total": len(coverage),
                             "corpus_size": len(corpus),

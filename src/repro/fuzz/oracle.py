@@ -7,7 +7,13 @@ pair.  The execution itself is the unchanged product
 (:class:`repro.core.products.ShadowProduct` by default): both copies
 step cycle by cycle, the contract shadow logic checks the contract
 constraint (assume) and the leakage assertion exactly as in exhaustive
-search.
+search.  The shadow product runs each trace in *twin mode* until the
+copies could differ: while neither has read a word on which the secret
+memories differ, it steps copy 0 alone and skips the shadow logic
+(identical outputs leave it in lockstep), and at the first such read
+copy 1 catches up on the bundles it owes.  Verdicts, cycles, coverage
+and counterexamples are those of stepping both copies every cycle
+(``tests/fuzz/test_twin_copies.py``).
 
 Soundness (the EXPERIMENTS.md argument, in short): a trace this oracle
 classifies ``leak`` is a deterministic execution of the same product

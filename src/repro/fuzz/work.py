@@ -131,7 +131,10 @@ class FuzzShardResult:
 
     ``cycles`` is the product cycles of every trial; ``oracle_runs`` and
     ``oracle_cycles`` count the traces and cycles the shard actually
-    stepped (trials its trace memo answered are left out).
+    stepped (trials its trace memo answered are left out), and
+    ``oracle_steps`` the machine steps the product ran for them (a
+    twin-mode cycle of :class:`repro.core.products.ShadowProduct` steps
+    one copy, and a catch-up steps the other through what it owes).
     """
 
     round_index: int
@@ -140,6 +143,7 @@ class FuzzShardResult:
     cycles: int
     oracle_runs: int
     oracle_cycles: int
+    oracle_steps: int
     verdicts: tuple[tuple[str, int], ...]  # verdict name -> count
     new_coverage: tuple[str, ...]  # sorted, novel vs known_coverage
     corpus_additions: tuple[tuple[Instruction, ...], ...]
@@ -250,6 +254,11 @@ class FuzzShard:
             cycles=cycles,
             oracle_runs=oracle_runs,
             oracle_cycles=oracle_cycles,
+            # The baseline product keeps no count: it steps all four
+            # machines every cycle.
+            oracle_steps=getattr(
+                product, "steps", len(product.machines) * oracle_cycles
+            ),
             verdicts=tuple((name, counts[name]) for name in TRIAL_VERDICTS),
             new_coverage=tuple(sorted(new_keys)),
             corpus_additions=tuple(additions),

@@ -29,6 +29,7 @@ from repro.isa.instruction import HALT, BranchCond, branch, load, loadimm
 from repro.isa.params import MachineParams
 from repro.rand import derive_seed
 from repro.uarch.config import Defense
+from repro.uarch.ooo_base import OoOCore
 
 
 def _reference(shard: FuzzShard) -> dict:
@@ -224,9 +225,18 @@ def test_a_repeated_leak_runs_again_with_its_own_program(monkeypatch):
     )
 
 
-def test_rounds_report_what_the_oracle_stepped():
+def test_rounds_report_what_the_oracle_stepped(monkeypatch):
     """The round, its ``fuzz.round.done`` event and its log record carry
-    the traces and cycles the shards stepped next to the logical totals."""
+    the traces, cycles and machine steps the shards ran next to the
+    logical totals."""
+    machine_steps = itertools.count()
+    step = OoOCore.step
+
+    def counted_step(machine, bundle):
+        next(machine_steps)
+        return step(machine, bundle)
+
+    monkeypatch.setattr(OoOCore, "step", counted_step)
     stream = io.StringIO()
     with obs.tracing() as recorder:
         report = run_fuzz(
@@ -241,10 +251,15 @@ def test_rounds_report_what_the_oracle_stepped():
     (round_,) = report.rounds
     assert 0 < round_.oracle_runs < round_.programs == 512
     assert 0 < round_.oracle_cycles < round_.cycles
+    # Every machine step the serial run made, catch-up included; twin
+    # mode steps one copy on most cycles.
+    assert round_.oracle_steps == next(machine_steps)
+    assert round_.oracle_cycles < round_.oracle_steps < 2 * round_.oracle_cycles
     (event,) = [e for e in recorder.events if e.name == "fuzz.round.done"]
     attrs = dict(event.attrs)
     assert attrs["oracle_runs"] == round_.oracle_runs
     assert attrs["oracle_cycles"] == round_.oracle_cycles
+    assert attrs["oracle_steps"] == round_.oracle_steps
     (record,) = [
         json.loads(line)
         for line in stream.getvalue().splitlines()
@@ -252,6 +267,7 @@ def test_rounds_report_what_the_oracle_stepped():
     ]
     assert record["fuzz"]["oracle_runs"] == round_.oracle_runs
     assert record["fuzz"]["oracle_cycles"] == round_.oracle_cycles
+    assert record["fuzz"]["oracle_steps"] == round_.oracle_steps
 
 
 def test_trials_differing_only_in_a_later_occurrence_cost_two_runs(
