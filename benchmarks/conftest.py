@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.configs import scale_by_name
+from repro.obs import schema
 
 #: Where the suites write fresh ``BENCH_*.json`` records (gitignored).  The
 #: committed files at the repository root are the perf gate's baselines;
@@ -31,8 +32,13 @@ def update_bench_record(path: Path, key: str, record: dict) -> None:
     """Merge one named record into a fresh ``BENCH_*.json`` under ``BENCH_OUT``.
 
     Shared by the benchmark suites so every record file keeps one format:
-    a dict of named records.
+    a dict of named records.  The record is validated against
+    :mod:`repro.obs.schema` first: a benchmark that builds a malformed
+    record fails here instead of leaving it for the perf gate.
     """
+    problems = schema.validate_record(key, record)
+    if problems:
+        raise ValueError("malformed BENCH record:\n  " + "\n  ".join(problems))
     path.parent.mkdir(parents=True, exist_ok=True)
     records: dict = {}
     if path.exists():

@@ -18,9 +18,7 @@ with ``python -m repro.obs.report FILE``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from repro.obs import clock
 from repro.bench import ablation, boom_hunt, fig2, table1, table2, table3
@@ -28,69 +26,8 @@ from repro.bench.configs import scale_by_name
 from repro.campaign.log import CampaignLog, read_records, result_records
 from repro.core.contracts import sandboxing
 
-#: Default location of the explorer-throughput record (repository root;
-#: regenerated by ``benchmarks/test_explorer_throughput.py``).
-EXPLORER_BENCH = Path(__file__).resolve().parents[3] / "BENCH_explorer.json"
 
-
-def _format_bytes(count: int) -> str:
-    """Human size that stays legible for smoke-scale visited sets."""
-    if count >= 1 << 20:
-        return f"{count / (1 << 20):.1f}MiB"
-    return f"{count / (1 << 10):.1f}KiB"
-
-
-def format_explorer_bench(path: str | Path) -> str | None:
-    """Render the state-engine throughput records, if the file exists.
-
-    Returns ``None`` (and prints nothing upstream) when the file is
-    missing or unreadable -- the report must not fail because a benchmark
-    artifact was never generated on this checkout.
-    """
-    try:
-        records = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(records, dict) or not records:
-        return None
-    lines = ["State-engine throughput (BENCH_explorer.json)"]
-    for name, record in sorted(records.items()):
-        try:
-            if record.get("experiment") == "tracing-overhead":
-                off = record["off"]
-                lines.append(
-                    f"  {name:18s} ROB-{record['cell']['size']}: "
-                    f"{off['states_per_s']:.0f} states/s untraced, "
-                    f"noop recorder {record['overhead_noop']:.3f}x, "
-                    f"JSONL sink {record['overhead_jsonl']:.3f}x "
-                    f"({record['states']} states, {record['kind']})"
-                )
-                continue
-            cell = record["cell"]
-            legacy = record["legacy"]
-            engine = record["engine"]
-            lines.append(
-                f"  {name:18s} ROB-{cell['size']}: "
-                f"{legacy['states_per_s']:.0f} -> {engine['states_per_s']:.0f} "
-                f"states/s ({record['speedup']:.2f}x), visited "
-                f"{_format_bytes(legacy['visited_bytes'])} -> "
-                f"{_format_bytes(engine['visited_bytes'])} "
-                f"({record['states']} states, {record['kind']})"
-            )
-        except (KeyError, TypeError):
-            lines.append(f"  {name:18s} (unrecognized record)")
-    return "\n".join(lines)
-
-
-def _print_explorer_bench(path: str | Path) -> None:
-    """Print the throughput section when the record file is present."""
-    bench = format_explorer_bench(path)
-    if bench:
-        print(bench)
-        print()
-
-
-def render_from_log(path: str, explorer_bench: str | Path = EXPLORER_BENCH) -> int:
+def render_from_log(path: str) -> int:
     """Re-render the campaign-covered tables from a JSONL result log."""
     try:
         records = result_records(read_records(path))
@@ -122,7 +59,6 @@ def render_from_log(path: str, explorer_bench: str | Path = EXPLORER_BENCH) -> i
         ):
             print(boom_hunt.format_rows(contract_name, steps))
             print()
-    _print_explorer_bench(explorer_bench)
     return 0
 
 
@@ -158,15 +94,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="re-render tables from a JSONL result log instead of running",
     )
-    parser.add_argument(
-        "--explorer-bench",
-        default=str(EXPLORER_BENCH),
-        help="state-engine throughput record to surface "
-        "(default: BENCH_explorer.json at the repository root)",
-    )
     args = parser.parse_args(argv)
     if args.from_log:
-        return render_from_log(args.from_log, args.explorer_bench)
+        return render_from_log(args.from_log)
     scale = scale_by_name(args.scale)
     skip = set(filter(None, args.skip.split(",")))
     n_workers = None if args.workers == 0 else args.workers
@@ -206,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if log_handle:
             log_handle.close()
-    _print_explorer_bench(args.explorer_bench)
     print(f"total evaluation time: {clock.monotonic() - started:.0f}s")
     return 0
 

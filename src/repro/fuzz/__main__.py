@@ -10,11 +10,13 @@ report.  Three presets are built in (see :mod:`repro.fuzz.configs`):
   clean), and
 - ``fuzz-boom``: the BoomLike core's misalignment/illegal sources.
 
-``--workers`` picks the executor exactly like the verification
-campaign CLI (one worker inline, more in a process pool); reports are
-bit-identical across worker counts for a fixed ``--seed``, which the CI
-fuzz smoke job checks by diffing canonical ``--log`` JSONL between a
-1-worker and a 4-worker run.
+``--workers`` picks the executor as in the verification campaign CLI
+(one worker inline, more in a process pool, 0 one per CPU), but the
+defaults differ: this CLI defaults to 1 worker, ``python -m
+repro.campaign`` to one per CPU.  Reports are bit-identical across
+worker counts for a fixed ``--seed``, which the CI fuzz smoke job
+checks by diffing canonical ``--log`` JSONL between a 1-worker and a
+4-worker run.
 
 Exit status: 0 when the preset's expectation holds (leak found and
 minimized for ``fuzz-mini``/``fuzz-boom``, no leak for

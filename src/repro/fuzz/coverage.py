@@ -43,15 +43,11 @@ class CoverageMap:
     def __contains__(self, key: str) -> bool:
         return key in self._keys
 
-    def add_trace(self, keys: Iterable[str]) -> tuple[str, ...]:
-        """Merge one trace's keys; returns the sorted novel subset."""
+    def merge(self, keys: Iterable[str]) -> tuple[str, ...]:
+        """Merge a batch's keys; returns the sorted novel subset."""
         novel = sorted(set(keys) - self._keys)
         self._keys.update(novel)
         return tuple(novel)
-
-    def merge(self, keys: Iterable[str]) -> tuple[str, ...]:
-        """Alias of :meth:`add_trace` for cross-batch merging."""
-        return self.add_trace(keys)
 
     def snapshot(self) -> frozenset[str]:
         """An immutable copy (shipped to workers as the known set)."""

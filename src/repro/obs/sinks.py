@@ -17,8 +17,8 @@ itself; this module renders a finished recorder into
   timeline.
 
 Schema validation for the JSONL shape lives in
-:mod:`repro.obs.schema` (``python -m repro.obs.schema``), in the style
-of :mod:`repro.bench.records`.
+:mod:`repro.obs.schema` (``python -m repro.obs.schema``), next to the
+BENCH record schema.
 """
 
 from __future__ import annotations

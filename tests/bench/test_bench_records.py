@@ -1,19 +1,24 @@
 """BENCH_*.json schema validation and the perf-regression gate.
 
 Tier-1 coverage for the CI perf lane: the committed record files must
-validate (so the gate never silently no-ops on malformed baselines), the
-validator must actually catch the failure shapes it exists for, and the
-gate must fail on regressions, tolerate noise, and fall back to
-throughput-only gating on oversubscribed (single-core) runners.
+validate, the validator must actually catch the failure shapes it exists
+for (at write time in the benchmark suites, and in the gate itself), and
+the gate must fail on regressions and on malformed files, tolerate
+noise, and fall back to throughput-only gating on oversubscribed
+(single-core) runners.
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 from pathlib import Path
 
-from repro.bench import perf_gate, records
+import pytest
+
+from repro.bench import perf_gate
+from repro.obs import schema
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -21,9 +26,9 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 # ----------------------------------------------------------------------
 # Schema validation
 # ----------------------------------------------------------------------
-def test_committed_bench_records_validate():
-    for name in records.DEFAULT_FILES:
-        problems = records.validate_file(REPO_ROOT / name)
+def test_committed_bench_files_validate():
+    for name in schema.DEFAULT_FILES:
+        problems = schema.validate_file(REPO_ROOT / name)
         assert problems == [], problems
 
 
@@ -44,14 +49,14 @@ def _campaign_record() -> dict:
 
 
 def test_validator_accepts_a_well_formed_record():
-    assert records.validate_record("r", _campaign_record()) == []
+    assert schema.validate_record("r", _campaign_record()) == []
 
 
 def test_validator_flags_missing_and_mistyped_fields():
     record = _campaign_record()
     del record["n_shards"]
     record["serial_s"] = "fast"
-    problems = records.validate_record("r", record)
+    problems = schema.validate_record("r", record)
     assert any("n_shards" in p for p in problems)
     assert any("serial_s" in p for p in problems)
 
@@ -59,33 +64,67 @@ def test_validator_flags_missing_and_mistyped_fields():
 def test_validator_flags_inconsistent_speedup():
     record = _campaign_record()
     record["speedup"] = 2.0  # serial_s/parallel_s says 0.25
-    problems = records.validate_record("r", record)
+    problems = schema.validate_record("r", record)
     assert any("speedup" in p and "inconsistent" in p for p in problems)
 
 
 def test_validator_flags_dishonest_oversubscription():
     record = _campaign_record()
     record["oversubscribed"] = False  # 4 workers on 1 CPU
-    problems = records.validate_record("r", record)
+    problems = schema.validate_record("r", record)
     assert any("oversubscribed" in p for p in problems)
 
 
 def test_validator_flags_unknown_experiments_and_bad_verdicts():
-    assert records.validate_record("r", {"experiment": "mystery"})
+    assert schema.validate_record("r", {"experiment": "mystery"})
     record = _campaign_record()
     record["cells"] = {"shadow/Sodor": "maybe"}
     assert any(
-        "cells" in p for p in records.validate_record("r", record)
+        "cells" in p for p in schema.validate_record("r", record)
     )
 
 
+def test_parallel_metrics_imply_an_oversubscribed_field():
+    """The gate reads ``oversubscribed`` off any record with a parallel
+    metric; validation must guarantee the flag is there."""
+    for name, spec in schema.EXPERIMENTS.items():
+        if any(metric.parallel for metric in spec.metrics):
+            assert "oversubscribed" in spec.fields, name
+
+
 def test_records_cli_on_committed_files_and_garbage(tmp_path, capsys):
-    paths = [str(REPO_ROOT / name) for name in records.DEFAULT_FILES]
-    assert records.main(paths) == 0
+    paths = [str(REPO_ROOT / name) for name in schema.DEFAULT_FILES]
+    assert schema.main(paths) == 0
     bad = tmp_path / "BENCH_bad.json"
     bad.write_text('{"r": {"experiment": "mystery"}}')
-    assert records.main([str(bad)]) == 1
+    assert schema.main([str(bad)]) == 1
+    garbage = tmp_path / "BENCH_garbage.json"
+    garbage.write_text("{not json")
+    assert schema.main([str(garbage)]) == 1
+    assert schema.main([str(tmp_path / "notes.txt")]) == 1  # unknown suffix
+    assert schema.main([]) == 2
     capsys.readouterr()  # keep the report out of pytest's captured noise
+
+
+def _load_update_bench_record():
+    """The benchmark suites' record writer, loaded from its conftest."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.update_bench_record
+
+
+def test_update_bench_record_refuses_a_record_missing_a_field(tmp_path):
+    update_bench_record = _load_update_bench_record()
+    path = tmp_path / "BENCH_campaign.json"
+    update_bench_record(path, "grid", _campaign_record())
+    record = _campaign_record()
+    del record["n_shards"]
+    with pytest.raises(ValueError, match="n_shards"):
+        update_bench_record(path, "broken", record)
+    assert list(json.loads(path.read_text())) == ["grid"]  # nothing written
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +230,8 @@ def test_gate_multicore_campaign_real_speedup_path():
     assert any("speedup" in f for f in failures)
 
 
-def test_gate_skips_metrics_below_the_noise_floor():
-    record = {
+def _leak_record() -> dict:
+    return {
         "experiment": "fuzz-time-to-leak",
         "cpu_count": 1,
         "config": {},
@@ -206,6 +245,10 @@ def test_gate_skips_metrics_below_the_noise_floor():
         "elapsed_s": 0.026,
         "time_to_first_leak_s": 0.026,
     }
+
+
+def test_gate_skips_metrics_below_the_noise_floor():
+    record = _leak_record()
     fresh = copy.deepcopy(record)
     fresh["time_to_first_leak_s"] = 0.2  # "8x worse" -- but 26ms baseline
     failures, notes = perf_gate.gate_records(
@@ -243,3 +286,51 @@ def test_gate_cli_end_to_end(tmp_path, capsys):
     assert perf_gate.main([*argv, "--tolerance", "0.01"]) == 1
     assert perf_gate.main(argv) == 0  # default tolerance, 20%
     capsys.readouterr()
+
+
+def _gate_dirs(tmp_path, baseline: str | None, fresh: str | None):
+    """Baseline and fresh dirs holding BENCH_explorer.json (``None``:
+    absent) next to a well-formed BENCH_fuzz.json pair."""
+    fuzz = json.dumps({"leak": _leak_record()})
+    dirs = []
+    for side, text in (("base", baseline), ("fresh", fresh)):
+        directory = tmp_path / side
+        directory.mkdir()
+        (directory / "BENCH_fuzz.json").write_text(fuzz)
+        if text is not None:
+            (directory / "BENCH_explorer.json").write_text(text)
+        dirs.append(directory)
+    return [
+        "--baseline-dir", str(dirs[0]),
+        "--fresh-dir", str(dirs[1]),
+        "--files", "BENCH_explorer.json", "BENCH_fuzz.json",
+    ]
+
+
+_GOOD = json.dumps({"rob4": _explorer_record()})
+
+
+@pytest.mark.parametrize(
+    "baseline, fresh",
+    [
+        pytest.param(
+            json.dumps({"rob4": {"experiment": "mystery"}}), _GOOD,
+            id="malformed-baseline",
+        ),
+        pytest.param(
+            _GOOD, json.dumps({"rob4": {"experiment": "explorer-throughput"}}),
+            id="malformed-fresh",
+        ),
+        pytest.param(_GOOD, '{"rob4": ', id="unparsable-fresh"),
+    ],
+)
+def test_gate_fails_on_malformed_records(tmp_path, capsys, baseline, fresh):
+    assert perf_gate.main(_gate_dirs(tmp_path, baseline, fresh)) == 1
+    err = capsys.readouterr().err
+    assert "INVALID" in err and "BENCH_explorer.json" in err
+
+
+def test_gate_notes_a_missing_fresh_file(tmp_path, capsys):
+    assert perf_gate.main(_gate_dirs(tmp_path, _GOOD, None)) == 0
+    out = capsys.readouterr().out
+    assert "BENCH_explorer.json: no fresh file; skipped" in out
